@@ -17,8 +17,7 @@
 #include "src/analysis/staleness.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/registry.h"
-#include "src/store/fingerprint_set.h"
-#include "src/store/interner.h"
+#include "src/store/membership.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
 
@@ -28,6 +27,21 @@ const rs::synth::PaperScenario& shared_scenario() {
   static const rs::synth::PaperScenario scenario =
       rs::synth::build_paper_scenario();
   return scenario;
+}
+
+// The scenario's membership table, built once as the study builds it.
+const rs::store::MembershipTable& shared_table() {
+  static const rs::store::MembershipTable table =
+      rs::store::MembershipTable::build(shared_scenario().database());
+  return table;
+}
+
+// The Jaccard matrix over the shared scenario and table.
+rs::analysis::DistanceMatrix shared_matrix(
+    const rs::analysis::JaccardOptions& opts,
+    rs::exec::ThreadPool* pool = nullptr) {
+  return rs::analysis::jaccard_matrix(shared_scenario().database(),
+                                      shared_table(), opts, pool);
 }
 
 void BM_ScenarioBuild(benchmark::State& state) {
@@ -52,11 +66,11 @@ BENCHMARK(BM_SimulatorScaling)->Arg(50)->Arg(150)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
 void BM_JaccardMatrix(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
+  shared_table();  // built outside the timed loop
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+    auto dist = shared_matrix(opts);
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
@@ -71,7 +85,7 @@ BENCHMARK(BM_JaccardMatrix)->Arg(10)->Arg(25)->Arg(50)
 // clock moves.  tools/record_parallel_bench.sh captures this sweep into
 // BENCH_parallel.json.
 void BM_JaccardMatrixParallel(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
+  shared_table();  // built outside the timed loop
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = 40;
@@ -79,8 +93,7 @@ void BM_JaccardMatrixParallel(benchmark::State& state) {
   std::unique_ptr<rs::exec::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<rs::exec::ThreadPool>(threads);
   for (auto _ : state) {
-    auto dist =
-        rs::analysis::jaccard_matrix(scenario.database(), opts, pool.get());
+    auto dist = shared_matrix(opts, pool.get());
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
@@ -91,11 +104,10 @@ BENCHMARK(BM_JaccardMatrixParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 void BM_MdsSmacofParallel(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = 40;
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+  const auto dist = shared_matrix(opts);
   const auto threads = static_cast<std::size_t>(state.range(0));
   std::unique_ptr<rs::exec::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<rs::exec::ThreadPool>(threads);
@@ -110,45 +122,21 @@ void BM_MdsSmacofParallel(benchmark::State& state) {
 BENCHMARK(BM_MdsSmacofParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
-// --- Interning engine benchmarks (BENCH_intern.json) -----------------------
+// --- Membership-table benchmarks -------------------------------------------
 //
-// The paper-scenario Figure 1 matrix (2011-2021 window, 40
-// snapshots/provider) pairwise-compared with the legacy sorted-merge
-// engine vs the dense-ID popcount engine.  Both produce bit-identical
-// matrices (intern_equivalence_tests); only the wall clock moves.
-// tools/record_intern_bench.sh captures this sweep.
-
-const rs::store::CertInterner& shared_interner() {
-  static const rs::store::CertInterner interner =
-      rs::store::CertInterner::from_database(shared_scenario().database());
-  return interner;
-}
-
-void BM_JaccardMatrixMerge(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  rs::analysis::JaccardOptions opts;
-  opts.min_date = rs::util::Date::ymd(2011, 1, 1);
-  opts.max_per_provider = static_cast<std::size_t>(state.range(0));
-  opts.algebra = rs::analysis::SetAlgebra::kSortedMerge;
-  for (auto _ : state) {
-    auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
-    benchmark::DoNotOptimize(dist.values.data());
-    state.counters["snapshots"] = static_cast<double>(dist.size());
-  }
-  state.SetLabel("sorted-merge");
-}
-BENCHMARK(BM_JaccardMatrixMerge)->Arg(25)->Arg(40)->Arg(80)
-    ->Unit(benchmark::kMillisecond);
+// The paper-scenario Figure 1 matrix (2011-2021 window) over the shared
+// table's rows; BENCH_intern.json keeps the historical comparison with
+// the sorted-merge engine, which now lives in tests/ as the referee.
+// tools/record_obs_bench.sh uses BM_JaccardMatrixInterned/40 as the
+// uninstrumented baseline.
 
 void BM_JaccardMatrixInterned(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  const auto& interner = shared_interner();  // built once, as in the study
+  shared_table();  // built once, as in the study, outside the timed loop
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts,
-                                             nullptr, &interner);
+    auto dist = shared_matrix(opts);
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
@@ -168,95 +156,33 @@ void BM_InternerBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_InternerBuild)->Unit(benchmark::kMillisecond);
 
-// The isolated pair loop: one row of Jaccard distances between cached
-// sets, with no snapshot materialization in the timed region.  This is the
-// per-element cost the interning converts from a 32-byte merge to a
-// popcount.
-void BM_JaccardPairLoop(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  rs::analysis::JaccardOptions opts;
-  opts.min_date = rs::util::Date::ymd(2011, 1, 1);
-  opts.max_per_provider = 40;
-  // Reuse matrix selection to fetch the snapshot list deterministically.
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
-  std::vector<rs::store::FingerprintSet> sets;
-  std::vector<rs::store::InternedSet> interned;
-  for (const auto& label : dist.labels) {
-    const auto& snap =
-        scenario.database().find(label.provider)->snapshots()[label.provider_index];
-    sets.push_back(snap.all_fingerprints());
-    interned.push_back(shared_interner().intern(sets.back()));
-  }
-  const bool use_interned = state.range(0) == 1;
-  for (auto _ : state) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      for (std::size_t j = i + 1; j < sets.size(); ++j) {
-        sum += use_interned
-                   ? rs::store::jaccard_distance(interned[i], interned[j])
-                   : sets[i].jaccard_distance(sets[j]);
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.counters["pairs"] =
-      static_cast<double>(sets.size() * (sets.size() - 1) / 2);
-  state.SetLabel(use_interned ? "interned" : "sorted-merge");
-}
-BENCHMARK(BM_JaccardPairLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_StalenessEngines(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  const auto* nss = scenario.database().find("NSS");
-  const bool use_interned = state.range(0) == 1;
-  const auto index = use_interned
-                         ? rs::analysis::build_version_index(*nss)
-                         : rs::analysis::build_version_index_merge(*nss);
-  for (auto _ : state) {
-    double total = 0;
-    for (const char* name :
-         {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-      total += rs::analysis::derivative_staleness(
-                   *scenario.database().find(name), index)
-                   .avg_versions_behind;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetLabel(use_interned ? "interned" : "sorted-merge");
-}
-BENCHMARK(BM_StalenessEngines)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 void BM_DiffSeriesEngines(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
-  const bool use_interned = state.range(0) == 1;
-  const auto index = use_interned
-                         ? rs::analysis::build_version_index(*nss)
-                         : rs::analysis::build_version_index_merge(*nss);
+  const auto index = rs::analysis::build_version_index(*nss, shared_table());
   for (auto _ : state) {
     std::size_t points = 0;
     for (const char* name :
          {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-      points += rs::analysis::derivative_diffs(
-                    *scenario.database().find(name), *nss, index)
+      points += rs::analysis::derivative_diffs(*scenario.database().find(name),
+                                               *nss, shared_table(), index)
                     .points.size();
     }
     benchmark::DoNotOptimize(points);
   }
-  state.SetLabel(use_interned ? "interned" : "sorted-merge");
 }
-BENCHMARK(BM_DiffSeriesEngines)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiffSeriesEngines)->Unit(benchmark::kMillisecond);
 
 // Ablation: all-certificates (paper) vs TLS-anchors-only (trust-aware) sets.
 void BM_JaccardSetKind(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
+  shared_table();  // built outside the timed loop
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 25;
   opts.set_kind = state.range(0) == 0
                       ? rs::analysis::SetKind::kAllCertificates
                       : rs::analysis::SetKind::kTlsAnchors;
   for (auto _ : state) {
-    auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+    auto dist = shared_matrix(opts);
     benchmark::DoNotOptimize(dist.values.data());
   }
   state.SetLabel(state.range(0) == 0 ? "all-certificates" : "tls-anchors");
@@ -265,10 +191,9 @@ BENCHMARK(BM_JaccardSetKind)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Ablation: classical MDS vs SMACOF (paper's choice), same input.
 void BM_MdsClassical(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = static_cast<std::size_t>(state.range(0));
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+  const auto dist = shared_matrix(opts);
   for (auto _ : state) {
     auto mds = rs::analysis::classical_mds(dist);
     benchmark::DoNotOptimize(mds.points.data());
@@ -278,10 +203,9 @@ void BM_MdsClassical(benchmark::State& state) {
 BENCHMARK(BM_MdsClassical)->Arg(15)->Arg(25)->Unit(benchmark::kMillisecond);
 
 void BM_MdsSmacof(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = static_cast<std::size_t>(state.range(0));
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+  const auto dist = shared_matrix(opts);
   for (auto _ : state) {
     auto mds = rs::analysis::smacof_mds(dist);
     benchmark::DoNotOptimize(mds.points.data());
@@ -295,10 +219,9 @@ BENCHMARK(BM_MdsSmacof)->Arg(15)->Arg(25)->Unit(benchmark::kMillisecond);
 // linkage fragments decade-long lineages (more clusters, worse purity fit
 // to the four families), which is why the pipeline uses single linkage.
 void BM_Clustering(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 25;
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+  const auto dist = shared_matrix(opts);
   const bool complete = state.range(0) == 1;
   for (auto _ : state) {
     auto clusters =
@@ -317,7 +240,7 @@ void BM_VersionIndexBuild(benchmark::State& state) {
   const auto& scenario = shared_scenario();
   const auto* nss = scenario.database().find("NSS");
   for (auto _ : state) {
-    auto index = rs::analysis::build_version_index(*nss);
+    auto index = rs::analysis::build_version_index(*nss, shared_table());
     benchmark::DoNotOptimize(index.size());
   }
 }
@@ -374,8 +297,7 @@ BENCHMARK(BM_OperatorFootprints)->Unit(benchmark::kMillisecond);
 // must stay within noise (≤2%).
 
 void BM_JaccardMatrixObs(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  const auto& interner = shared_interner();
+  shared_table();  // built outside the timed loop
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = 40;
@@ -386,8 +308,7 @@ void BM_JaccardMatrixObs(benchmark::State& state) {
     // Per-iteration reset keeps span storage bounded; its cost is part of
     // the enabled arm by design (a traced run pays for its bookkeeping).
     if (traced) reg.reset();
-    auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts,
-                                             nullptr, &interner);
+    auto dist = shared_matrix(opts);
     benchmark::DoNotOptimize(dist.values.data());
     state.counters["snapshots"] = static_cast<double>(dist.size());
   }
@@ -402,8 +323,8 @@ BENCHMARK(BM_JaccardMatrixObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_StalenessObs(benchmark::State& state) {
   const auto& scenario = shared_scenario();
-  const auto index =
-      rs::analysis::build_version_index(*scenario.database().find("NSS"));
+  const auto index = rs::analysis::build_version_index(
+      *scenario.database().find("NSS"), shared_table());
   auto& reg = rs::obs::Registry::global();
   const bool traced = state.range(0) == 1;
   if (traced) reg.enable();
@@ -413,7 +334,7 @@ void BM_StalenessObs(benchmark::State& state) {
     for (const char* name :
          {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
       total += rs::analysis::derivative_staleness(
-                   *scenario.database().find(name), index)
+                   *scenario.database().find(name), shared_table(), index)
                    .avg_versions_behind;
     }
     benchmark::DoNotOptimize(total);
@@ -429,14 +350,14 @@ BENCHMARK(BM_StalenessObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_StalenessAllDerivatives(benchmark::State& state) {
   const auto& scenario = shared_scenario();
-  const auto index =
-      rs::analysis::build_version_index(*scenario.database().find("NSS"));
+  const auto index = rs::analysis::build_version_index(
+      *scenario.database().find("NSS"), shared_table());
   for (auto _ : state) {
     double total = 0;
     for (const char* name :
          {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
       total += rs::analysis::derivative_staleness(
-                   *scenario.database().find(name), index)
+                   *scenario.database().find(name), shared_table(), index)
                    .avg_versions_behind;
     }
     benchmark::DoNotOptimize(total);

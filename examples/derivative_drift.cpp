@@ -9,6 +9,7 @@
 
 #include "src/analysis/diffs.h"
 #include "src/analysis/staleness.h"
+#include "src/store/membership.h"
 #include "src/synth/paper_scenario.h"
 #include "src/util/table.h"
 
@@ -27,9 +28,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto index = rs::analysis::build_version_index(*nss);
-  const auto staleness = rs::analysis::derivative_staleness(*deriv, index);
-  const auto diffs = rs::analysis::derivative_diffs(*deriv, *nss, index);
+  const auto table = rs::store::MembershipTable::build(scenario.database());
+  const auto index = rs::analysis::build_version_index(*nss, table);
+  const auto staleness =
+      rs::analysis::derivative_staleness(*deriv, table, index);
+  const auto diffs = rs::analysis::derivative_diffs(*deriv, *nss, table, index);
 
   std::printf("%s vs NSS (%zu substantial NSS versions)\n\n", provider.c_str(),
               index.size());

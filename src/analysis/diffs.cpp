@@ -1,16 +1,17 @@
 #include "src/analysis/diffs.h"
 
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
-#include "src/store/interner.h"
 
 namespace rs::analysis {
 
-using rs::crypto::Sha256Digest;
-using rs::store::FingerprintSet;
+using rs::store::IdSet;
+using rs::store::in_scope;
+using rs::store::Scope;
+using rs::util::Date;
 
 const char* to_string(AddCategory c) noexcept {
   switch (c) {
@@ -47,132 +48,70 @@ std::size_t SnapshotDiff::removed_total() const noexcept {
   return n;
 }
 
-namespace {
-
-// "Ever present in NSS" membership, accumulated either as an interned
-// bitset (OR per snapshot, O(words)) or as a legacy FingerprintSet union.
-// Digests outside the interner universe fall back to a sorted extras set,
-// so membership answers are exact for any interner.
-class EverSet {
- public:
-  void accumulate(const FingerprintSet& fps,
-                  const rs::store::CertInterner* interner) {
-    if (interner == nullptr) {
-      merged_ = merged_.set_union(fps);
-      return;
-    }
-    auto interned = interner->intern(fps);
-    ids_ |= interned.ids;
-    extra_prints_.insert(extra_prints_.end(), interned.unmapped.begin(),
-                         interned.unmapped.end());
-  }
-
-  void seal() { extras_ = FingerprintSet(std::move(extra_prints_)); }
-
-  bool contains(const Sha256Digest& fp,
-                const rs::store::CertInterner* interner) const {
-    if (interner == nullptr) return merged_.contains(fp);
-    if (const auto id = interner->id_of(fp)) return ids_.contains(*id);
-    return extras_.contains(fp);
-  }
-
- private:
-  rs::store::IdSet ids_;
-  std::vector<Sha256Digest> extra_prints_;
-  FingerprintSet extras_;
-  FingerprintSet merged_;
-};
-
-}  // namespace
-
 DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
                                       const rs::store::ProviderHistory& nss,
+                                      const rs::store::MembershipTable& table,
                                       const NssVersionIndex& index,
                                       rs::exec::ThreadPool* pool) {
   rs::obs::Span span("diffs/derivative");
   DerivativeDiffSeries out;
   out.provider = deriv.provider();
 
-  // NSS-ever sets and first-TLS dates, for categorization (serial: each
-  // step folds into the previous union).  Everything below only reads them.
-  const rs::store::CertInterner* interner = index.interner();
-  EverSet nss_ever_any;
-  EverSet nss_ever_tls;
-  std::map<Sha256Digest, rs::util::Date> first_tls_date;
-  for (const auto& snap : nss.snapshots()) {
-    nss_ever_any.accumulate(snap.all_fingerprints(), interner);
-    const auto tls = snap.tls_anchors();
-    nss_ever_tls.accumulate(tls, interner);
-    for (const auto& fp : tls.items()) {
-      first_tls_date.emplace(fp, snap.date);
+  // NSS-ever sets (ORs of the NSS rows) and first-TLS dates, for
+  // categorization (serial: each step folds into the previous union).
+  // Everything below only reads them.
+  const auto& nss_lane = table.lane(nss);
+  IdSet nss_ever_any;
+  IdSet nss_ever_tls;
+  std::vector<std::optional<Date>> first_tls_date(table.interner().size());
+  for (std::size_t k = 0; k < nss_lane.size(); ++k) {
+    const IdSet& tls = in_scope(nss_lane[k], Scope::kTls);
+    for (const std::uint32_t id : tls.difference(nss_ever_tls).ids()) {
+      first_tls_date[id] = nss.snapshots()[k].date;
     }
+    nss_ever_tls |= tls;
+    nss_ever_any |= in_scope(nss_lane[k], Scope::kPresent);
   }
-  nss_ever_any.seal();
-  nss_ever_tls.seal();
 
   // Each derivative snapshot diffs against the shared read-only index
   // independently; results land in per-snapshot slots and are collected in
   // snapshot order afterwards.
   const auto& snaps = deriv.snapshots();
+  const auto& lane = table.lane(deriv);
   std::vector<std::optional<SnapshotDiff>> results(snaps.size());
   rs::exec::parallel_for(pool, snaps.size(), [&](std::size_t k) {
-    const auto& snap = snaps[k];
-    const auto deriv_tls = snap.tls_anchors();
+    const IdSet& deriv_tls = in_scope(lane[k], Scope::kTls);
     const auto* matched = index.closest_match(deriv_tls);
     if (matched == nullptr) return;
 
     SnapshotDiff diff;
-    diff.date = snap.date;
+    diff.date = snaps[k].date;
     diff.matched_version = matched->index;
 
-    FingerprintSet added;
-    FingerprintSet removed;
-    if (interner != nullptr) {
-      // Bitwise ANDNOT on dense IDs; materializes the same sorted digests
-      // as the merge-based difference below.
-      const auto interned_tls = interner->intern(deriv_tls);
-      added = rs::store::set_difference(interned_tls, matched->tls_interned,
-                                        *interner);
-      removed = rs::store::set_difference(matched->tls_interned, interned_tls,
-                                          *interner);
-    } else {
-      added = deriv_tls.difference(matched->tls_anchors);
-      removed = matched->tls_anchors.difference(deriv_tls);
-    }
-
-    for (const auto& fp : added.items()) {
+    for (const std::uint32_t id :
+         deriv_tls.difference(matched->tls_anchors).ids()) {
       AddCategory cat;
-      if (!nss_ever_any.contains(fp, interner)) {
+      if (!nss_ever_any.contains(id)) {
         cat = AddCategory::kNonNssRoot;
-      } else if (!nss_ever_tls.contains(fp, interner)) {
+      } else if (!nss_ever_tls.contains(id)) {
         cat = AddCategory::kEmailOnlyRoot;
       } else {
-        const auto it = first_tls_date.find(fp);
-        cat = (it != first_tls_date.end() && it->second <= matched->date)
-                  ? AddCategory::kReAddedRoot
-                  : AddCategory::kOther;
+        cat = *first_tls_date[id] <= matched->date ? AddCategory::kReAddedRoot
+                                                   : AddCategory::kOther;
       }
       ++diff.adds[static_cast<std::size_t>(cat)];
     }
 
-    // Which matched-version entries carry partial distrust?
-    // Find the NSS snapshot for this version to inspect entry trust bits.
-    const rs::store::Snapshot* version_snap = nullptr;
-    for (const auto& s : nss.snapshots()) {
-      if (s.date == matched->date) {
-        version_snap = &s;
-        break;
-      }
-    }
-    for (const auto& fp : removed.items()) {
-      RemoveCategory cat = RemoveCategory::kCustomRemoval;
-      if (version_snap != nullptr) {
-        if (const auto* entry = version_snap->find(fp)) {
-          if (entry->is_partially_distrusted_tls()) {
-            cat = RemoveCategory::kPartialDistrustFallout;
-          }
-        }
-      }
+    // Which matched-version entries carry partial distrust?  The version's
+    // own snapshot holds the trust bits (not another one of the same date).
+    const auto& version_snap = nss.snapshots()[matched->snapshot];
+    for (const std::uint32_t id :
+         matched->tls_anchors.difference(deriv_tls).ids()) {
+      const auto* entry = version_snap.find(table.interner().digest_of(id));
+      const RemoveCategory cat =
+          entry != nullptr && entry->is_partially_distrusted_tls()
+              ? RemoveCategory::kPartialDistrustFallout
+              : RemoveCategory::kCustomRemoval;
       ++diff.removes[static_cast<std::size_t>(cat)];
     }
 

@@ -52,6 +52,7 @@ struct SnapshotDiff {
 
   std::size_t added_total() const noexcept;
   std::size_t removed_total() const noexcept;
+  friend bool operator==(const SnapshotDiff&, const SnapshotDiff&) = default;
 };
 
 /// Figure 4 series for one derivative.
@@ -60,15 +61,19 @@ struct DerivativeDiffSeries {
   std::vector<SnapshotDiff> points;
   /// True if any snapshot deviates from its matched NSS version.
   bool ever_deviates = false;
+  friend bool operator==(const DerivativeDiffSeries&,
+                         const DerivativeDiffSeries&) = default;
 };
 
-/// Computes the series.  `nss` supplies the ever-present / ever-TLS sets
-/// used for categorization; `index` the substantial versions to match.
-/// Snapshots diff independently, so `pool` parallelizes the per-snapshot
-/// matching and categorization; points stay in snapshot order and the
-/// result is identical for any worker count.
+/// Computes the series.  `nss` (the history `index` was built from)
+/// supplies the ever-present / ever-TLS sets used for categorization and
+/// the trust bits of each matched version's snapshot; `table` holds both
+/// histories' rows.  Snapshots diff independently, so `pool` parallelizes
+/// the per-snapshot matching and categorization; points stay in snapshot
+/// order and the result is identical for any worker count.
 DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
                                       const rs::store::ProviderHistory& nss,
+                                      const rs::store::MembershipTable& table,
                                       const NssVersionIndex& index,
                                       rs::exec::ThreadPool* pool = nullptr);
 

@@ -9,7 +9,7 @@
 
 #include "src/crypto/digest.h"
 #include "src/store/database.h"
-#include "src/store/interner.h"
+#include "src/store/membership.h"
 
 namespace rs::analysis {
 
@@ -17,16 +17,16 @@ namespace rs::analysis {
 struct ExclusiveSet {
   std::string program;
   std::vector<rs::crypto::Sha256Digest> roots;
+  friend bool operator==(const ExclusiveSet&, const ExclusiveSet&) = default;
 };
 
 /// Computes exclusive roots among `programs` (typically the four
-/// independent programs).  Providers absent from the database are skipped.
-/// With an `interner` (EcosystemStudy passes its database-wide one), the
-/// per-program "ever trusted" sets accumulate as bitsets and membership
-/// checks are bit probes; results are identical either way.
+/// independent programs), reading TLS rows from `table` (built over
+/// `db`).  Providers absent from the database are skipped.  Roots are in
+/// sorted-digest order.
 std::vector<ExclusiveSet> exclusive_roots(
     const rs::store::StoreDatabase& db,
-    const std::vector<std::string>& programs,
-    const rs::store::CertInterner* interner = nullptr);
+    const rs::store::MembershipTable& table,
+    const std::vector<std::string>& programs);
 
 }  // namespace rs::analysis

@@ -6,11 +6,10 @@
 // over all certificates present or over TLS anchors only (trust-aware
 // variant; see DESIGN.md ablations).
 //
-// Matrix construction runs in three phases: snapshot selection (serial),
-// per-snapshot fingerprint-set materialization (cached once per snapshot,
-// parallelizable), and the O(n^2) upper-triangle pair loop (parallel row
-// blocks).  Results are bitwise-identical for any worker count; see
-// docs/PARALLELISM.md.
+// Matrix construction runs in two phases: snapshot selection (serial),
+// which points each matrix row at its membership-table set, and the O(n^2)
+// upper-triangle popcount pair loop (parallel row blocks).  Results are
+// bitwise-identical for any worker count; see docs/PARALLELISM.md.
 #pragma once
 
 #include <cassert>
@@ -20,7 +19,7 @@
 
 #include "src/exec/thread_pool.h"
 #include "src/store/database.h"
-#include "src/store/interner.h"
+#include "src/store/membership.h"
 #include "src/util/date.h"
 
 namespace rs::analysis {
@@ -37,15 +36,6 @@ struct SnapshotRef {
 enum class SetKind {
   kAllCertificates,  // paper's choice: every root present
   kTlsAnchors,       // trust-aware ablation
-};
-
-/// How the pairwise set algebra is executed.  Both produce bit-identical
-/// matrices (the interned engine computes the same exact integer
-/// cardinalities via popcount); kSortedMerge remains for equivalence tests
-/// and the BENCH_intern.json comparison.
-enum class SetAlgebra {
-  kInterned,     // dense-ID bitsets, popcount pair loop (default)
-  kSortedMerge,  // legacy linear merge over sorted 32-byte digests
 };
 
 /// A symmetric distance matrix with its row labels.
@@ -72,20 +62,15 @@ struct JaccardOptions {
   /// Keep at most this many snapshots per provider (uniform subsample, most
   /// recent kept); 0 = no limit.  Controls MDS cost.
   std::size_t max_per_provider = 0;
-  /// Pair-loop engine; see SetAlgebra.
-  SetAlgebra algebra = SetAlgebra::kInterned;
 };
 
-/// Builds the pairwise Jaccard distance matrix over `db`'s snapshots.
-/// `pool` parallelizes set materialization and the pair loop; null (or a
-/// zero-worker pool) computes inline serially with identical results.
-/// `interner` supplies a prebuilt certificate universe for the interned
-/// engine (EcosystemStudy builds one per database); when null the engine
-/// interns `db` itself.  Matrices are bit-identical across engines,
-/// interners, and worker counts.
+/// Builds the pairwise Jaccard distance matrix over `db`'s snapshots,
+/// reading each snapshot's set from `table` (built over `db`).  `pool`
+/// parallelizes the pair loop; null (or a zero-worker pool) computes
+/// inline serially with an identical matrix.
 DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
+                              const rs::store::MembershipTable& table,
                               const JaccardOptions& options = {},
-                              rs::exec::ThreadPool* pool = nullptr,
-                              const rs::store::CertInterner* interner = nullptr);
+                              rs::exec::ThreadPool* pool = nullptr);
 
 }  // namespace rs::analysis

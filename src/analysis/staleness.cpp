@@ -1,22 +1,15 @@
 #include "src/analysis/staleness.h"
 
+#include <optional>
+
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 
 namespace rs::analysis {
 
-using rs::store::CertInterner;
-using rs::store::FingerprintSet;
+using rs::store::IdSet;
+using rs::store::Scope;
 using rs::util::Date;
-
-NssVersionIndex::NssVersionIndex(
-    std::vector<Version> versions,
-    std::shared_ptr<const rs::store::CertInterner> interner)
-    : versions_(std::move(versions)), interner_(std::move(interner)) {
-  if (interner_ != nullptr) {
-    for (auto& v : versions_) v.tls_interned = interner_->intern(v.tls_anchors);
-  }
-}
 
 const NssVersionIndex::Version* NssVersionIndex::current_at(Date when) const {
   const Version* best = nullptr;
@@ -28,26 +21,7 @@ const NssVersionIndex::Version* NssVersionIndex::current_at(Date when) const {
 }
 
 const NssVersionIndex::Version* NssVersionIndex::closest_match(
-    const FingerprintSet& anchors) const {
-  if (interner_ == nullptr) return closest_match_merge(anchors);
-  // Intern the query once, then every version comparison is a popcount
-  // scan.  The cardinalities (and hence the distances and the argmin) are
-  // exactly those of the merge scan below.
-  const auto query = interner_->intern(anchors);
-  const Version* best = nullptr;
-  double best_dist = 2.0;
-  for (const auto& v : versions_) {
-    const double d = rs::store::jaccard_distance(query, v.tls_interned);
-    if (d < best_dist) {  // strict: ties keep the earlier version
-      best_dist = d;
-      best = &v;
-    }
-  }
-  return best;
-}
-
-const NssVersionIndex::Version* NssVersionIndex::closest_match_merge(
-    const FingerprintSet& anchors) const {
+    const IdSet& anchors) const {
   const Version* best = nullptr;
   double best_dist = 2.0;
   for (const auto& v : versions_) {
@@ -60,48 +34,22 @@ const NssVersionIndex::Version* NssVersionIndex::closest_match_merge(
   return best;
 }
 
-namespace {
-
-std::vector<NssVersionIndex::Version> substantial_versions(
-    const rs::store::ProviderHistory& nss) {
-  std::vector<NssVersionIndex::Version> versions;
-  FingerprintSet previous;
-  bool first = true;
-  for (const auto& snap : nss.snapshots()) {
-    FingerprintSet tls = snap.tls_anchors();
-    if (first || !(tls == previous)) {
-      NssVersionIndex::Version v;
-      v.index = versions.size() + 1;
-      v.date = snap.date;
-      v.label = snap.version;
-      v.tls_anchors = tls;
-      versions.push_back(std::move(v));
-      previous = std::move(tls);
-      first = false;
-    }
-  }
-  return versions;
-}
-
-}  // namespace
-
-NssVersionIndex build_version_index(
-    const rs::store::ProviderHistory& nss,
-    std::shared_ptr<const rs::store::CertInterner> interner) {
+NssVersionIndex build_version_index(const rs::store::ProviderHistory& nss,
+                                    const rs::store::MembershipTable& table) {
   rs::obs::Span span("staleness/version_index");
-  if (interner == nullptr) {
-    interner =
-        std::make_shared<const CertInterner>(CertInterner::from_history(nss));
+  const auto& lane = table.lane(nss);
+  std::vector<NssVersionIndex::Version> versions;
+  for (std::size_t k = 0; k < lane.size(); ++k) {
+    const IdSet& tls = rs::store::in_scope(lane[k], Scope::kTls);
+    if (!versions.empty() && tls == versions.back().tls_anchors) continue;
+    const auto& snap = nss.snapshots()[k];
+    versions.push_back({versions.size() + 1, k, snap.date, snap.version, tls});
   }
-  return NssVersionIndex(substantial_versions(nss), std::move(interner));
-}
-
-NssVersionIndex build_version_index_merge(
-    const rs::store::ProviderHistory& nss) {
-  return NssVersionIndex(substantial_versions(nss));
+  return NssVersionIndex(std::move(versions));
 }
 
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
+                                     const rs::store::MembershipTable& table,
                                      const NssVersionIndex& index,
                                      rs::exec::ThreadPool* pool) {
   rs::obs::Span stage_span("staleness/derivative");
@@ -116,10 +64,12 @@ StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
   // Each snapshot matches against the read-only index independently;
   // per-snapshot slots keep the points in snapshot order.
   const auto& snaps = deriv.snapshots();
+  const auto& lane = table.lane(deriv);
   std::vector<std::optional<StalenessPoint>> samples(snaps.size());
   rs::exec::parallel_for(pool, snaps.size(), [&](std::size_t k) {
     const auto& snap = snaps[k];
-    const auto* matched = index.closest_match(snap.tls_anchors());
+    const auto* matched =
+        index.closest_match(rs::store::in_scope(lane[k], Scope::kTls));
     const auto* current = index.current_at(snap.date);
     if (matched == nullptr || current == nullptr) return;
     StalenessPoint p;

@@ -8,85 +8,52 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/exec/thread_pool.h"
-#include "src/store/fingerprint_set.h"
-#include "src/store/interner.h"
+#include "src/store/id_set.h"
+#include "src/store/membership.h"
 #include "src/store/snapshot.h"
 #include "src/util/date.h"
 
 namespace rs::analysis {
 
-/// The ordered list of NSS substantial versions.
-///
-/// When built with a CertInterner (the default), each version also carries
-/// its TLS set interned as a bitset, and closest_match scans via popcount
-/// instead of digest merges — same exact cardinalities, so the matched
-/// version is identical (see docs/INTERNING.md).
+/// The ordered list of NSS substantial versions.  Each version carries
+/// its snapshot's TLS membership row, so closest_match is a popcount scan.
 class NssVersionIndex {
  public:
   struct Version {
-    std::size_t index = 0;  // 1-based substantial version number
+    std::size_t index = 0;     // 1-based substantial version number
+    std::size_t snapshot = 0;  // position of its snapshot in the NSS history
     rs::util::Date date;
-    std::string label;      // snapshot version string
-    rs::store::FingerprintSet tls_anchors;
-    /// Interned form of tls_anchors (empty when no interner is attached).
-    rs::store::InternedSet tls_interned;
+    std::string label;         // snapshot version string
+    rs::store::IdSet tls_anchors;
   };
 
-  /// Merge-only index: closest_match falls back to digest merges.
   explicit NssVersionIndex(std::vector<Version> versions)
       : versions_(std::move(versions)) {}
-
-  /// Interned index: interns every version's TLS set up front.
-  NssVersionIndex(std::vector<Version> versions,
-                  std::shared_ptr<const rs::store::CertInterner> interner);
 
   const std::vector<Version>& versions() const noexcept { return versions_; }
   std::size_t size() const noexcept { return versions_.size(); }
 
-  /// The interner the index (and its dependent analyses) run on, or null
-  /// for a merge-only index.
-  const rs::store::CertInterner* interner() const noexcept {
-    return interner_.get();
-  }
-
   /// Latest substantial version dated on or before `when` (nullptr if none).
   const Version* current_at(rs::util::Date when) const;
 
-  /// The version whose TLS set is Jaccard-closest to `anchors`
-  /// (ties broken toward the earlier version).  nullptr if empty.
-  /// Uses the popcount scan when an interner is attached.
-  const Version* closest_match(const rs::store::FingerprintSet& anchors) const;
-
-  /// The legacy merge-based scan, regardless of interner (equivalence
-  /// tests and BENCH_intern.json compare it against closest_match).
-  const Version* closest_match_merge(
-      const rs::store::FingerprintSet& anchors) const;
+  /// The version whose TLS set is Jaccard-closest to `anchors` (ties
+  /// broken toward the earlier version).  nullptr if empty.  `anchors`
+  /// must come from the table the index was built from.
+  const Version* closest_match(const rs::store::IdSet& anchors) const;
 
  private:
   std::vector<Version> versions_;
-  std::shared_ptr<const rs::store::CertInterner> interner_;
 };
 
 /// Extracts substantial versions from the NSS history: the first snapshot
 /// plus every snapshot whose TLS-anchor set differs from its predecessor.
-/// `interner` fixes the dense-ID universe (EcosystemStudy passes its
-/// database-wide one); null interns the NSS history itself.  Digests
-/// outside the universe are corrected exactly, so every choice produces
-/// identical analysis results.
-NssVersionIndex build_version_index(
-    const rs::store::ProviderHistory& nss,
-    std::shared_ptr<const rs::store::CertInterner> interner = nullptr);
-
-/// A merge-only index with no interning (legacy engine, for equivalence
-/// tests and benchmarks).
-NssVersionIndex build_version_index_merge(
-    const rs::store::ProviderHistory& nss);
+/// `table` must hold `nss`'s rows.
+NssVersionIndex build_version_index(const rs::store::ProviderHistory& nss,
+                                    const rs::store::MembershipTable& table);
 
 /// One derivative snapshot's staleness sample.
 struct StalenessPoint {
@@ -94,6 +61,8 @@ struct StalenessPoint {
   std::size_t matched_version = 0;  // substantial version copied
   std::size_t current_version = 0;  // NSS's version at that date
   double versions_behind = 0;       // max(0, current - matched)
+  friend bool operator==(const StalenessPoint&,
+                         const StalenessPoint&) = default;
 };
 
 /// Figure 3 series for one derivative.
@@ -104,12 +73,16 @@ struct StalenessResult {
   double avg_versions_behind = 0;
   /// True if the derivative was behind at every sample ("always stale").
   bool always_stale = false;
+  friend bool operator==(const StalenessResult&,
+                         const StalenessResult&) = default;
 };
 
-/// Computes the staleness series.  Snapshots are independent, so `pool`
+/// Computes the staleness series, matching `deriv`'s TLS rows from
+/// `table` against `index`.  Snapshots are independent, so `pool`
 /// parallelizes the per-snapshot version matching; points stay in snapshot
 /// order and the result is identical for any worker count.
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
+                                     const rs::store::MembershipTable& table,
                                      const NssVersionIndex& index,
                                      rs::exec::ThreadPool* pool = nullptr);
 

@@ -8,6 +8,7 @@
 #include "src/analysis/jaccard.h"
 #include "src/analysis/mds.h"
 #include "src/analysis/staleness.h"
+#include "src/store/membership.h"
 #include "src/synth/user_agents.h"
 #include "src/util/table.h"
 
@@ -20,7 +21,9 @@ std::string figure1_csv(rs::synth::PaperScenario& scenario,
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = max_per_provider;
-  const auto dist = rs::analysis::jaccard_matrix(scenario.database(), opts);
+  const auto& db = scenario.database();
+  const auto table = rs::store::MembershipTable::build(db);
+  const auto dist = rs::analysis::jaccard_matrix(db, table, opts);
   const auto mds = rs::analysis::smacof_mds(dist);
   const auto clustering = rs::analysis::cluster_snapshots(dist, 0.35);
 
@@ -43,12 +46,14 @@ std::string figure3_csv(rs::synth::PaperScenario& scenario) {
   std::string out =
       "provider,date,matched_version,current_version,versions_behind\n";
   if (nss == nullptr) return out;
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto& db = scenario.database();
+  const auto table = rs::store::MembershipTable::build(db);
+  const auto index = rs::analysis::build_version_index(*nss, table);
   for (const char* name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-    const auto* h = scenario.database().find(name);
+    const auto* h = db.find(name);
     if (h == nullptr) continue;
-    const auto res = rs::analysis::derivative_staleness(*h, index);
+    const auto res = rs::analysis::derivative_staleness(*h, table, index);
     for (const auto& p : res.points) {
       out += std::string(name) + "," + p.date.to_string() + "," +
              std::to_string(p.matched_version) + "," +
@@ -77,12 +82,14 @@ std::string figure4_csv(rs::synth::PaperScenario& scenario) {
     if (ch == ' ') ch = '_';
   }
 
-  const auto index = rs::analysis::build_version_index(*nss);
+  const auto& db = scenario.database();
+  const auto table = rs::store::MembershipTable::build(db);
+  const auto index = rs::analysis::build_version_index(*nss, table);
   for (const char* name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-    const auto* h = scenario.database().find(name);
+    const auto* h = db.find(name);
     if (h == nullptr) continue;
-    const auto series = rs::analysis::derivative_diffs(*h, *nss, index);
+    const auto series = rs::analysis::derivative_diffs(*h, *nss, table, index);
     for (const auto& p : series.points) {
       out += std::string(name) + "," + p.date.to_string() + "," +
              std::to_string(p.matched_version);

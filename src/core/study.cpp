@@ -45,11 +45,11 @@ EcosystemStudy::EcosystemStudy(rs::synth::PaperScenario scenario,
   if (options_.num_threads > 0) {
     pool_ = std::make_shared<rs::exec::ThreadPool>(options_.num_threads);
   }
-  // Dense IDs over the whole database, built once: every report's set
-  // algebra (Jaccard pairs, version matching, diffs, exclusives) runs on
-  // bitsets against this universe.
-  interner_ = std::make_shared<const rs::store::CertInterner>(
-      rs::store::CertInterner::from_database(scenario_.database()));
+  // Dense IDs and per-snapshot membership over the whole database, built
+  // once: every report's set algebra (Jaccard pairs, version matching,
+  // diffs, exclusives, the TrustIndex) reads these rows.
+  membership_ = std::make_shared<const rs::store::MembershipTable>(
+      rs::store::MembershipTable::build(scenario_.database(), pool()));
 }
 
 std::string EcosystemStudy::report_table1() const {
@@ -207,7 +207,7 @@ std::string EcosystemStudy::report_table6() {
   const std::vector<std::string> programs = {"NSS", "Java", "Apple",
                                              "Microsoft"};
   const auto measured =
-      rs::analysis::exclusive_roots(database(), programs, interner_.get());
+      rs::analysis::exclusive_roots(database(), *membership_, programs);
   const auto reference = rs::synth::paper::table6_counts();
 
   std::string out =
@@ -308,8 +308,12 @@ std::string EcosystemStudy::report_figure1(std::size_t max_per_provider) const {
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);  // paper's Figure 1 window
   opts.max_per_provider = max_per_provider;
   const auto dist =
-      rs::analysis::jaccard_matrix(database(), opts, pool(), interner_.get());
-  const auto mds = rs::analysis::smacof_mds(dist, {}, pool());
+      rs::analysis::jaccard_matrix(database(), *membership_, opts, pool());
+  // SMACOF runs inline: at this size (~300 points) each of its ~85
+  // iterations is two sub-millisecond sweeps, and a fork-join per sweep
+  // costs about what it saves, more when the workers wake on a busy CPU.
+  // The embedding is bitwise the same either way (docs/PARALLELISM.md).
+  const auto mds = rs::analysis::smacof_mds(dist);
 
   // Cluster and label by root program family.
   const auto clustering = rs::analysis::cluster_snapshots(dist, 0.35);
@@ -451,7 +455,7 @@ std::string EcosystemStudy::report_figure3() const {
   const auto* nss = database().find("NSS");
   std::string out = "Figure 3: NSS derivative staleness\n";
   if (nss == nullptr) return out + "(no NSS history)\n";
-  const auto index = rs::analysis::build_version_index(*nss, interner_);
+  const auto index = rs::analysis::build_version_index(*nss, *membership_);
   out += "NSS substantial versions: " + std::to_string(index.size()) + "\n";
 
   const auto reference = rs::synth::paper::figure3_staleness();
@@ -464,7 +468,8 @@ std::string EcosystemStudy::report_figure3() const {
   for (const auto& ref : reference) {
     const auto* h = database().find(ref.provider);
     if (h == nullptr) continue;
-    auto res = rs::analysis::derivative_staleness(*h, index, pool());
+    auto res =
+        rs::analysis::derivative_staleness(*h, *membership_, index, pool());
     order.emplace_back(res.avg_versions_behind, ref.provider);
     results.emplace(ref.provider, std::move(res));
   }
@@ -510,13 +515,14 @@ std::string EcosystemStudy::report_figure4() const {
   std::string out = "Figure 4: NSS derivative diffs (added/removed vs matched "
                     "NSS version)\n";
   if (nss == nullptr) return out + "(no NSS history)\n";
-  const auto index = rs::analysis::build_version_index(*nss, interner_);
+  const auto index = rs::analysis::build_version_index(*nss, *membership_);
 
   for (const auto& name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
     const auto* h = database().find(name);
     if (h == nullptr) continue;
-    const auto series = rs::analysis::derivative_diffs(*h, *nss, index, pool());
+    const auto series = rs::analysis::derivative_diffs(*h, *nss, *membership_,
+                                                       index, pool());
 
     std::array<std::size_t, rs::analysis::kAddCategoryCount> add_totals{};
     std::array<std::size_t, rs::analysis::kRemoveCategoryCount> rm_totals{};
@@ -570,7 +576,7 @@ std::string EcosystemStudy::report_figure4() const {
 const rs::query::TrustIndex& EcosystemStudy::trust_index() {
   if (!trust_index_) {
     trust_index_ = std::make_shared<const rs::query::TrustIndex>(
-        rs::query::TrustIndex::build(database(), *interner_, pool()));
+        rs::query::TrustIndex::build(database(), *membership_, pool()));
   }
   return *trust_index_;
 }
@@ -776,10 +782,15 @@ std::string EcosystemStudy::report_ct_landscape() {
     log_names.push_back(policy.name);
     logs.push_back(rs::synth::generate_ct_log(policy, db));
   }
+  // The logs only accept certificates the database already holds, so the
+  // study's universe still covers everything: reuse its rows and build
+  // rows for the three log lanes alone.
+  rs::store::MembershipTable table = *membership_;
+  std::vector<const rs::store::ProviderHistory*> log_lanes;
+  for (const auto& log : logs) log_lanes.push_back(&log);
+  table.add(log_lanes, pool());
   for (auto& log : logs) db.add(std::move(log));
-
-  const auto interner = rs::store::CertInterner::from_database(db);
-  const auto index = rs::query::TrustIndex::build(db, interner, pool());
+  const auto index = rs::query::TrustIndex::build(db, table, pool());
   const rs::util::Date date = latest_common_date(index);
   const auto first_seen =
       rs::landscape::first_seen_tables(index, rs::query::Scope::kTls);

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "src/exec/thread_pool.h"
-#include "src/store/interner.h"
+#include "src/store/membership.h"
 #include "src/synth/paper_scenario.h"
 
 namespace rs::query {
@@ -48,11 +48,12 @@ class EcosystemStudy {
   /// The study's pool (nullptr when num_threads == 0): analyses run
   /// serially inline in that case.
   rs::exec::ThreadPool* pool() const noexcept { return pool_.get(); }
-  /// The database-wide certificate interner, built once at construction
-  /// and threaded through every set-algebra hot path (Jaccard matrix,
-  /// NSS version index, exclusive roots).  See docs/INTERNING.md.
-  const rs::store::CertInterner& interner() const noexcept {
-    return *interner_;
+  /// The database's membership table over its complete interner, built
+  /// once at construction: every set reader (Jaccard matrix, NSS version
+  /// index, staleness, diffs, exclusive roots, the TrustIndex) takes its
+  /// rows.  See docs/INTERNING.md.
+  const rs::store::MembershipTable& membership() const noexcept {
+    return *membership_;
   }
 
   /// Table 1: top-200 user agents and root-store coverage.
@@ -91,18 +92,18 @@ class EcosystemStudy {
 
  private:
   /// Lazily compiles (and caches) the TrustIndex over the scenario
-  /// database, sharing the study interner and pool.  The landscape reports
-  /// resolve presence views through it; the classic reports never touch
-  /// it, so their bytes and span profiles are unchanged.
+  /// database from the study's membership table, on the study pool.  The
+  /// landscape reports resolve presence views through it; the classic
+  /// reports never touch it.
   const rs::query::TrustIndex& trust_index();
 
   rs::synth::PaperScenario scenario_;
   StudyOptions options_;
   // shared_ptr keeps the study copyable; the pool is stateless between
-  // calls, so sharing it across copies is safe.  The interner is immutable
+  // calls, so sharing it across copies is safe.  The table is immutable
   // after construction, so copies can share it too.
   std::shared_ptr<rs::exec::ThreadPool> pool_;
-  std::shared_ptr<const rs::store::CertInterner> interner_;
+  std::shared_ptr<const rs::store::MembershipTable> membership_;
   std::shared_ptr<const rs::query::TrustIndex> trust_index_;
 };
 

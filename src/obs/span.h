@@ -8,7 +8,7 @@
 // (enforced by tests/obs/obs_disabled_test.cpp).
 //
 // Span names should be 'layer/stage' literals ("formats/certdata",
-// "jaccard/pairs", "report/table4"); the registry aggregates equal names
+// "jaccard/matrix", "report/table4"); the registry aggregates equal names
 // into per-stage metrics.  The name must outlive the span (string
 // literals always do; the record takes a copy only when the span ends).
 #pragma once

@@ -44,34 +44,6 @@ std::vector<TrustInterval>* runs_at(IntervalTable& table, std::uint32_t id) {
   return &table[id];
 }
 
-/// Recomputes one (provider, scope) interval table from its membership
-/// sets — the same open/close derivation TrustIndex::build_provider runs.
-IntervalTable derive_intervals(const std::vector<Date>& dates,
-                               const std::vector<IdSet>& sets,
-                               std::size_t universe) {
-  IntervalTable expected(universe);
-  std::vector<std::optional<Date>> open(universe);
-  for (std::size_t k = 0; k < sets.size(); ++k) {
-    const IdSet& members = sets[k];
-    if (k == 0) {
-      for (const std::uint32_t id : members.ids()) open[id] = dates[k];
-    } else {
-      const IdSet& prev = sets[k - 1];
-      for (const std::uint32_t id : members.difference(prev).ids()) {
-        open[id] = dates[k];
-      }
-      for (const std::uint32_t id : prev.difference(members).ids()) {
-        expected[id].push_back({*open[id], dates[k]});
-        open[id].reset();
-      }
-    }
-  }
-  for (std::uint32_t id = 0; id < universe; ++id) {
-    if (open[id]) expected[id].push_back({*open[id], std::nullopt});
-  }
-  return expected;
-}
-
 }  // namespace
 
 void TrustIndexIO::grow_interner(
@@ -375,7 +347,7 @@ persist::Loaded<IndexFileStats> TrustIndexIO::verify(
   for (const auto& p : index.providers_) {
     for (std::size_t s = 0; s < kScopeCount; ++s) {
       const IntervalTable expected =
-          derive_intervals(p.dates, p.sets[s], universe);
+          TrustIndex::derive_intervals(p.dates, p.sets[s], universe);
       const auto& table = p.intervals[s];
       for (std::size_t id = 0; id < universe; ++id) {
         const auto& got = id < table.size() ? table[id] : kNoRuns;
@@ -419,7 +391,6 @@ rs::util::Result<bool> TrustIndexIO::append_snapshot(
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
   if (!fresh.empty()) grow_interner(index, fresh);
-  const std::size_t universe = index.interner_.size();
 
   // Locate (or create, keeping name order) the provider's lane.
   std::size_t pi;
@@ -492,13 +463,9 @@ rs::util::Result<bool> TrustIndexIO::append_snapshot(
     index.resolutions_ -= 1;
   }
 
+  auto rows = rs::store::MembershipTable::rows_of(snapshot, index.interner_);
   for (std::size_t s = 0; s < kScopeCount; ++s) {
-    const auto scope = static_cast<Scope>(s);
-    IdSet members(universe);
-    for (const auto& entry : snapshot.entries) {
-      if (!scope_matches(entry, scope)) continue;
-      members.insert(*index.interner_.id_of(entry.certificate->sha256()));
-    }
+    IdSet& members = rows[s];
     auto& sets = p.sets[s];
     auto& table = p.intervals[s];
     const IdSet prev = sets.empty() ? IdSet() : sets.back();

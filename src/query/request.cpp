@@ -281,16 +281,6 @@ std::size_t max_request_bytes(Op op) noexcept {
              : kMaxRequestBytes;
 }
 
-const char* to_string(Scope scope) noexcept {
-  switch (scope) {
-    case Scope::kTls: return "tls";
-    case Scope::kEmail: return "email";
-    case Scope::kCode: return "code";
-    case Scope::kPresent: return "present";
-  }
-  return "?";
-}
-
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/crypto/digest.h"
+#include "src/store/trust.h"
 #include "src/util/date.h"
 #include "src/util/result.h"
 
@@ -67,17 +68,11 @@ enum class Op : std::uint8_t {
   kCtCoverage,         // one provider as "the log" vs every other store
 };
 
-/// Trust scope of a query: one purpose's anchors, or bare presence.
-enum class Scope : std::uint8_t {
-  kTls = 0,      // server-auth anchors (the paper's headline sets)
-  kEmail = 1,    // email-protection anchors
-  kCode = 2,     // code-signing anchors
-  kPresent = 3,  // in the store at all, regardless of trust bits
-};
-inline constexpr std::size_t kScopeCount = 4;
+/// Trust scope of a query (defined beside the trust model it reads).
+using Scope = rs::store::Scope;
+using rs::store::kScopeCount;
 
 const char* to_string(Op op) noexcept;
-const char* to_string(Scope scope) noexcept;
 
 /// One parsed, validated request.  Optional fields are populated exactly
 /// when the operation uses them (parse_request enforces the per-op shape).

@@ -5,23 +5,8 @@
 
 #include "src/exec/thread_pool.h"
 #include "src/obs/span.h"
-#include "src/store/trust.h"
 
 namespace rs::query {
-
-bool scope_matches(const rs::store::TrustEntry& entry, Scope scope) noexcept {
-  switch (scope) {
-    case Scope::kTls:
-      return entry.is_anchor_for(rs::store::TrustPurpose::kServerAuth);
-    case Scope::kEmail:
-      return entry.is_anchor_for(rs::store::TrustPurpose::kEmailProtection);
-    case Scope::kCode:
-      return entry.is_anchor_for(rs::store::TrustPurpose::kCodeSigning);
-    case Scope::kPresent:
-      return true;
-  }
-  return false;
-}
 
 const char* to_string(TrustAnswer a) noexcept {
   switch (a) {
@@ -32,90 +17,92 @@ const char* to_string(TrustAnswer a) noexcept {
   return "?";
 }
 
+std::vector<std::vector<TrustInterval>> TrustIndex::derive_intervals(
+    const std::vector<rs::util::Date>& dates,
+    const std::vector<rs::store::IdSet>& sets, std::size_t universe) {
+  std::vector<std::vector<TrustInterval>> intervals(universe);
+  // `open[id]` holds the start of the run the certificate is currently
+  // in, if any; closing a run appends one interval.
+  std::vector<std::optional<rs::util::Date>> open(universe);
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    const rs::store::IdSet& members = sets[k];
+    if (k == 0) {
+      for (const std::uint32_t id : members.ids()) open[id] = dates[k];
+    } else {
+      const rs::store::IdSet& prev = sets[k - 1];
+      for (const std::uint32_t id : members.difference(prev).ids()) {
+        open[id] = dates[k];
+      }
+      for (const std::uint32_t id : prev.difference(members).ids()) {
+        intervals[id].push_back({*open[id], dates[k]});
+        open[id].reset();
+      }
+    }
+  }
+  for (std::uint32_t id = 0; id < universe; ++id) {
+    if (open[id]) intervals[id].push_back({*open[id], std::nullopt});
+  }
+  return intervals;
+}
+
 void TrustIndex::build_provider(const rs::store::ProviderHistory& history,
-                                const rs::store::CertInterner& interner,
-                                ProviderData& out) {
-  const std::size_t universe = interner.size();
+                                const std::vector<rs::store::ScopeSets>& rows,
+                                std::size_t universe, ProviderData& out) {
   // Collapse to distinct dates: for equal dates the later snapshot wins,
   // mirroring ProviderHistory::at (upper_bound resolution).
-  std::vector<const rs::store::Snapshot*> resolved;
-  for (const auto& snapshot : history.snapshots()) {
-    if (!resolved.empty() && resolved.back()->date == snapshot.date) {
-      resolved.back() = &snapshot;
+  const auto& snapshots = history.snapshots();
+  std::vector<std::size_t> resolved;
+  for (std::size_t k = 0; k < snapshots.size(); ++k) {
+    if (!resolved.empty() &&
+        snapshots[resolved.back()].date == snapshots[k].date) {
+      resolved.back() = k;
     } else {
-      resolved.push_back(&snapshot);
+      resolved.push_back(k);
     }
   }
 
   out.dates.reserve(resolved.size());
   out.versions.reserve(resolved.size());
-  for (const auto* snapshot : resolved) {
-    out.dates.push_back(snapshot->date);
-    out.versions.push_back(snapshot->version);
+  for (const std::size_t k : resolved) {
+    out.dates.push_back(snapshots[k].date);
+    out.versions.push_back(snapshots[k].version);
   }
-
   for (std::size_t s = 0; s < kScopeCount; ++s) {
-    const auto scope = static_cast<Scope>(s);
-    auto& sets = out.sets[s];
-    auto& intervals = out.intervals[s];
-    sets.reserve(resolved.size());
-    intervals.assign(universe, {});
-
-    // `open[id]` holds the start of the run the certificate is currently
-    // in, if any; closing a run appends one interval.
-    std::vector<std::optional<rs::util::Date>> open(universe);
-    for (std::size_t k = 0; k < resolved.size(); ++k) {
-      rs::store::IdSet members(universe);
-      for (const auto& entry : resolved[k]->entries) {
-        if (!scope_matches(entry, scope)) continue;
-        const auto id = interner.id_of(entry.certificate->sha256());
-        if (id) members.insert(*id);
-      }
-      if (k == 0) {
-        for (const std::uint32_t id : members.ids()) {
-          open[id] = out.dates[k];
-        }
-      } else {
-        const auto& prev = sets[k - 1];
-        for (const std::uint32_t id : members.difference(prev).ids()) {
-          open[id] = out.dates[k];
-        }
-        for (const std::uint32_t id : prev.difference(members).ids()) {
-          intervals[id].push_back({*open[id], out.dates[k]});
-          open[id].reset();
-        }
-      }
-      sets.push_back(std::move(members));
-    }
-    for (std::uint32_t id = 0; id < universe; ++id) {
-      if (open[id]) intervals[id].push_back({*open[id], std::nullopt});
-    }
+    out.sets[s].reserve(resolved.size());
+    for (const std::size_t k : resolved) out.sets[s].push_back(rows[k][s]);
+    out.intervals[s] = derive_intervals(out.dates, out.sets[s], universe);
   }
 }
 
 TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
                              const rs::store::CertInterner& interner,
                              rs::exec::ThreadPool* pool) {
+  return build(db, rs::store::MembershipTable::build(db, interner, pool),
+               pool);
+}
+
+TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
+                             const rs::store::MembershipTable& table,
+                             rs::exec::ThreadPool* pool) {
   rs::obs::Span span("query/build_index");
   TrustIndex index;
-  index.interner_ = interner;
+  index.interner_ = table.interner();
 
   // Lay out providers in name order (the histories() map order), then
   // fill each lane independently — disjoint writes, so the parallel and
   // serial builds are identical.
+  std::vector<const rs::store::ProviderHistory*> histories;
   for (const auto& [name, history] : db.histories()) {
     if (history.empty()) continue;
     index.by_name_.emplace(name, index.providers_.size());
     index.providers_.emplace_back();
     index.providers_.back().name = name;
+    histories.push_back(&history);
   }
-  std::vector<const rs::store::ProviderHistory*> histories;
-  histories.reserve(index.providers_.size());
-  for (const auto& p : index.providers_) {
-    histories.push_back(db.find(p.name));
-  }
+  const std::size_t universe = index.interner_.size();
   rs::exec::parallel_for(pool, index.providers_.size(), [&](std::size_t i) {
-    build_provider(*histories[i], index.interner_, index.providers_[i]);
+    build_provider(*histories[i], table.lane(*histories[i]), universe,
+                   index.providers_[i]);
   });
 
   std::size_t intervals = 0;

@@ -8,8 +8,8 @@
 //     presence intervals [added, removed) derived from consecutive
 //     snapshots.  A root removed and later re-added yields two disjoint
 //     intervals — never one merged span.
-//   * Per provider: the distinct snapshot dates plus an interned IdSet of
-//     members per scope per date, resolving any query date to the latest
+//   * Per provider: the distinct snapshot dates plus the membership-table
+//     IdSet per scope per date, resolving any query date to the latest
 //     snapshot on or before it (ProviderHistory::at semantics).
 //
 // Coverage is explicit: a provider only answers for dates inside
@@ -33,6 +33,7 @@
 #include "src/store/database.h"
 #include "src/store/id_set.h"
 #include "src/store/interner.h"
+#include "src/store/membership.h"
 #include "src/util/date.h"
 
 namespace rs::exec {
@@ -43,11 +44,6 @@ namespace rs::query {
 
 /// A point query's three-valued answer.
 enum class TrustAnswer : std::uint8_t { kTrusted, kUntrusted, kNotCovered };
-
-/// True when `entry` belongs to the membership set of `scope` (TLS/email/
-/// code anchors, or bare presence).  Shared by the index build and the
-/// incremental append path in index_io.cpp.
-bool scope_matches(const rs::store::TrustEntry& entry, Scope scope) noexcept;
 
 const char* to_string(TrustAnswer a) noexcept;
 
@@ -94,10 +90,16 @@ class TrustIndex {
  public:
   TrustIndex() = default;
 
-  /// Compiles the index: O(history) work, parallelized per provider on
-  /// `pool` when given (results are identical for any worker count — each
-  /// provider's lane is independent and deterministic).  The interner must
-  /// cover the database universe (CertInterner::from_database does).
+  /// Compiles the index from `table`'s rows (built over `db`): the last
+  /// row per snapshot date becomes that date's set, and intervals are
+  /// derived from consecutive sets.  O(history) work, parallelized per
+  /// provider on `pool` when given (results are identical for any worker
+  /// count — each provider's lane is independent and deterministic).
+  static TrustIndex build(const rs::store::StoreDatabase& db,
+                          const rs::store::MembershipTable& table,
+                          rs::exec::ThreadPool* pool = nullptr);
+  /// The same, over a membership table built here from `interner`, which
+  /// must cover the database universe (CertInterner::from_database does).
   static TrustIndex build(const rs::store::StoreDatabase& db,
                           const rs::store::CertInterner& interner,
                           rs::exec::ThreadPool* pool = nullptr);
@@ -174,8 +176,15 @@ class TrustIndex {
   static std::optional<std::size_t> resolve(const ProviderData& p,
                                             rs::util::Date date);
   static void build_provider(const rs::store::ProviderHistory& history,
-                             const rs::store::CertInterner& interner,
-                             ProviderData& out);
+                             const std::vector<rs::store::ScopeSets>& rows,
+                             std::size_t universe, ProviderData& out);
+  /// Presence runs per certificate ID over one (provider, scope)'s
+  /// date-ordered sets: a run opens where a set gains the ID and closes
+  /// where the next set lacks it.  build() and TrustIndexIO::verify share
+  /// this one derivation.
+  static std::vector<std::vector<TrustInterval>> derive_intervals(
+      const std::vector<rs::util::Date>& dates,
+      const std::vector<rs::store::IdSet>& sets, std::size_t universe);
 
   std::vector<ProviderData> providers_;  // name order
   std::map<std::string, std::size_t, std::less<>> by_name_;

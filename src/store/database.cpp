@@ -81,16 +81,4 @@ FingerprintSet StoreDatabase::all_tls_roots_ever() const {
   return FingerprintSet(std::move(prints));
 }
 
-FingerprintSet StoreDatabase::tls_roots_ever(const std::string& provider) const {
-  std::vector<rs::crypto::Sha256Digest> prints;
-  if (const ProviderHistory* h = find(provider)) {
-    for (const auto& s : h->snapshots()) {
-      for (const auto& e : s.entries) {
-        if (e.is_tls_anchor()) prints.push_back(e.certificate->sha256());
-      }
-    }
-  }
-  return FingerprintSet(std::move(prints));
-}
-
 }  // namespace rs::store

@@ -46,9 +46,6 @@ class StoreDatabase {
   /// Distinct certificates that were ever TLS anchors in any history.
   FingerprintSet all_tls_roots_ever() const;
 
-  /// Distinct certificates ever TLS anchors for one provider.
-  FingerprintSet tls_roots_ever(const std::string& provider) const;
-
   /// All histories in provider-name order.
   const std::map<std::string, ProviderHistory>& histories() const noexcept {
     return histories_;

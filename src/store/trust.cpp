@@ -26,6 +26,30 @@ const char* to_string(TrustLevel l) noexcept {
   return "?";
 }
 
+const char* to_string(Scope scope) noexcept {
+  switch (scope) {
+    case Scope::kTls: return "tls";
+    case Scope::kEmail: return "email";
+    case Scope::kCode: return "code";
+    case Scope::kPresent: return "present";
+  }
+  return "?";
+}
+
+bool scope_matches(const TrustEntry& entry, Scope scope) noexcept {
+  switch (scope) {
+    case Scope::kTls:
+      return entry.is_anchor_for(TrustPurpose::kServerAuth);
+    case Scope::kEmail:
+      return entry.is_anchor_for(TrustPurpose::kEmailProtection);
+    case Scope::kCode:
+      return entry.is_anchor_for(TrustPurpose::kCodeSigning);
+    case Scope::kPresent:
+      return true;
+  }
+  return false;
+}
+
 TrustEntry make_tls_anchor(std::shared_ptr<const rs::x509::Certificate> cert) {
   return make_anchor_for(std::move(cert), {TrustPurpose::kServerAuth});
 }

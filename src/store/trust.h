@@ -11,6 +11,8 @@
 
 #include <array>
 #include <compare>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -89,6 +91,23 @@ struct TrustEntry {
     return t.is_anchor() && t.distrust_after.has_value();
   }
 };
+
+/// Membership scope of a certificate set: one purpose's anchors, or bare
+/// presence.  The membership table and the TrustIndex keep one set per
+/// scope per snapshot.
+enum class Scope : std::uint8_t {
+  kTls = 0,      // server-auth anchors (the paper's headline sets)
+  kEmail = 1,    // email-protection anchors
+  kCode = 2,     // code-signing anchors
+  kPresent = 3,  // in the store at all, regardless of trust bits
+};
+inline constexpr std::size_t kScopeCount = 4;
+
+/// The scope's wire name: "tls", "email", "code" or "present".
+const char* to_string(Scope scope) noexcept;
+
+/// True when `entry` belongs to the membership set of `scope`.
+bool scope_matches(const TrustEntry& entry, Scope scope) noexcept;
 
 /// Convenience constructors for the common shapes.
 TrustEntry make_tls_anchor(std::shared_ptr<const rs::x509::Certificate> cert);

@@ -8,8 +8,10 @@
 namespace rs::analysis {
 namespace {
 
+using rs::store::MembershipTable;
 using rs::store::ProviderHistory;
 using rs::store::Snapshot;
+using rs::store::StoreDatabase;
 using rs::store::TrustEntry;
 using rs::store::TrustPurpose;
 using rs::util::Date;
@@ -50,12 +52,22 @@ ProviderHistory make_nss() {
   return nss;
 }
 
+/// Figure 4 series of derivative `d` against `nss`, over a membership
+/// table built for the two histories.
+DerivativeDiffSeries diffs_of(ProviderHistory nss, ProviderHistory d) {
+  const std::string name = d.provider();
+  StoreDatabase db;
+  db.add(std::move(nss));
+  db.add(std::move(d));
+  const auto table = MembershipTable::build(db);
+  const auto index = build_version_index(*db.find("NSS"), table);
+  return derivative_diffs(*db.find(name), *db.find("NSS"), table, index);
+}
+
 TEST(Diffs, CleanCopyHasNoDeviation) {
-  const auto nss = make_nss();
-  const auto index = build_version_index(nss);
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(2)}));
-  const auto series = derivative_diffs(d, nss, index);
+  const auto series = diffs_of(make_nss(), std::move(d));
   ASSERT_EQ(series.points.size(), 1u);
   EXPECT_EQ(series.points[0].added_total(), 0u);
   EXPECT_EQ(series.points[0].removed_total(), 0u);
@@ -63,11 +75,9 @@ TEST(Diffs, CleanCopyHasNoDeviation) {
 }
 
 TEST(Diffs, NonNssRootCategorized) {
-  const auto nss = make_nss();
-  const auto index = build_version_index(nss);
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(2), tls(77)}));
-  const auto series = derivative_diffs(d, nss, index);
+  const auto series = diffs_of(make_nss(), std::move(d));
   ASSERT_EQ(series.points.size(), 1u);
   EXPECT_EQ(series.points[0]
                 .adds[static_cast<std::size_t>(AddCategory::kNonNssRoot)],
@@ -76,24 +86,20 @@ TEST(Diffs, NonNssRootCategorized) {
 }
 
 TEST(Diffs, EmailOnlyRootCategorized) {
-  const auto nss = make_nss();
-  const auto index = build_version_index(nss);
   ProviderHistory d("D");
   // Derivative TLS-trusts NSS's email-only root 9 (conflation).
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(2), tls(9)}));
-  const auto series = derivative_diffs(d, nss, index);
+  const auto series = diffs_of(make_nss(), std::move(d));
   EXPECT_EQ(series.points[0]
                 .adds[static_cast<std::size_t>(AddCategory::kEmailOnlyRoot)],
             1u);
 }
 
 TEST(Diffs, ReAddedRootCategorized) {
-  const auto nss = make_nss();
-  const auto index = build_version_index(nss);
   ProviderHistory d("D");
   // Root 2 was dropped by NSS v2; the derivative matching v2 still ships it.
   d.add(snap("D", Date::ymd(2020, 8, 1), {tls(1), tls(2), tls(88), tls(89)}));
-  const auto series = derivative_diffs(d, nss, index);
+  const auto series = diffs_of(make_nss(), std::move(d));
   // Closest match: v2 {1} (distance to {1,2,88,89} = 3/4) vs v1 {1,2}
   // (distance = 1/2) -> v1.  Against v1, adds are 88/89 (non-NSS).
   EXPECT_EQ(series.points[0].matched_version, 1u);
@@ -104,20 +110,17 @@ TEST(Diffs, ReAddedRootCategorized) {
   ProviderHistory d2("D2");
   // Closer to v2: only root2 extra.
   d2.add(snap("D2", Date::ymd(2020, 8, 1), {tls(1), tls(2)}));
-  const auto series2 = derivative_diffs(d2, nss, index);
+  const auto series2 = diffs_of(make_nss(), std::move(d2));
   // {1,2}: d(v1)=0, so matches v1 exactly; use a set matching v2 plus 2:
   ProviderHistory d3("D3");
   d3.add(snap("D3", Date::ymd(2020, 8, 1), {tls(1)}));
-  const auto series3 = derivative_diffs(d3, nss, index);
+  const auto series3 = diffs_of(make_nss(), std::move(d3));
   EXPECT_EQ(series3.points[0].matched_version, 2u);
   EXPECT_EQ(series3.points[0].added_total(), 0u);
   (void)series2;
 }
 
 TEST(Diffs, PartialDistrustFalloutOnRemoval) {
-  const auto nss = make_nss();
-  const auto index = build_version_index(nss);
-  ProviderHistory d("D");
   // Derivative matching v2 but *without* the partially-distrusted root 1:
   // classic Debian-style premature removal.  Add roots 2.. so v2 is closer?
   // v2 = {1}. Derivative = {} -> matches v2? distance({} , {1}) = 1,
@@ -130,12 +133,11 @@ TEST(Diffs, PartialDistrustFalloutOnRemoval) {
   partial.trust_for(TrustPurpose::kServerAuth).distrust_after =
       Date::ymd(2020, 6, 1);
   nss2.add(snap("NSS", Date::ymd(2020, 7, 1), {partial, tls(2), tls(3)}));
-  const auto index2 = build_version_index(nss2);
   ProviderHistory d2("D");
   // Matches v2 {1,2,3} (distance 1/3) better than v1 {1,2} (distance 1/2)?
   // derivative {2,3}: d(v2) = 1 - 2/3 = 0.33, d(v1) = 1 - 1/3 = 0.67 -> v2.
   d2.add(snap("D", Date::ymd(2020, 8, 1), {tls(2), tls(3)}));
-  const auto series = derivative_diffs(d2, nss2, index2);
+  const auto series = diffs_of(std::move(nss2), std::move(d2));
   ASSERT_EQ(series.points.size(), 1u);
   EXPECT_EQ(series.points[0].matched_version, 2u);
   EXPECT_EQ(series.points[0].removes[static_cast<std::size_t>(
@@ -153,10 +155,9 @@ TEST(Diffs, CustomRemovalCategorized) {
   ProviderHistory nss("NSS");
   nss.add(snap("NSS", Date::ymd(2020, 1, 1), {tls(1), tls(2), tls(3)}));
   nss.add(snap("NSS", Date::ymd(2020, 7, 1), {tls(1)}));
-  const auto index = build_version_index(nss);
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 2, 1), {tls(1), tls(3)}));
-  const auto series = derivative_diffs(d, nss, index);
+  const auto series = diffs_of(std::move(nss), std::move(d));
   ASSERT_EQ(series.points.size(), 1u);
   EXPECT_EQ(series.points[0].matched_version, 1u);
   EXPECT_EQ(series.points[0].removes[static_cast<std::size_t>(
@@ -164,6 +165,33 @@ TEST(Diffs, CustomRemovalCategorized) {
             1u);
   EXPECT_EQ(series.points[0].removes[static_cast<std::size_t>(
                 RemoveCategory::kPartialDistrustFallout)],
+            0u);
+}
+
+// Regression: NSS ships a corrected re-release on the date of the snapshot
+// before it, and the re-release is its own substantial version.  Its
+// removals must be classified against its own entries, not those of the
+// first snapshot carrying that date.
+TEST(Diffs, SameDateReReleaseClassifiesAgainstItsOwnSnapshot) {
+  ProviderHistory nss("NSS");
+  nss.add(snap("NSS", Date::ymd(2020, 1, 1), {tls(1)}));
+  nss.add(snap("NSS", Date::ymd(2020, 7, 1), {tls(1), tls(7)}));
+  TrustEntry partial = tls(6);
+  partial.trust_for(TrustPurpose::kServerAuth).distrust_after =
+      Date::ymd(2020, 6, 1);
+  nss.add(snap("NSS", Date::ymd(2020, 7, 1),
+               {tls(1), tls(2), tls(3), tls(4), tls(5), partial}));
+  ProviderHistory d("D");
+  d.add(snap("D", Date::ymd(2020, 8, 1),
+             {tls(1), tls(2), tls(3), tls(4), tls(5)}));
+  const auto series = diffs_of(std::move(nss), std::move(d));
+  ASSERT_EQ(series.points.size(), 1u);
+  EXPECT_EQ(series.points[0].matched_version, 3u);
+  EXPECT_EQ(series.points[0].removes[static_cast<std::size_t>(
+                RemoveCategory::kPartialDistrustFallout)],
+            1u);
+  EXPECT_EQ(series.points[0].removes[static_cast<std::size_t>(
+                RemoveCategory::kCustomRemoval)],
             0u);
 }
 

@@ -38,6 +38,13 @@ Snapshot snap(const std::string& provider, Date date,
   return s;
 }
 
+// Exclusive roots over a membership table built for `db` alone.
+std::vector<ExclusiveSet> exclusive_roots(
+    const StoreDatabase& db, const std::vector<std::string>& programs) {
+  return rs::analysis::exclusive_roots(
+      db, rs::store::MembershipTable::build(db), programs);
+}
+
 TEST(Exclusive, BasicExclusivity) {
   StoreDatabase db;
   ProviderHistory a("A");

@@ -51,8 +51,14 @@ StoreDatabase two_provider_db() {
   return db;
 }
 
+// The matrix over a membership table built for `db` alone.
+DistanceMatrix matrix(const StoreDatabase& db,
+                      const JaccardOptions& options = {}) {
+  return jaccard_matrix(db, rs::store::MembershipTable::build(db), options);
+}
+
 TEST(Jaccard, MatrixShapeAndSymmetry) {
-  const auto dist = jaccard_matrix(two_provider_db());
+  const auto dist = matrix(two_provider_db());
   ASSERT_EQ(dist.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(dist.at(i, i), 0.0);
@@ -63,7 +69,7 @@ TEST(Jaccard, MatrixShapeAndSymmetry) {
 }
 
 TEST(Jaccard, KnownDistances) {
-  const auto dist = jaccard_matrix(two_provider_db());
+  const auto dist = matrix(two_provider_db());
   // Labels are in provider order (A snapshots first, then B).
   EXPECT_EQ(dist.labels[0].provider, "A");
   EXPECT_EQ(dist.labels[2].provider, "B");
@@ -76,10 +82,10 @@ TEST(Jaccard, KnownDistances) {
 TEST(Jaccard, DateWindowFilters) {
   JaccardOptions opts;
   opts.min_date = Date::ymd(2019, 3, 1);
-  const auto dist = jaccard_matrix(two_provider_db(), opts);
+  const auto dist = matrix(two_provider_db(), opts);
   EXPECT_EQ(dist.size(), 2u);  // A@2019-01 excluded
   opts.max_date = Date::ymd(2019, 12, 1);
-  const auto dist2 = jaccard_matrix(two_provider_db(), opts);
+  const auto dist2 = matrix(two_provider_db(), opts);
   EXPECT_EQ(dist2.size(), 1u);  // only B@2019-06
 }
 
@@ -94,11 +100,11 @@ TEST(Jaccard, SetKindDistinguishesTrustAwareness) {
 
   JaccardOptions all;
   all.set_kind = SetKind::kAllCertificates;
-  EXPECT_NEAR(jaccard_matrix(db, all).at(0, 1), 0.5, 1e-12);
+  EXPECT_NEAR(matrix(db, all).at(0, 1), 0.5, 1e-12);
 
   JaccardOptions tls;
   tls.set_kind = SetKind::kTlsAnchors;
-  EXPECT_NEAR(jaccard_matrix(db, tls).at(0, 1), 0.0, 1e-12);
+  EXPECT_NEAR(matrix(db, tls).at(0, 1), 0.0, 1e-12);
 }
 
 TEST(Jaccard, SubsamplingCapsPerProvider) {
@@ -110,7 +116,7 @@ TEST(Jaccard, SubsamplingCapsPerProvider) {
   db.add(std::move(a));
   JaccardOptions opts;
   opts.max_per_provider = 5;
-  const auto dist = jaccard_matrix(db, opts);
+  const auto dist = matrix(db, opts);
   EXPECT_EQ(dist.size(), 5u);
   // Ends are kept.
   EXPECT_EQ(dist.labels.front().provider_index, 0u);
@@ -135,30 +141,16 @@ TEST(Jaccard, SubsampleToSingleSnapshotKeepsNewest) {
 
   JaccardOptions opts;
   opts.max_per_provider = 1;
-  for (const auto algebra : {SetAlgebra::kInterned, SetAlgebra::kSortedMerge}) {
-    opts.algebra = algebra;
-    const auto dist = jaccard_matrix(db, opts);
-    ASSERT_EQ(dist.size(), 2u);  // one snapshot per provider
-    EXPECT_EQ(dist.labels[0].provider, "A");
-    EXPECT_EQ(dist.labels[0].provider_index, 11u);  // newest of A's 12
-    EXPECT_EQ(dist.labels[1].provider, "B");
-    EXPECT_EQ(dist.labels[1].provider_index, 1u);   // newest of B's 2
-  }
-}
-
-// Both engines agree on a handcrafted matrix (the scenario-scale version
-// lives in intern_equivalence_test.cpp).
-TEST(Jaccard, MergeAndInternedEnginesMatch) {
-  JaccardOptions merge_opts;
-  merge_opts.algebra = SetAlgebra::kSortedMerge;
-  const auto merge = jaccard_matrix(two_provider_db(), merge_opts);
-  const auto interned = jaccard_matrix(two_provider_db());  // default engine
-  ASSERT_EQ(interned.size(), merge.size());
-  EXPECT_TRUE(interned.values == merge.values);
+  const auto dist = matrix(db, opts);
+  ASSERT_EQ(dist.size(), 2u);  // one snapshot per provider
+  EXPECT_EQ(dist.labels[0].provider, "A");
+  EXPECT_EQ(dist.labels[0].provider_index, 11u);  // newest of A's 12
+  EXPECT_EQ(dist.labels[1].provider, "B");
+  EXPECT_EQ(dist.labels[1].provider_index, 1u);   // newest of B's 2
 }
 
 TEST(Jaccard, EmptyDatabase) {
-  const auto dist = jaccard_matrix(StoreDatabase{});
+  const auto dist = matrix(StoreDatabase{});
   EXPECT_EQ(dist.size(), 0u);
   EXPECT_TRUE(dist.values.empty());
 }
@@ -170,7 +162,7 @@ TEST(Jaccard, EmptyDatabase) {
 TEST(JaccardDeathTest, AtOutOfRangeAssertsInDebug) {
 #ifndef NDEBUG
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto dist = jaccard_matrix(two_provider_db());  // 3x3
+  const auto dist = matrix(two_provider_db());  // 3x3
   EXPECT_DEATH((void)dist.at(3, 0), "out of range");
   EXPECT_DEATH((void)dist.at(0, 3), "out of range");
   EXPECT_DEATH((void)dist.at(17, 17), "out of range");

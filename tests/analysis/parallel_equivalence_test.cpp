@@ -28,6 +28,12 @@ const rs::synth::PaperScenario& scenario() {
   return s;
 }
 
+const rs::store::MembershipTable& table() {
+  static const auto t =
+      rs::store::MembershipTable::build(scenario().database());
+  return t;
+}
+
 JaccardOptions figure1_options() {
   JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
@@ -37,11 +43,12 @@ JaccardOptions figure1_options() {
 
 TEST(ParallelEquivalence, JaccardMatrixBitwiseIdentical) {
   const auto opts = figure1_options();
-  const auto serial = jaccard_matrix(scenario().database(), opts);
+  const auto serial = jaccard_matrix(scenario().database(), table(), opts);
   ASSERT_GT(serial.size(), 0u);
   for (std::size_t workers : kWorkerCounts) {
     rs::exec::ThreadPool pool(workers);
-    const auto parallel = jaccard_matrix(scenario().database(), opts, &pool);
+    const auto parallel =
+        jaccard_matrix(scenario().database(), table(), opts, &pool);
     ASSERT_EQ(parallel.size(), serial.size()) << workers << " workers";
     EXPECT_TRUE(parallel.values == serial.values) << workers << " workers";
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -53,7 +60,8 @@ TEST(ParallelEquivalence, JaccardMatrixBitwiseIdentical) {
 }
 
 TEST(ParallelEquivalence, SmacofMdsBitwiseIdentical) {
-  const auto dist = jaccard_matrix(scenario().database(), figure1_options());
+  const auto dist =
+      jaccard_matrix(scenario().database(), table(), figure1_options());
   const auto serial = smacof_mds(dist);
   for (std::size_t workers : kWorkerCounts) {
     rs::exec::ThreadPool pool(workers);
@@ -71,7 +79,8 @@ TEST(ParallelEquivalence, SmacofMdsBitwiseIdentical) {
 }
 
 TEST(ParallelEquivalence, EmbeddingStressIdenticalForAnyPool) {
-  const auto dist = jaccard_matrix(scenario().database(), figure1_options());
+  const auto dist =
+      jaccard_matrix(scenario().database(), table(), figure1_options());
   const auto mds = smacof_mds(dist);
   const double serial = embedding_stress(dist, mds.points);
   for (std::size_t workers : kWorkerCounts) {
@@ -85,37 +94,22 @@ TEST(ParallelEquivalence, StalenessAndDiffSeriesIdentical) {
   const auto& db = scenario().database();
   const auto* nss = db.find("NSS");
   ASSERT_NE(nss, nullptr);
-  const auto index = build_version_index(*nss);
+  const auto index = build_version_index(*nss, table());
   for (const char* name : {"Alpine", "AmazonLinux", "Android", "NodeJS",
                            "Debian", "Ubuntu"}) {
     const auto* deriv = db.find(name);
     ASSERT_NE(deriv, nullptr) << name;
-    const auto stale_serial = derivative_staleness(*deriv, index);
-    const auto diffs_serial = derivative_diffs(*deriv, *nss, index);
+    const auto stale_serial = derivative_staleness(*deriv, table(), index);
+    const auto diffs_serial = derivative_diffs(*deriv, *nss, table(), index);
     for (std::size_t workers : kWorkerCounts) {
       rs::exec::ThreadPool pool(workers);
 
-      const auto stale = derivative_staleness(*deriv, index, &pool);
-      EXPECT_EQ(stale.avg_versions_behind, stale_serial.avg_versions_behind)
+      EXPECT_EQ(derivative_staleness(*deriv, table(), index, &pool),
+                stale_serial)
           << name << " @ " << workers;
-      EXPECT_EQ(stale.always_stale, stale_serial.always_stale) << name;
-      ASSERT_EQ(stale.points.size(), stale_serial.points.size()) << name;
-      for (std::size_t k = 0; k < stale.points.size(); ++k) {
-        EXPECT_EQ(stale.points[k].matched_version,
-                  stale_serial.points[k].matched_version);
-        EXPECT_EQ(stale.points[k].versions_behind,
-                  stale_serial.points[k].versions_behind);
-      }
-
-      const auto diffs = derivative_diffs(*deriv, *nss, index, &pool);
-      EXPECT_EQ(diffs.ever_deviates, diffs_serial.ever_deviates) << name;
-      ASSERT_EQ(diffs.points.size(), diffs_serial.points.size()) << name;
-      for (std::size_t k = 0; k < diffs.points.size(); ++k) {
-        EXPECT_EQ(diffs.points[k].adds, diffs_serial.points[k].adds);
-        EXPECT_EQ(diffs.points[k].removes, diffs_serial.points[k].removes);
-        EXPECT_EQ(diffs.points[k].matched_version,
-                  diffs_serial.points[k].matched_version);
-      }
+      EXPECT_EQ(derivative_diffs(*deriv, *nss, table(), index, &pool),
+                diffs_serial)
+          << name << " @ " << workers;
     }
   }
 }

@@ -8,8 +8,12 @@
 namespace rs::analysis {
 namespace {
 
+using rs::store::in_scope;
+using rs::store::MembershipTable;
 using rs::store::ProviderHistory;
+using rs::store::Scope;
 using rs::store::Snapshot;
+using rs::store::StoreDatabase;
 using rs::util::Date;
 
 std::shared_ptr<const rs::x509::Certificate> make_cert(std::uint64_t seed) {
@@ -43,16 +47,38 @@ ProviderHistory make_nss() {
   return nss;
 }
 
+/// `nss` and `others` in one database, with its membership table.
+struct Fixture {
+  Fixture(ProviderHistory base, std::vector<ProviderHistory> others)
+      : nss(std::move(base)) {
+    db.add(nss);
+    for (auto& h : others) db.add(std::move(h));
+    table = MembershipTable::build(db);
+  }
+  NssVersionIndex index() const { return build_version_index(nss, table); }
+  ProviderHistory nss;
+  StoreDatabase db;
+  MembershipTable table;
+};
+
+/// Staleness of derivative "D" against make_nss().
+StalenessResult staleness_of(ProviderHistory d) {
+  const Fixture f(make_nss(), {std::move(d)});
+  return derivative_staleness(*f.db.find("D"), f.table, f.index());
+}
+
 TEST(VersionIndex, SubstantialVersionsOnly) {
-  const auto index = build_version_index(make_nss());
+  const auto index = Fixture(make_nss(), {}).index();
   ASSERT_EQ(index.size(), 3u);
   EXPECT_EQ(index.versions()[0].index, 1u);
   EXPECT_EQ(index.versions()[1].label, "b");
+  EXPECT_EQ(index.versions()[1].snapshot, 1u);
   EXPECT_EQ(index.versions()[2].date, Date::ymd(2020, 3, 1));
+  EXPECT_EQ(index.versions()[2].snapshot, 3u);  // the no-op b2 is skipped
 }
 
 TEST(VersionIndex, CurrentAt) {
-  const auto index = build_version_index(make_nss());
+  const auto index = Fixture(make_nss(), {}).index();
   EXPECT_EQ(index.current_at(Date::ymd(2019, 12, 1)), nullptr);
   EXPECT_EQ(index.current_at(Date::ymd(2020, 1, 15))->index, 1u);
   EXPECT_EQ(index.current_at(Date::ymd(2020, 2, 20))->index, 2u);
@@ -60,30 +86,31 @@ TEST(VersionIndex, CurrentAt) {
 }
 
 TEST(VersionIndex, ClosestMatchPrefersExactThenEarlier) {
-  const auto index = build_version_index(make_nss());
-  const auto v2_set = snap("x", Date::ymd(2020, 6, 1), {1, 2}).tls_anchors();
-  EXPECT_EQ(index.closest_match(v2_set)->index, 2u);
+  ProviderHistory x("X");
+  x.add(snap("X", Date::ymd(2020, 6, 1), {1, 2}));
   // A set equidistant from v1 {1} and v2 {1,2}? {1,9}: d(v1)=1-1/2=0.5,
   // d(v2)=1-1/3=0.667 -> v1.
-  const auto odd_set = snap("x", Date::ymd(2020, 6, 1), {1, 9}).tls_anchors();
-  EXPECT_EQ(index.closest_match(odd_set)->index, 1u);
+  x.add(snap("X", Date::ymd(2020, 6, 2), {1, 9}));
+  const Fixture f(make_nss(), {std::move(x)});
+  const auto index = f.index();
+  const auto& rows = f.table.lane(*f.db.find("X"));
+  EXPECT_EQ(index.closest_match(in_scope(rows[0], Scope::kTls))->index, 2u);
+  EXPECT_EQ(index.closest_match(in_scope(rows[1], Scope::kTls))->index, 1u);
 }
 
 TEST(Staleness, UpToDateDerivativeHasZero) {
-  const auto index = build_version_index(make_nss());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 3, 2), {1, 2, 3}));
-  const auto res = derivative_staleness(d, index);
+  const auto res = staleness_of(std::move(d));
   ASSERT_EQ(res.points.size(), 1u);
   EXPECT_EQ(res.points[0].versions_behind, 0.0);
   EXPECT_FALSE(res.always_stale);
 }
 
 TEST(Staleness, LaggingDerivativeCounted) {
-  const auto index = build_version_index(make_nss());
   ProviderHistory d("D");
   d.add(snap("D", Date::ymd(2020, 3, 2), {1}));  // matches v1, current v3
-  const auto res = derivative_staleness(d, index);
+  const auto res = staleness_of(std::move(d));
   ASSERT_EQ(res.points.size(), 1u);
   EXPECT_EQ(res.points[0].matched_version, 1u);
   EXPECT_EQ(res.points[0].current_version, 3u);
@@ -92,34 +119,32 @@ TEST(Staleness, LaggingDerivativeCounted) {
 }
 
 TEST(Staleness, TimeWeightedAverage) {
-  const auto index = build_version_index(make_nss());
   ProviderHistory d("D");
   // 10 days at 2 behind, then 30 days at 0 behind (the final sample's own
   // deficit is not integrated; only spans between samples count).
   d.add(snap("D", Date::ymd(2020, 3, 2), {1}));
   d.add(snap("D", Date::ymd(2020, 3, 12), {1, 2, 3}));
   d.add(snap("D", Date::ymd(2020, 4, 11), {1, 2, 3}));
-  const auto res = derivative_staleness(d, index);
+  const auto res = staleness_of(std::move(d));
   ASSERT_EQ(res.points.size(), 3u);
   EXPECT_NEAR(res.avg_versions_behind, (2.0 * 10 + 0.0 * 30) / 40.0, 1e-9);
 }
 
 TEST(Staleness, EmptyInputsAreSafe) {
-  const auto index = build_version_index(ProviderHistory("NSS"));
+  const Fixture f(ProviderHistory("NSS"), {ProviderHistory("D")});
+  const auto index = f.index();
   EXPECT_EQ(index.size(), 0u);
-  ProviderHistory d("D");
-  const auto res = derivative_staleness(d, index);
+  const auto res = derivative_staleness(*f.db.find("D"), f.table, index);
   EXPECT_TRUE(res.points.empty());
   EXPECT_EQ(res.avg_versions_behind, 0.0);
 }
 
 TEST(Staleness, AheadOfCurrentClampsToZero) {
-  const auto index = build_version_index(make_nss());
   ProviderHistory d("D");
   // Dated before v2 exists but matching v3's set (hypothetical pre-release
   // copy): deficit clamps to zero rather than going negative.
   d.add(snap("D", Date::ymd(2020, 1, 15), {1, 2, 3}));
-  const auto res = derivative_staleness(d, index);
+  const auto res = staleness_of(std::move(d));
   ASSERT_EQ(res.points.size(), 1u);
   EXPECT_EQ(res.points[0].versions_behind, 0.0);
 }

@@ -9,6 +9,7 @@
 #include "src/analysis/mds.h"
 #include "src/analysis/staleness.h"
 #include "src/exec/thread_pool.h"
+#include "src/store/membership.h"
 #include "src/formats/certdata.h"
 #include "src/formats/jks.h"
 #include "src/synth/simulator.h"
@@ -33,7 +34,8 @@ TEST_P(SimulatedPipelineTest, JaccardMatrixIsValidMetricInput) {
   const auto eco = make();
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 15;
-  const auto dist = rs::analysis::jaccard_matrix(eco.database, opts);
+  const auto dist = rs::analysis::jaccard_matrix(
+      eco.database, rs::store::MembershipTable::build(eco.database), opts);
   for (std::size_t i = 0; i < dist.size(); ++i) {
     EXPECT_DOUBLE_EQ(dist.at(i, i), 0.0);
     for (std::size_t j = 0; j < dist.size(); ++j) {
@@ -48,7 +50,8 @@ TEST_P(SimulatedPipelineTest, SmacofReducesStressVsClassical) {
   const auto eco = make();
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 12;
-  const auto dist = rs::analysis::jaccard_matrix(eco.database, opts);
+  const auto dist = rs::analysis::jaccard_matrix(
+      eco.database, rs::store::MembershipTable::build(eco.database), opts);
   if (dist.size() < 3) GTEST_SKIP();
   const auto classical = rs::analysis::classical_mds(dist);
   const auto smacof = rs::analysis::smacof_mds(dist);
@@ -60,11 +63,12 @@ TEST_P(SimulatedPipelineTest, StalenessIsNonNegativeAndBounded) {
   const auto eco = make();
   const auto* base = eco.database.find(eco.base_program);
   ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const auto index = rs::analysis::build_version_index(*base, table);
   for (const auto& name : eco.derivative_names) {
     const auto* deriv = eco.database.find(name);
     ASSERT_NE(deriv, nullptr);
-    const auto res = rs::analysis::derivative_staleness(*deriv, index);
+    const auto res = rs::analysis::derivative_staleness(*deriv, table, index);
     EXPECT_GE(res.avg_versions_behind, 0.0) << name;
     EXPECT_LE(res.avg_versions_behind, static_cast<double>(index.size()))
         << name;
@@ -79,10 +83,11 @@ TEST_P(SimulatedPipelineTest, StalenessIsNonNegativeAndBounded) {
 TEST_P(SimulatedPipelineTest, DiffCountsAreConsistent) {
   const auto eco = make();
   const auto* base = eco.database.find(eco.base_program);
-  const auto index = rs::analysis::build_version_index(*base);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const auto index = rs::analysis::build_version_index(*base, table);
   for (const auto& name : eco.derivative_names) {
-    const auto series =
-        rs::analysis::derivative_diffs(*eco.database.find(name), *base, index);
+    const auto series = rs::analysis::derivative_diffs(
+        *eco.database.find(name), *base, table, index);
     for (const auto& p : series.points) {
       std::size_t adds = 0;
       for (auto v : p.adds) adds += v;
@@ -101,16 +106,19 @@ TEST_P(SimulatedPipelineTest, ParallelAnalysesMatchSerialBitwise) {
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 13;  // odd count stresses uneven chunk edges
 
-  const auto dist_serial = rs::analysis::jaccard_matrix(eco.database, opts);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const auto dist_serial =
+      rs::analysis::jaccard_matrix(eco.database, table, opts);
   const auto mds_serial = rs::analysis::smacof_mds(dist_serial);
   const auto* base = eco.database.find(eco.base_program);
   ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base);
+  const auto index = rs::analysis::build_version_index(*base, table);
 
   for (std::size_t workers : {std::size_t{2}, std::size_t{5}}) {
     rs::exec::ThreadPool pool(workers);
 
-    const auto dist = rs::analysis::jaccard_matrix(eco.database, opts, &pool);
+    const auto dist =
+        rs::analysis::jaccard_matrix(eco.database, table, opts, &pool);
     ASSERT_EQ(dist.size(), dist_serial.size());
     EXPECT_TRUE(dist.values == dist_serial.values) << workers << " workers";
 
@@ -126,23 +134,14 @@ TEST_P(SimulatedPipelineTest, ParallelAnalysesMatchSerialBitwise) {
     for (const auto& name : eco.derivative_names) {
       const auto* deriv = eco.database.find(name);
       ASSERT_NE(deriv, nullptr);
-      const auto stale_serial = rs::analysis::derivative_staleness(*deriv,
-                                                                   index);
-      const auto stale = rs::analysis::derivative_staleness(*deriv, index,
-                                                            &pool);
-      EXPECT_EQ(stale.avg_versions_behind, stale_serial.avg_versions_behind)
+      EXPECT_EQ(
+          rs::analysis::derivative_staleness(*deriv, table, index, &pool),
+          rs::analysis::derivative_staleness(*deriv, table, index))
           << name;
-      ASSERT_EQ(stale.points.size(), stale_serial.points.size()) << name;
-
-      const auto diffs_serial =
-          rs::analysis::derivative_diffs(*deriv, *base, index);
-      const auto diffs =
-          rs::analysis::derivative_diffs(*deriv, *base, index, &pool);
-      ASSERT_EQ(diffs.points.size(), diffs_serial.points.size()) << name;
-      for (std::size_t k = 0; k < diffs.points.size(); ++k) {
-        EXPECT_EQ(diffs.points[k].adds, diffs_serial.points[k].adds);
-        EXPECT_EQ(diffs.points[k].removes, diffs_serial.points[k].removes);
-      }
+      EXPECT_EQ(
+          rs::analysis::derivative_diffs(*deriv, *base, table, index, &pool),
+          rs::analysis::derivative_diffs(*deriv, *base, table, index))
+          << name;
     }
   }
 }

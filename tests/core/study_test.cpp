@@ -8,6 +8,8 @@
 #include "src/analysis/hygiene.h"
 #include "src/analysis/incident_response.h"
 #include "src/analysis/staleness.h"
+#include "src/obs/clock.h"
+#include "src/obs/registry.h"
 #include "src/synth/incidents.h"
 
 namespace rs::core {
@@ -28,7 +30,8 @@ EcosystemStudy* StudyTest::study_ = nullptr;
 
 TEST_F(StudyTest, Table6CountsMatchPaperExactly) {
   const auto measured = rs::analysis::exclusive_roots(
-      study_->database(), {"NSS", "Java", "Apple", "Microsoft"});
+      study_->database(), study_->membership(),
+      {"NSS", "Java", "Apple", "Microsoft"});
   std::map<std::string, std::size_t> counts;
   for (const auto& m : measured) counts[m.program] = m.roots.size();
   EXPECT_EQ(counts["NSS"], 1u);
@@ -110,10 +113,10 @@ TEST_F(StudyTest, Table4LagsMatchPaperWhereDefined) {
 
 TEST_F(StudyTest, Figure3OrderingMatchesPaper) {
   const auto index = rs::analysis::build_version_index(
-      *study_->database().find("NSS"));
+      *study_->database().find("NSS"), study_->membership());
   auto behind = [&](const char* p) {
     return rs::analysis::derivative_staleness(*study_->database().find(p),
-                                              index)
+                                              study_->membership(), index)
         .avg_versions_behind;
   };
   const double alpine = behind("Alpine");
@@ -150,6 +153,42 @@ TEST_F(StudyTest, Figure1FindsFourPureFamilies) {
   const std::string report = study_->report_figure1(20);
   EXPECT_NE(report.find("clusters found: 4"), std::string::npos) << report;
   EXPECT_NE(report.find("overall purity: 100.0%"), std::string::npos);
+}
+
+// "Intern once", pinned by exact counts: a study interns its universe once
+// and builds one row per (snapshot, scope); no report interns or builds a
+// row again, except that ct_landscape builds the rows of its three CT-log
+// lanes.
+TEST(StudyCounts, InternsOnceAndBuildsEachRowOnce) {
+  rs::obs::FakeClock clock(0, 10);
+  auto& reg = rs::obs::Registry::global();
+  reg.reset();
+  reg.enable(&clock);
+
+  auto study = EcosystemStudy::from_paper_scenario();
+  const std::uint64_t snapshots = study.database().total_snapshots();
+  EXPECT_EQ(snapshots, 670u);
+  for (const auto& report :
+       {study.report_table1(), study.report_table2(), study.report_table3(),
+        study.report_table4(), study.report_table5(), study.report_table6(),
+        study.report_table7(), study.report_figure1(), study.report_figure2(),
+        study.report_figure3(), study.report_figure4(),
+        study.report_agreement(), study.report_exclusivity()}) {
+    EXPECT_FALSE(report.empty());
+  }
+  auto stats = reg.stage_stats();
+  EXPECT_EQ(stats["store/intern_build"].count, 1u);
+  EXPECT_EQ(reg.counter_value("store.membership_rows"), 4 * snapshots);
+
+  // Three logs at the default 90-day cadence over 2000-01-01..2021-01-01
+  // have 86 snapshots each.
+  EXPECT_FALSE(study.report_ct_landscape().empty());
+  stats = reg.stage_stats();
+  EXPECT_EQ(stats["store/intern_build"].count, 1u);
+  EXPECT_EQ(reg.counter_value("store.membership_rows"),
+            4 * snapshots + 4 * 258);
+  reg.disable();  // before the clock goes out of scope
+  reg.reset();
 }
 
 }  // namespace

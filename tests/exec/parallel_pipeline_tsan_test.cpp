@@ -10,6 +10,7 @@
 #include "src/analysis/mds.h"
 #include "src/analysis/staleness.h"
 #include "src/exec/thread_pool.h"
+#include "src/store/membership.h"
 #include "src/synth/simulator.h"
 
 namespace rs::exec {
@@ -30,9 +31,11 @@ TEST(ParallelPipeline, JaccardAndMdsUnderContention) {
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 20;
 
-  const auto serial = rs::analysis::jaccard_matrix(eco.database, opts);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const auto serial = rs::analysis::jaccard_matrix(eco.database, table, opts);
   ThreadPool pool(4);
-  const auto parallel = rs::analysis::jaccard_matrix(eco.database, opts, &pool);
+  const auto parallel =
+      rs::analysis::jaccard_matrix(eco.database, table, opts, &pool);
   ASSERT_EQ(parallel.size(), serial.size());
   EXPECT_TRUE(parallel.values == serial.values);
 
@@ -51,33 +54,21 @@ TEST(ParallelPipeline, StalenessAndDiffsUnderContention) {
   const auto eco = make_ecosystem();
   const auto* base = eco.database.find(eco.base_program);
   ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const auto index = rs::analysis::build_version_index(*base, table);
 
   ThreadPool pool(4);
   for (const auto& name : eco.derivative_names) {
     const auto* deriv = eco.database.find(name);
     ASSERT_NE(deriv, nullptr);
 
-    const auto stale_serial = rs::analysis::derivative_staleness(*deriv, index);
-    const auto stale_parallel =
-        rs::analysis::derivative_staleness(*deriv, index, &pool);
-    EXPECT_EQ(stale_parallel.avg_versions_behind,
-              stale_serial.avg_versions_behind)
+    EXPECT_EQ(rs::analysis::derivative_staleness(*deriv, table, index, &pool),
+              rs::analysis::derivative_staleness(*deriv, table, index))
         << name;
-    EXPECT_EQ(stale_parallel.always_stale, stale_serial.always_stale) << name;
-    ASSERT_EQ(stale_parallel.points.size(), stale_serial.points.size()) << name;
-
-    const auto diffs_serial = rs::analysis::derivative_diffs(*deriv, *base,
-                                                             index);
-    const auto diffs_parallel =
-        rs::analysis::derivative_diffs(*deriv, *base, index, &pool);
-    EXPECT_EQ(diffs_parallel.ever_deviates, diffs_serial.ever_deviates) << name;
-    ASSERT_EQ(diffs_parallel.points.size(), diffs_serial.points.size()) << name;
-    for (std::size_t k = 0; k < diffs_serial.points.size(); ++k) {
-      EXPECT_EQ(diffs_parallel.points[k].adds, diffs_serial.points[k].adds);
-      EXPECT_EQ(diffs_parallel.points[k].removes,
-                diffs_serial.points[k].removes);
-    }
+    EXPECT_EQ(rs::analysis::derivative_diffs(*deriv, *base, table, index,
+                                             &pool),
+              rs::analysis::derivative_diffs(*deriv, *base, table, index))
+        << name;
   }
 }
 
@@ -87,9 +78,12 @@ TEST(ParallelPipeline, RepeatedRunsOnOnePoolStayIdentical) {
   rs::analysis::JaccardOptions opts;
   opts.max_per_provider = 10;
   ThreadPool pool(3);
-  const auto first = rs::analysis::jaccard_matrix(eco.database, opts, &pool);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const auto first =
+      rs::analysis::jaccard_matrix(eco.database, table, opts, &pool);
   for (int round = 0; round < 3; ++round) {
-    const auto again = rs::analysis::jaccard_matrix(eco.database, opts, &pool);
+    const auto again =
+        rs::analysis::jaccard_matrix(eco.database, table, opts, &pool);
     EXPECT_TRUE(again.values == first.values) << "round " << round;
   }
 }

@@ -96,9 +96,6 @@ TEST(StoreDatabase, TlsPresenceIntervals) {
 TEST(StoreDatabase, EverSets) {
   const StoreDatabase db = make_db();
   EXPECT_EQ(db.all_tls_roots_ever().size(), 3u);
-  EXPECT_EQ(db.tls_roots_ever("A").size(), 3u);
-  EXPECT_EQ(db.tls_roots_ever("B").size(), 1u);
-  EXPECT_EQ(db.tls_roots_ever("missing").size(), 0u);
 }
 
 }  // namespace

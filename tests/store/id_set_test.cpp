@@ -112,8 +112,15 @@ TEST(IdSet, InPlaceUnionAccumulates) {
 
 struct SetPair {
   FingerprintSet fps;
-  InternedSet interned;
+  IdSet ids;
 };
+
+// Maps a set whose digests are all in `interner`'s universe.
+IdSet ids_of(const CertInterner& interner, const FingerprintSet& fps) {
+  IdSet out(interner.size());
+  for (const auto& fp : fps.items()) out.insert(*interner.id_of(fp));
+  return out;
+}
 
 // Draws a random digest set from a universe of `alphabet` values (small
 // alphabet => guaranteed overlaps between independently drawn sets).
@@ -131,28 +138,19 @@ std::vector<Sha256Digest> random_digests(rs::crypto::Prng& prng,
 void expect_equivalent(const SetPair& a, const SetPair& b,
                        const CertInterner& interner, const char* context) {
   SCOPED_TRACE(context);
-  EXPECT_EQ(a.interned.ids.intersection_size(b.interned.ids),
-            a.fps.intersection_size(b.fps));
-  EXPECT_EQ(a.interned.ids.union_size(b.interned.ids), a.fps.union_size(b.fps));
+  EXPECT_EQ(a.ids.intersection_size(b.ids), a.fps.intersection_size(b.fps));
+  EXPECT_EQ(a.ids.union_size(b.ids), a.fps.union_size(b.fps));
   // Jaccard doubles must match bit-for-bit: same integer cardinalities,
   // same division.
-  const double merge_d = a.fps.jaccard_distance(b.fps);
-  const double interned_d = jaccard_distance(a.interned, b.interned);
-  EXPECT_EQ(merge_d, interned_d);
-  EXPECT_DOUBLE_EQ(a.interned.ids.jaccard_distance(b.interned.ids), merge_d);
+  EXPECT_EQ(a.ids.jaccard_distance(b.ids), a.fps.jaccard_distance(b.fps));
   // Materialized difference/intersection/union round-trip to identical
   // FingerprintSets.
-  EXPECT_TRUE(interner.materialize(
-                  a.interned.ids.difference(b.interned.ids)) ==
+  EXPECT_TRUE(interner.materialize(a.ids.difference(b.ids)) ==
               a.fps.difference(b.fps));
-  EXPECT_TRUE(interner.materialize(
-                  a.interned.ids.intersection(b.interned.ids)) ==
+  EXPECT_TRUE(interner.materialize(a.ids.intersection(b.ids)) ==
               a.fps.intersection(b.fps));
-  EXPECT_TRUE(interner.materialize(
-                  a.interned.ids.set_union(b.interned.ids)) ==
+  EXPECT_TRUE(interner.materialize(a.ids.set_union(b.ids)) ==
               a.fps.set_union(b.fps));
-  EXPECT_TRUE(set_difference(a.interned, b.interned, interner) ==
-              a.fps.difference(b.fps));
 }
 
 TEST(IdSetProperty, RandomizedEquivalenceWithFingerprintSet) {
@@ -169,18 +167,16 @@ TEST(IdSetProperty, RandomizedEquivalenceWithFingerprintSet) {
 
     SetPair a{FingerprintSet(raw_a), {}};
     SetPair b{FingerprintSet(raw_b), {}};
-    a.interned = interner.intern(a.fps);
-    b.interned = interner.intern(b.fps);
-    ASSERT_TRUE(a.interned.unmapped.empty());
-    ASSERT_TRUE(b.interned.unmapped.empty());
+    a.ids = ids_of(interner, a.fps);
+    b.ids = ids_of(interner, b.fps);
 
     expect_equivalent(a, b, interner, "random pair");
     expect_equivalent(a, a, interner, "identical sets");
     expect_equivalent(b, b, interner, "identical sets (b)");
 
     // Round trip: interned -> materialized == original.
-    EXPECT_TRUE(interner.materialize(a.interned.ids) == a.fps);
-    EXPECT_TRUE(interner.materialize(b.interned.ids) == b.fps);
+    EXPECT_TRUE(interner.materialize(a.ids) == a.fps);
+    EXPECT_TRUE(interner.materialize(b.ids) == b.fps);
   }
 }
 
@@ -199,41 +195,15 @@ TEST(IdSetProperty, EdgeCasesEmptyDisjointIdentical) {
   SetPair a{FingerprintSet(raw_a), {}};
   SetPair b{FingerprintSet(raw_b), {}};
   SetPair empty{FingerprintSet{}, {}};
-  a.interned = interner.intern(a.fps);
-  b.interned = interner.intern(b.fps);
-  empty.interned = interner.intern(empty.fps);
+  a.ids = ids_of(interner, a.fps);
+  b.ids = ids_of(interner, b.fps);
+  empty.ids = ids_of(interner, empty.fps);
 
   expect_equivalent(a, b, interner, "disjoint");
   expect_equivalent(a, empty, interner, "vs empty");
   expect_equivalent(empty, empty, interner, "empty vs empty");
-  EXPECT_DOUBLE_EQ(jaccard_distance(a.interned, b.interned), 1.0);
-  EXPECT_DOUBLE_EQ(jaccard_distance(empty.interned, empty.interned), 0.0);
-}
-
-// Digests outside the interner universe must still produce exact algebra
-// via the unmapped correction.
-TEST(IdSetProperty, UnmappedDigestsCorrectedExactly) {
-  rs::crypto::Prng prng(7);
-  for (int round = 0; round < 40; ++round) {
-    const std::uint64_t alphabet = 1 + prng.uniform(60);
-    const auto raw_a = random_digests(prng, alphabet, prng.uniform(50));
-    const auto raw_b = random_digests(prng, alphabet, prng.uniform(50));
-
-    // Universe deliberately covers only one side, so the other side's
-    // exclusive digests intern as unmapped.
-    const CertInterner interner{std::vector<Sha256Digest>(raw_a)};
-
-    const FingerprintSet fa(raw_a);
-    const FingerprintSet fb(raw_b);
-    const auto ia = interner.intern(fa);
-    const auto ib = interner.intern(fb);
-    ASSERT_TRUE(ia.unmapped.empty());
-
-    EXPECT_EQ(jaccard_distance(ia, ib), fa.jaccard_distance(fb));
-    EXPECT_TRUE(set_difference(ia, ib, interner) == fa.difference(fb));
-    EXPECT_TRUE(set_difference(ib, ia, interner) == fb.difference(fa));
-    EXPECT_EQ(ib.size(), fb.size());
-  }
+  EXPECT_DOUBLE_EQ(a.ids.jaccard_distance(b.ids), 1.0);
+  EXPECT_DOUBLE_EQ(empty.ids.jaccard_distance(empty.ids), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "src/analysis/churn.h"
 #include "src/analysis/diffs.h"
 #include "src/analysis/staleness.h"
+#include "src/store/membership.h"
 #include "src/store/overlay.h"
 #include "src/synth/paper_scenario.h"
 
@@ -17,21 +18,21 @@ class FidelityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     scenario_ = new PaperScenario(build_paper_scenario());
-    const auto* nss = scenario_->database().find("NSS");
-    index_ = new rs::analysis::NssVersionIndex(
-        rs::analysis::build_version_index(*nss));
+    table_ = new rs::store::MembershipTable(
+        rs::store::MembershipTable::build(scenario_->database()));
   }
   static void TearDownTestSuite() {
-    delete index_;
+    delete table_;
     delete scenario_;
-    index_ = nullptr;
+    table_ = nullptr;
     scenario_ = nullptr;
   }
 
   static std::size_t email_adds_at(const char* provider, Date when) {
     const auto* nss = scenario_->database().find("NSS");
     const auto* h = scenario_->database().find(provider);
-    const auto series = rs::analysis::derivative_diffs(*h, *nss, *index_);
+    const auto series = rs::analysis::derivative_diffs(
+        *h, *nss, *table_, rs::analysis::build_version_index(*nss, *table_));
     // Latest point dated on or before `when`.
     const rs::analysis::SnapshotDiff* best = nullptr;
     for (const auto& p : series.points) {
@@ -43,10 +44,10 @@ class FidelityTest : public ::testing::Test {
   }
 
   static PaperScenario* scenario_;
-  static rs::analysis::NssVersionIndex* index_;
+  static rs::store::MembershipTable* table_;
 };
 PaperScenario* FidelityTest::scenario_ = nullptr;
-rs::analysis::NssVersionIndex* FidelityTest::index_ = nullptr;
+rs::store::MembershipTable* FidelityTest::table_ = nullptr;
 
 TEST_F(FidelityTest, DebianEmailConflationEndsIn2017) {
   EXPECT_GT(email_adds_at("Debian", Date::ymd(2016, 6, 1)), 0u);

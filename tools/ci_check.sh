@@ -8,7 +8,7 @@
 #   3. TSan build        ThreadSanitizer over the concurrency suite
 #                        (`ctest -L tsan`: thread-pool stress tests, the
 #                        parallel analysis pipeline under contention, the
-#                        merge-vs-interned equivalence suite on the pool,
+#                        table-vs-referee equivalence suite on the pool,
 #                        and the serve layer under concurrent socket clients)
 #   4. static concurrency gates (skip with ROOTSTORE_SKIP_STATIC=1)
 #                        a) tools/check_concurrency.sh — structural
@@ -24,9 +24,8 @@
 #   5. lint              clang-tidy via tools/run_lint.sh (skipped with a
 #                        notice when clang-tidy is not installed)
 #   6. benches           records the 1-vs-N worker scaling sweep into
-#                        BENCH_parallel.json, the merge-vs-interned
-#                        set-algebra sweep into BENCH_intern.json, the
-#                        observability-overhead sweep into BENCH_obs.json,
+#                        BENCH_parallel.json, the observability-overhead
+#                        sweep into BENCH_obs.json,
 #                        the threaded-vs-epoll serve transport comparison
 #                        into BENCH_serve.json — gated same-run: epoll at
 #                        64 connections must hold >= 0.7x the threaded
@@ -108,12 +107,11 @@ echo "=== [5/7] clang-tidy ==="
 if [ "${ROOTSTORE_SKIP_BENCH:-0}" = "1" ]; then
   echo "=== [6/7] benches: SKIPPED (ROOTSTORE_SKIP_BENCH=1) ==="
 else
-  echo "=== [6/7] benches -> BENCH_parallel/intern/obs/serve/incremental/verify/landscape.json ==="
+  echo "=== [6/7] benches -> BENCH_parallel/obs/serve/incremental/verify/landscape.json ==="
   cmake --build "$repo_root/build" -j "$jobs" --target perf_analysis \
         --target perf_persist --target perf_verify --target perf_landscape \
         --target rootstore --target serve_loadgen
   "$repo_root/tools/record_parallel_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_intern_bench.sh" "$repo_root/build"
   "$repo_root/tools/record_obs_bench.sh" "$repo_root/build"
   "$repo_root/tools/record_serve_bench.sh" "$repo_root/build"
   "$repo_root/tools/record_incremental_bench.sh" "$repo_root/build"
