@@ -8,6 +8,8 @@
 #include <cerrno>
 #include <utility>
 
+#include "src/obs/registry.h"
+
 namespace rs::serve {
 namespace {
 
@@ -36,6 +38,7 @@ EventLoop::~EventLoop() {
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
 }
 
 void EventLoop::set_peers(std::vector<EventLoop*> peers) {
@@ -58,6 +61,8 @@ bool EventLoop::start() {
     return false;
   }
   if (listen_fd_ >= 0) {
+    reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (reserve_fd_ < 0) return false;
     epoll_event lev{};
     lev.events = EPOLLIN;  // level-triggered: backlog re-notifies until empty
     lev.data.fd = listen_fd_;
@@ -163,6 +168,7 @@ void EventLoop::do_accept() {
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if ((errno == EMFILE || errno == ENFILE) && shed_one()) continue;
       return;  // EAGAIN: backlog empty; anything else: retry on next event
     }
     if (hooks_.on_connection) hooks_.on_connection();
@@ -174,6 +180,21 @@ void EventLoop::do_accept() {
       target->adopt(fd);
     }
   }
+}
+
+// Out of descriptors: the pending connection stays in the backlog, and the
+// level-triggered listen fd would wake epoll_wait again at once.  Free the
+// reserve, accept that connection and close it (the peer sees EOF), then
+// take the reserve back.  False when nothing could be shed.
+bool EventLoop::shed_one() {
+  if (reserve_fd_ < 0) return false;
+  ::close(reserve_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) ::close(fd);
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  rs::obs::Registry::global().counter("serve.accept_shed").increment();
+  return true;
 }
 
 void EventLoop::adopt_local(int fd) {

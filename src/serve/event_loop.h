@@ -14,7 +14,11 @@
 // all loops — `set_peers` wires the handoff ring, `adopt()` is the
 // thread-safe entry (pending-queue + wake pipe).  This is the
 // "round-robin fd handoff" alternative to SO_REUSEPORT: one accept point,
-// no thundering herd, deterministic distribution.
+// no thundering herd, deterministic distribution.  The accepting loop
+// also holds one reserve fd: when accept4 fails with EMFILE/ENFILE it
+// spends the reserve to accept and close the pending connection (counted
+// as serve.accept_shed), so a full fd table never turns the
+// level-triggered listen fd into a busy loop.
 //
 // Backpressure: when a connection's pending write bytes exceed
 // `write_buffer_cap`, the loop stops consuming its input (no recv, no new
@@ -108,6 +112,7 @@ class EventLoop {
 
   void run();
   void do_accept();
+  bool shed_one();
   void adopt_local(int fd);
   void handle_event(int fd, std::uint32_t events);
   void pump(Conn& conn);
@@ -127,6 +132,7 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: [0] in the epoll set, [1] written
   int listen_fd_ = -1;
+  int reserve_fd_ = -1;  // spare fd spent by shed_one() (accepting loop only)
   std::vector<EventLoop*> peers_;
   std::size_t next_peer_ = 0;
 

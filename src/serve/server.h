@@ -9,8 +9,7 @@
 // line fanning out to up to query::kMaxBatchRequests engine calls whose
 // responses come back in one envelope.
 //
-// Architecture (the PR 5 thread-per-connection design lives on unchanged
-// in threaded_server.h as the measured baseline):
+// Architecture:
 //   * A fixed pool of `num_threads` EventLoop workers, each owning its own
 //     epoll fd.  Loop 0 additionally owns the nonblocking listening socket
 //     (bound to 127.0.0.1 only) and round-robins accepted fds across all

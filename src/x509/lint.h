@@ -5,7 +5,7 @@
 // apply to *root* certificates and that the study's own hygiene analysis
 // cares about: signature algorithm, key strength, validity shape, serial
 // rules, CA extensions.  Each finding carries a severity so stores can be
-// scored mechanically (see analysis/hygiene and examples/store_audit).
+// scored mechanically (see analysis/hygiene and `rootstore audit`).
 #pragma once
 
 #include <string>

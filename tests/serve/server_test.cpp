@@ -1,14 +1,19 @@
 // Serve-layer integration tests: the epoll socket path must answer
 // byte-identically to the in-process engine under concurrent clients,
 // survive malformed and oversized input, honor backpressure, answer batch
-// envelopes, hot-swap engines mid-flight without mixing epochs, and drain
+// envelopes, hot-swap engines mid-flight without mixing epochs, shed
+// connections instead of spinning when its fd table is full, and drain
 // gracefully on stop().  The suite is labelled `tsan` — it races real
 // client threads against the event-loop pool and the RCU engine flip.
 #include "src/serve/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -16,13 +21,14 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/obs/registry.h"
 #include "src/query/engine.h"
-#include "src/serve/threaded_server.h"
 #include "src/store/database.h"
 #include "src/util/hex.h"
 #include "src/x509/builder.h"
@@ -651,23 +657,125 @@ TEST(ServerReload, FailedReloadKeepsServingCurrentEpoch) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadedServer baseline: same protocol, frozen architecture
+// Descriptor exhaustion: a full fd table must shed, not spin
 
-TEST(ThreadedServer, ByteIdenticalToEngine) {
-  const StoreDatabase db = make_db();
-  const QueryEngine engine(db, {});
-  ThreadedServer server(engine, ServerOptions{});
+template <typename T>
+bool pipe_write(int fd, const T& value) {
+  return ::write(fd, &value, sizeof value) ==
+         static_cast<ssize_t>(sizeof value);
+}
+
+template <typename T>
+bool pipe_read(int fd, T& value) {
+  return ::read(fd, &value, sizeof value) ==
+         static_cast<ssize_t>(sizeof value);
+}
+
+/// The forked server half of the test below: one event loop over make_db(),
+/// RLIMIT_NOFILE lowered to four descriptors past those already open.  On
+/// 'm' it reports its own CPU time over one second and the shed count; on
+/// 's' (or EOF) it drains and exits.  Never returns into gtest.
+[[noreturn]] void serve_at_fd_limit(int to_parent, int from_parent) {
+  rs::obs::Registry::global().enable();
+  ServerOptions options;
+  options.num_threads = 1;
+  Server server(std::make_shared<const QueryEngine>(
+                    make_db(), std::vector<rs::synth::UserAgentGroup>{}),
+                options);
   auto bound = server.start();
-  ASSERT_TRUE(bound.ok()) << bound.error();
-  Client client(bound.value());
-  ASSERT_TRUE(client.connected());
-  for (const auto& line : request_mix()) {
-    auto response = client.roundtrip(line);
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(*response, engine.handle_json(line));
+  if (!bound.ok()) ::_exit(3);
+  const int lowest_free = ::fcntl(from_parent, F_DUPFD, 0);
+  ::close(lowest_free);
+  rlimit limit{};
+  ::getrlimit(RLIMIT_NOFILE, &limit);
+  limit.rlim_cur = static_cast<rlim_t>(lowest_free + 4);
+  if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(4);
+  if (!pipe_write(to_parent, bound.value())) ::_exit(5);
+
+  char command = 0;
+  if (pipe_read(from_parent, command) && command == 'm') {
+    const std::clock_t start = std::clock();  // CPU time of all threads
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    const double cpu_s =
+        static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
+    const std::uint64_t shed =
+        rs::obs::Registry::global().counter_value("serve.accept_shed");
+    if (!pipe_write(to_parent, cpu_s) || !pipe_write(to_parent, shed)) {
+      ::_exit(6);
+    }
+    pipe_read(from_parent, command);
   }
   server.stop();
-  EXPECT_FALSE(server.running());
+  ::_exit(0);
+}
+
+TEST(ServerLimits, FullFdTableShedsConnectionsInsteadOfSpinning) {
+  // Fork first, while this process has no threads; the child alone runs
+  // the fd-limited server, so the clients here keep the normal limit.
+  int up[2];
+  int down[2];
+  ASSERT_EQ(::pipe(up), 0);
+  ASSERT_EQ(::pipe(down), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(up[0]);
+    ::close(down[1]);
+    serve_at_fd_limit(up[1], down[0]);
+  }
+  ::close(up[1]);
+  ::close(down[0]);
+  // Kills and reaps the child when an assertion below returns early.
+  struct Reaper {
+    Reaper(pid_t child, int a, int b) : pid(child), fds{a, b} {}
+    Reaper(const Reaper&) = delete;
+    Reaper& operator=(const Reaper&) = delete;
+    ~Reaper() {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+    pid_t pid;
+    int fds[2];
+  } reaper(pid, up[0], down[1]);
+
+  std::uint16_t port = 0;
+  ASSERT_TRUE(pipe_read(up[0], port));
+  const QueryEngine engine(make_db(), {});
+  const std::string line = R"({"op":"stats"})";
+  Client established(port);
+  ASSERT_TRUE(established.connected());
+  auto before = established.roundtrip(line);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(*before, engine.handle_json(line));
+
+  // Ten times the headroom, all inside the listen backlog: most of these
+  // are still pending when the server's fd table fills.
+  std::vector<std::unique_ptr<Client>> flood;
+  for (int i = 0; i < 40; ++i) flood.push_back(std::make_unique<Client>(port));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  ASSERT_TRUE(pipe_write(down[1], 'm'));
+  double cpu_s = -1;
+  std::uint64_t shed = 0;
+  ASSERT_TRUE(pipe_read(up[0], cpu_s));
+  ASSERT_TRUE(pipe_read(up[0], shed));
+  EXPECT_LT(cpu_s, 0.2) << "server burned " << cpu_s
+                        << " s of CPU in 1 s at its fd limit";
+  EXPECT_GT(shed, 0u);
+  auto after = established.roundtrip(line);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(*after, engine.handle_json(line));
+
+  flood.clear();
+  ASSERT_TRUE(pipe_write(down[1], 's'));
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  reaper.pid = 0;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
 }
 
 }  // namespace

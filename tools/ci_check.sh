@@ -26,11 +26,11 @@
 #   6. benches           records the 1-vs-N worker scaling sweep into
 #                        BENCH_parallel.json, the observability-overhead
 #                        sweep into BENCH_obs.json,
-#                        the threaded-vs-epoll serve transport comparison
-#                        into BENCH_serve.json — gated same-run: epoll at
-#                        64 connections must hold >= 0.7x the threaded
-#                        4-connection miss throughput, and batch-16 must
-#                        amortize >= 2x the singleton hit throughput —
+#                        the serve-layer connection/batch sweep into
+#                        BENCH_serve.json — gated same-run: 64 connections
+#                        must hold >= 0.7x the 4-connection miss
+#                        throughput, and batch-16 must amortize >= 2x the
+#                        singleton hit throughput —
 #                        the persisted-index cold-start/append
 #                        speedups into BENCH_incremental.json, gated
 #                        against the docs/PERSISTENCE.md floors (load >=

@@ -3,7 +3,7 @@
 //   rootstore audit <file>                hygiene + BR lint of a store file
 //   rootstore lint <file>                 per-root lint findings
 //   rootstore convert <in> <out>          translate formats (reports loss)
-//   rootstore diff <a> <b>                compare two stores
+//   rootstore diff <a> <b>                compare two stores (roots + trust)
 //   rootstore dataset export <dir>        write the scenario dataset
 //   rootstore dataset verify <dir>        reload + verify a dataset
 //   rootstore report <name>               table1..table7, fig1..fig4
@@ -16,14 +16,19 @@
 //
 // Every subcommand works on any supported serialization (sniffed from the
 // content): certdata.txt, PEM bundle, JKS, RSTS.
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <fcntl.h>
@@ -44,7 +49,6 @@
 #include "src/query/engine.h"
 #include "src/query/index_io.h"
 #include "src/serve/server.h"
-#include "src/serve/threaded_server.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/user_agents.h"
 #include "src/util/strings.h"
@@ -53,6 +57,9 @@
 
 namespace {
 
+// Upper bound on every worker count: --threads and ROOTSTORE_THREADS.
+constexpr std::size_t kMaxWorkers = 256;
+
 int usage() {
   std::fputs(
       "usage: rootstore <command> [args]\n"
@@ -60,7 +67,8 @@ int usage() {
       "  lint <file>               per-root BR-style lint findings\n"
       "  convert <in> <out>        translate between store formats\n"
       "                            (out: .certdata/.rsts/.pem/.crt/.jks/.dir)\n"
-      "  diff <a> <b>              compare two stores\n"
+      "  diff <a> <b>              compare two stores: roots only in one,\n"
+      "                            per-purpose trust changes, Jaccard\n"
       "  dataset export <dir>      write the scenario's 670-snapshot dataset\n"
       "  dataset verify <dir>      reload and verify a dataset directory\n"
       "  report <name> [--csv] [--threads N] [--from DIR]\n"
@@ -95,8 +103,7 @@ int usage() {
       "  index verify <file>       structural + checksum + deep consistency\n"
       "                            verification of a persisted index\n"
       "  serve [--port N] [--threads K] [--cache N] [--port-file FILE]\n"
-      "        [--from DIR] [--index FILE] [--transport epoll|threaded]\n"
-      "        [--watch-index]\n"
+      "        [--from DIR] [--index FILE] [--watch-index]\n"
       "                            serve queries as newline-delimited JSON\n"
       "                            over loopback TCP (port 0 = ephemeral;\n"
       "                            the bound port is printed and optionally\n"
@@ -106,11 +113,9 @@ int usage() {
       "                            persisted index instead of rebuilding\n"
       "                            from snapshots, enables the reload_index\n"
       "                            op, and with --watch-index hot-swaps the\n"
-      "                            engine when FILE changes on disk;\n"
-      "                            --transport threaded runs the PR 5\n"
-      "                            thread-per-connection baseline instead\n"
-      "                            of the event-driven default\n"
-      "  formats                   list supported serializations\n",
+      "                            engine when FILE changes on disk\n"
+      "  formats                   list supported serializations\n"
+      "--threads N and ROOTSTORE_THREADS take 0..256 worker threads.\n",
       stderr);
   return 2;
 }
@@ -118,6 +123,24 @@ int usage() {
 int die(const std::string& message) {
   std::fprintf(stderr, "rootstore: %s\n", message.c_str());
   return 1;
+}
+
+// Reads `text` into `out` as a decimal integer in 0..max: digits only, so
+// a sign, junk or trailing characters are rejected.  On failure prints one
+// line naming `flag`; callers then exit 2 before starting any work.
+bool parse_count(std::string_view flag, std::string_view text,
+                 std::size_t max, std::size_t& out) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
+    std::fprintf(stderr, "rootstore: %.*s must be an integer 0..%zu, got '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(), max,
+                 static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 int cmd_formats() {
@@ -137,12 +160,16 @@ int cmd_audit(const std::string& path) {
   const auto& entries = store.value().entries;
   const auto now = rs::util::Date::ymd(2021, 5, 1);
 
-  std::size_t tls = 0, expired = 0, weak = 0, md5 = 0;
+  std::size_t tls = 0, email = 0, codesign = 0, partial = 0;
+  std::size_t expired = 0, weak = 0, md5 = 0;
   int lint_total = 0;
   rs::x509::LintOptions opts;
   opts.now = now;
   for (const auto& e : entries) {
     if (e.is_tls_anchor()) ++tls;
+    if (e.is_anchor_for(rs::store::TrustPurpose::kEmailProtection)) ++email;
+    if (e.is_anchor_for(rs::store::TrustPurpose::kCodeSigning)) ++codesign;
+    if (e.is_partially_distrusted_tls()) ++partial;
     if (e.certificate->is_expired_at(now)) ++expired;
     if (e.certificate->has_weak_rsa_key()) ++weak;
     if (e.certificate->has_md5_signature()) ++md5;
@@ -152,6 +179,9 @@ int cmd_audit(const std::string& path) {
   t.set_align(1, rs::util::Align::kRight);
   t.add_row({"roots", std::to_string(entries.size())});
   t.add_row({"TLS anchors", std::to_string(tls)});
+  t.add_row({"email-protection anchors", std::to_string(email)});
+  t.add_row({"code-signing anchors", std::to_string(codesign)});
+  t.add_row({"partial TLS distrust entries", std::to_string(partial)});
   t.add_row({"expired (at 2021-05-01)", std::to_string(expired)});
   t.add_row({"RSA < 2048", std::to_string(weak)});
   t.add_row({"MD5 signatures", std::to_string(md5)});
@@ -189,9 +219,11 @@ int cmd_convert(const std::string& in, const std::string& out) {
   if (!store.ok()) return die(store.error());
   const auto& entries = store.value().entries;
 
-  std::size_t cutoffs = 0;
+  std::size_t cutoffs = 0, restricted = 0;
   for (const auto& e : entries) {
     if (e.is_partially_distrusted_tls()) ++cutoffs;
+    const auto anchor = [&e](auto p) { return e.is_anchor_for(p); };
+    if (!std::ranges::all_of(rs::store::kAllPurposes, anchor)) ++restricted;
   }
 
   namespace fs = std::filesystem;
@@ -238,7 +270,34 @@ int cmd_convert(const std::string& in, const std::string& out) {
                 "format (see formats/portable.h for one that keeps them)\n",
                 cutoffs);
   }
+  if (lossy && restricted > 0) {
+    std::printf("WARNING: purpose restrictions on %zu root(s) lost in this "
+                "format\n",
+                restricted);
+  }
   return 0;
+}
+
+// "3e3ae09a  Corpus Root 1": short fingerprint and common name.
+std::string root_label(const rs::store::TrustEntry& e) {
+  return e.certificate->short_id() + "  " +
+         std::string(e.certificate->subject().common_name().value_or("?"));
+}
+
+// "server-auth=trusted-delegator email-protection=must-verify ...", with
+// any partial-distrust cutoff as "(until DATE)".
+std::string describe_trust(const rs::store::TrustEntry& e) {
+  std::string out;
+  for (const auto p : rs::store::kAllPurposes) {
+    const auto& t = e.trust_for(p);
+    if (!out.empty()) out += " ";
+    out += std::string(rs::store::to_string(p)) + "=" +
+           rs::store::to_string(t.level);
+    if (t.distrust_after) {
+      out += "(until " + t.distrust_after->to_string() + ")";
+    }
+  }
+  return out;
 }
 
 int cmd_diff(const std::string& a_path, const std::string& b_path) {
@@ -246,16 +305,47 @@ int cmd_diff(const std::string& a_path, const std::string& b_path) {
   auto b = rs::formats::load_any_store(b_path);
   if (!a.ok()) return die(a.error());
   if (!b.ok()) return die(b.error());
-  rs::store::FingerprintSet a_set, b_set;
-  for (const auto& e : a.value().entries) a_set.insert(e.certificate->sha256());
-  for (const auto& e : b.value().entries) b_set.insert(e.certificate->sha256());
-  std::printf("%s: %zu roots\n%s: %zu roots\n", a_path.c_str(), a_set.size(),
-              b_path.c_str(), b_set.size());
-  std::printf("only in A: %zu   only in B: %zu   shared: %zu   jaccard "
-              "distance: %.3f\n",
-              a_set.difference(b_set).size(), b_set.difference(a_set).size(),
-              a_set.intersection_size(b_set),
-              a_set.jaccard_distance(b_set));
+  // Keyed by SHA-256 so every listing comes out in fingerprint order.
+  using Roots = std::map<rs::crypto::Sha256Digest, const rs::store::TrustEntry*>;
+  Roots a_roots, b_roots;
+  for (const auto& e : a.value().entries) a_roots[e.certificate->sha256()] = &e;
+  for (const auto& e : b.value().entries) b_roots[e.certificate->sha256()] = &e;
+  std::printf("%s: %zu roots\n%s: %zu roots\n", a_path.c_str(), a_roots.size(),
+              b_path.c_str(), b_roots.size());
+
+  std::size_t only_a = 0, only_b = 0, changed = 0;
+  std::printf("only in A:\n");
+  for (const auto& [fp, e] : a_roots) {
+    if (b_roots.contains(fp)) continue;
+    ++only_a;
+    std::printf("  - %s\n", root_label(*e).c_str());
+  }
+  std::printf("only in B:\n");
+  for (const auto& [fp, e] : b_roots) {
+    if (a_roots.contains(fp)) continue;
+    ++only_b;
+    std::printf("  + %s\n", root_label(*e).c_str());
+  }
+  // Same root, different trust: what a lossy conversion silently changes.
+  std::printf("trust changes:\n");
+  for (const auto& [fp, ea] : a_roots) {
+    const auto it = b_roots.find(fp);
+    if (it == b_roots.end()) continue;
+    const auto& eb = *it->second;
+    const auto same = [&](auto p) { return ea->trust_for(p) == eb.trust_for(p); };
+    if (std::ranges::all_of(rs::store::kAllPurposes, same)) continue;
+    ++changed;
+    std::printf("  ~ %s\n      A: %s\n      B: %s\n", root_label(*ea).c_str(),
+                describe_trust(*ea).c_str(), describe_trust(eb).c_str());
+  }
+  const std::size_t shared = a_roots.size() - only_a;
+  const std::size_t all = shared + only_a + only_b;
+  std::printf("only in A: %zu   only in B: %zu   shared: %zu   trust changes: "
+              "%zu   jaccard distance: %.3f\n",
+              only_a, only_b, shared, changed,
+              all == 0 ? 0.0
+                       : 1.0 - static_cast<double>(shared) /
+                                   static_cast<double>(all));
   return 0;
 }
 
@@ -494,14 +584,12 @@ bool write_port_file_atomic(const std::string& path, std::uint16_t port) {
   return true;
 }
 
-// Shared serve tail for both transports: install the signal latch, publish
-// the port file (only now — listen(2) has already succeeded inside
-// start(), so the file never names a dead socket), block until
-// SIGINT/SIGTERM, drain, report.
-template <typename ServerT>
-int serve_until_signal(ServerT& server, std::uint16_t bound_port,
+// Serve tail: install the signal latch, publish the port file (only now —
+// listen(2) has already succeeded inside start(), so the file never names a
+// dead socket), block until SIGINT/SIGTERM, drain, report.
+int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
                        const std::string& port_file, std::size_t threads,
-                       std::size_t cache, const char* transport) {
+                       std::size_t cache) {
   if (pipe(g_shutdown_pipe) != 0) return die("cannot create signal pipe");
   struct sigaction action {};
   action.sa_handler = handle_shutdown_signal;
@@ -512,8 +600,8 @@ int serve_until_signal(ServerT& server, std::uint16_t bound_port,
   if (!port_file.empty() && !write_port_file_atomic(port_file, bound_port)) {
     return die("cannot write port file: " + port_file);
   }
-  std::printf("listening 127.0.0.1:%u (transport=%s threads=%zu cache=%zu)\n",
-              static_cast<unsigned>(bound_port), transport, threads, cache);
+  std::printf("listening 127.0.0.1:%u (threads=%zu cache=%zu)\n",
+              static_cast<unsigned>(bound_port), threads, cache);
   std::fflush(stdout);
 
   char byte = 0;
@@ -532,16 +620,9 @@ int serve_until_signal(ServerT& server, std::uint16_t bound_port,
 
 int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
               const std::string& port_file, const std::string& from_dir,
-              const std::string& index_file, const std::string& transport,
-              bool watch_index) {
-  if (transport != "epoll" && transport != "threaded") {
-    return die("--transport must be 'epoll' or 'threaded'");
-  }
+              const std::string& index_file, bool watch_index) {
   if (watch_index && index_file.empty()) {
     return die("--watch-index requires --index FILE");
-  }
-  if (watch_index && transport == "threaded") {
-    return die("--watch-index requires the epoll transport");
   }
   // A stale port file from an earlier run poisons waiting clients: remove
   // it up front so a reader only ever sees the port of THIS process.
@@ -554,16 +635,6 @@ int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
   options.port = port;
   options.num_threads = threads;
   options.cache_capacity = cache;
-
-  if (transport == "threaded") {
-    const rs::query::QueryEngine engine = std::move(made).take();
-    rs::serve::ThreadedServer server(engine, options);
-    auto bound = server.start();
-    if (!bound.ok()) return die(bound.error());
-    return serve_until_signal(server, bound.value(), port_file, threads,
-                              cache, "threaded");
-  }
-
   if (!index_file.empty()) {
     // Reloading re-reads the persisted index: cheap relative to a rebuild,
     // and exactly what `--watch-index` watches.
@@ -584,8 +655,7 @@ int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
       options);
   auto bound = server.start();
   if (!bound.ok()) return die(bound.error());
-  return serve_until_signal(server, bound.value(), port_file, threads, cache,
-                            "epoll");
+  return serve_until_signal(server, bound.value(), port_file, threads, cache);
 }
 
 }  // namespace
@@ -604,8 +674,10 @@ int main(int argc, char** argv) {
     // Default worker count from the environment; --threads overrides.
     std::size_t threads = 0;
     // Startup-only read on the main thread (CLI flag default): safe.
-    if (const char* env = std::getenv("ROOTSTORE_THREADS")) {  // NOLINT(concurrency-mt-unsafe)
-      threads = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
+    const char* threads_env = std::getenv("ROOTSTORE_THREADS");  // NOLINT(concurrency-mt-unsafe)
+    if (threads_env != nullptr && threads_env[0] != '\0' &&
+        !parse_count("ROOTSTORE_THREADS", threads_env, kMaxWorkers, threads)) {
+      return 2;
     }
     bool csv = false;
     // ROOTSTORE_TRACE doubles as a default trace destination; the registry
@@ -621,8 +693,9 @@ int main(int argc, char** argv) {
       if (args[i] == "--csv") {
         csv = true;
       } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        threads = static_cast<std::size_t>(
-            std::strtoul(args[++i].c_str(), nullptr, 10));
+        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
+          return 2;
+        }
       } else if (args[i] == "--from" && i + 1 < args.size()) {
         from_dir = args[++i];
       } else if (args[i] == "--trace-out" && i + 1 < args.size()) {
@@ -641,8 +714,9 @@ int main(int argc, char** argv) {
     std::string index_file;
     for (std::size_t i = 2; i < args.size(); ++i) {
       if (args[i] == "--threads" && i + 1 < args.size()) {
-        threads = static_cast<std::size_t>(
-            std::strtoul(args[++i].c_str(), nullptr, 10));
+        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
+          return 2;
+        }
       } else if (args[i] == "--from" && i + 1 < args.size()) {
         from_dir = args[++i];
       } else if (args[i] == "--index" && i + 1 < args.size()) {
@@ -660,8 +734,9 @@ int main(int argc, char** argv) {
     std::string from_dir;
     for (std::size_t i = 3; i < args.size(); ++i) {
       if (args[i] == "--threads" && i + 1 < args.size()) {
-        threads = static_cast<std::size_t>(
-            std::strtoul(args[++i].c_str(), nullptr, 10));
+        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
+          return 2;
+        }
       } else if (args[i] == "--from" && i + 1 < args.size()) {
         from_dir = args[++i];
       } else {
@@ -674,32 +749,28 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (cmd == "serve") {
-    unsigned long port = 0;
+    std::size_t port = 0;
     std::size_t threads = 4;
     std::size_t cache = 1024;
     std::string port_file;
     std::string from_dir;
     std::string index_file;
-    std::string transport = "epoll";
     bool watch_index = false;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--port" && i + 1 < args.size()) {
-        port = std::strtoul(args[++i].c_str(), nullptr, 10);
-        if (port > 65535) return die("--port must be 0..65535");
+        if (!parse_count("--port", args[++i], 65535, port)) return 2;
       } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        threads = static_cast<std::size_t>(
-            std::strtoul(args[++i].c_str(), nullptr, 10));
+        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
+          return 2;
+        }
       } else if (args[i] == "--cache" && i + 1 < args.size()) {
-        cache = static_cast<std::size_t>(
-            std::strtoul(args[++i].c_str(), nullptr, 10));
+        if (!parse_count("--cache", args[++i], UINT32_MAX, cache)) return 2;
       } else if (args[i] == "--port-file" && i + 1 < args.size()) {
         port_file = args[++i];
       } else if (args[i] == "--from" && i + 1 < args.size()) {
         from_dir = args[++i];
       } else if (args[i] == "--index" && i + 1 < args.size()) {
         index_file = args[++i];
-      } else if (args[i] == "--transport" && i + 1 < args.size()) {
-        transport = args[++i];
       } else if (args[i] == "--watch-index") {
         watch_index = true;
       } else {
@@ -707,7 +778,7 @@ int main(int argc, char** argv) {
       }
     }
     return cmd_serve(static_cast<std::uint16_t>(port), threads, cache,
-                     port_file, from_dir, index_file, transport, watch_index);
+                     port_file, from_dir, index_file, watch_index);
   }
   return usage();
 }
