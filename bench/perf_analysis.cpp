@@ -252,7 +252,7 @@ void BM_ChurnAndOutliers(benchmark::State& state) {
     std::vector<rs::analysis::ChurnSeries> all;
     for (const auto& [name, history] : scenario.database().histories()) {
       (void)name;
-      all.push_back(rs::analysis::churn_series(history));
+      all.push_back(rs::analysis::churn_series(history, shared_table()));
     }
     auto outliers = rs::analysis::find_outliers(all);
     benchmark::DoNotOptimize(outliers.data());
@@ -267,7 +267,8 @@ void BM_UpdateCadenceAll(benchmark::State& state) {
     double total = 0;
     for (const auto& [name, history] : scenario.database().histories()) {
       (void)name;
-      total += rs::analysis::update_cadence(history).substantial_per_year;
+      total += rs::analysis::update_cadence(history, shared_table())
+                   .substantial_per_year;
     }
     benchmark::DoNotOptimize(total);
   }

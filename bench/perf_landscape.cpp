@@ -8,9 +8,10 @@
 //     popcounts fanned out on a 3-worker ThreadPool.
 //   * BM_AgreementMatrixNaive — the honest baseline an implementation
 //     without the interner would run: extract each provider's snapshot
-//     into a sorted FingerprintSet (32-byte digests) and compute the same
-//     sizes / exclusive counts / pairwise matrix / union / intersection by
-//     merge scans.
+//     into a sorted set of 32-byte digests (the test referee's
+//     FingerprintSet, tests/referee/fingerprint_set.h) and compute the
+//     same sizes / exclusive counts / pairwise matrix / union /
+//     intersection by merge scans.
 //
 // tools/record_landscape_bench.sh runs these, writes BENCH_landscape.json,
 // and enforces the floor: the IdSet matrix must beat the naive scan by
@@ -26,15 +27,15 @@
 #include "src/query/engine.h"
 #include "src/query/request.h"
 #include "src/store/database.h"
-#include "src/store/fingerprint_set.h"
 #include "src/synth/simulator.h"
 #include "src/util/date.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace {
 
 using rs::query::QueryEngine;
 using rs::query::Scope;
-using rs::store::FingerprintSet;
+using rs::referee::FingerprintSet;
 using rs::util::Date;
 
 /// A mid-size simulated ecosystem: 4 programs, 8 derivatives, 2 CT logs
@@ -95,7 +96,7 @@ void BM_AgreementMatrixNaive(benchmark::State& state) {
     std::vector<FingerprintSet> sets;
     for (const auto& name : db.providers()) {
       const auto* snap = db.find(name)->at(b.date);
-      if (snap != nullptr) sets.push_back(snap->tls_anchors());
+      if (snap != nullptr) sets.push_back(rs::referee::tls_anchors(*snap));
     }
     std::vector<std::size_t> sizes, exclusive;
     FingerprintSet union_all, intersection_all;

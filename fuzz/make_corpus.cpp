@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
   const auto entries = sample_entries(3);
   const auto one = sample_entries(1);
 
-  // --- asn1: raw DER through the generic reader walk ---------------------
+  // --- asn1_reader: raw DER through the generic reader walk --------------
   {
-    const fs::path dir = root / "asn1";
+    const fs::path dir = root / "asn1_reader";
     write_seed(dir, "cert.der", one[0].certificate->der());
     write_seed(dir, "nested-8.der", nested_sequences(8));
     write_seed(dir, "nested-300.der", nested_sequences(300));

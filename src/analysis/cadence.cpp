@@ -2,12 +2,12 @@
 
 #include <vector>
 
-#include "src/store/fingerprint_set.h"
 #include "src/util/stats.h"
 
 namespace rs::analysis {
 
-UpdateCadence update_cadence(const rs::store::ProviderHistory& history) {
+UpdateCadence update_cadence(const rs::store::ProviderHistory& history,
+                             const rs::store::MembershipTable& table) {
   UpdateCadence out;
   out.provider = history.provider();
   out.snapshots = history.size();
@@ -16,9 +16,12 @@ UpdateCadence update_cadence(const rs::store::ProviderHistory& history) {
     return out;
   }
 
+  const auto& lane = table.lane(history);
+  const auto present = [&lane](std::size_t i) -> const rs::store::IdSet& {
+    return rs::store::in_scope(lane[i], rs::store::Scope::kPresent);
+  };
   std::vector<double> intervals;
   std::vector<double> substantial_intervals;
-  rs::store::FingerprintSet previous = history.front().all_fingerprints();
   rs::util::Date last_substantial = history.front().date;
   out.substantial_updates = 1;  // the first snapshot introduces the store
 
@@ -26,15 +29,13 @@ UpdateCadence update_cadence(const rs::store::ProviderHistory& history) {
     const auto& snap = history.snapshots()[i];
     intervals.push_back(
         static_cast<double>(snap.date - history.snapshots()[i - 1].date));
-    auto current = snap.all_fingerprints();
-    if (current == previous) {
+    if (present(i) == present(i - 1)) {
       ++out.noop_updates;
     } else {
       ++out.substantial_updates;
       substantial_intervals.push_back(
           static_cast<double>(snap.date - last_substantial));
       last_substantial = snap.date;
-      previous = std::move(current);
     }
   }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/store/membership.h"
 #include "src/store/snapshot.h"
 
 namespace rs::analysis {
@@ -30,8 +31,13 @@ struct UpdateCadence {
   double mean_substantial_interval_days = 0;
   /// Substantial updates per year of covered history.
   double substantial_per_year = 0;
+  friend bool operator==(const UpdateCadence&,
+                         const UpdateCadence&) = default;
 };
 
-UpdateCadence update_cadence(const rs::store::ProviderHistory& history);
+/// Compares consecutive Scope::kPresent rows of `history`; `table` must
+/// hold its rows.  `substantial_updates` is also Table 2's "# Uniq".
+UpdateCadence update_cadence(const rs::store::ProviderHistory& history,
+                             const rs::store::MembershipTable& table);
 
 }  // namespace rs::analysis

@@ -3,27 +3,32 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/store/fingerprint_set.h"
-
 namespace rs::analysis {
 
-ChurnSeries churn_series(const rs::store::ProviderHistory& history) {
+ChurnSeries churn_series(const rs::store::ProviderHistory& history,
+                         const rs::store::MembershipTable& table) {
   ChurnSeries out;
   out.provider = history.provider();
   if (history.empty()) return out;
 
-  rs::store::FingerprintSet previous;
-  bool first = true;
+  const auto& lane = table.lane(history);
   double fraction_sum = 0;
-  for (const auto& snap : history.snapshots()) {
-    const auto current = snap.all_fingerprints();
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const auto& snap = history.snapshots()[i];
     ChurnPoint p;
     p.date = snap.date;
     p.version = snap.version;
-    if (!first) {
-      p.added = current.difference(previous).size();
-      p.removed = previous.difference(current).size();
-      const std::size_t uni = current.union_size(previous);
+    if (i > 0) {
+      // Exact integer counts, so the fraction is bit-identical to a merge
+      // over sorted digests.
+      const auto& cur =
+          rs::store::in_scope(lane[i], rs::store::Scope::kPresent);
+      const auto& prev =
+          rs::store::in_scope(lane[i - 1], rs::store::Scope::kPresent);
+      const std::size_t both = cur.intersection_size(prev);
+      p.added = cur.size() - both;
+      p.removed = prev.size() - both;
+      const std::size_t uni = both + p.added + p.removed;
       p.change_fraction =
           uni == 0 ? 0.0
                    : static_cast<double>(p.added + p.removed) /
@@ -31,8 +36,6 @@ ChurnSeries churn_series(const rs::store::ProviderHistory& history) {
     }
     fraction_sum += p.change_fraction;
     out.points.push_back(std::move(p));
-    previous = current;
-    first = false;
   }
   out.mean_change_fraction =
       fraction_sum / static_cast<double>(out.points.size());

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/store/membership.h"
 #include "src/store/snapshot.h"
 #include "src/util/date.h"
 
@@ -27,6 +28,7 @@ struct ChurnPoint {
   double change_fraction = 0;
 
   std::size_t total_change() const noexcept { return added + removed; }
+  friend bool operator==(const ChurnPoint&, const ChurnPoint&) = default;
 };
 
 /// Per-provider churn series.
@@ -34,11 +36,14 @@ struct ChurnSeries {
   std::string provider;
   std::vector<ChurnPoint> points;
   double mean_change_fraction = 0;
+  friend bool operator==(const ChurnSeries&, const ChurnSeries&) = default;
 };
 
-/// Computes churn over a provider history (all certificates present, the
-/// same set Figure 1 clusters on).
-ChurnSeries churn_series(const rs::store::ProviderHistory& history);
+/// Computes churn over a provider history from its Scope::kPresent rows
+/// (all certificates present, the set Figure 1 clusters on).  `table`
+/// must hold `history`'s rows.
+ChurnSeries churn_series(const rs::store::ProviderHistory& history,
+                         const rs::store::MembershipTable& table);
 
 /// An outlier: a snapshot whose change fraction exceeds
 /// mean + `sigmas` * stddev of its provider's series (and is >= min_change

@@ -40,8 +40,11 @@ std::vector<ExclusiveSet> exclusive_roots(
   for (std::size_t i = 0; i < names.size(); ++i) {
     // IdSet::ids() ascends in sorted-digest order — the order the golden
     // Table 6 bytes are pinned on.
-    out.push_back(
-        {names[i], table.interner().materialize(exclusive[i]).items()});
+    std::vector<rs::crypto::Sha256Digest> roots;
+    for (const std::uint32_t id : exclusive[i].ids()) {
+      roots.push_back(table.interner().digest_of(id));
+    }
+    out.push_back({names[i], std::move(roots)});
   }
   return out;
 }

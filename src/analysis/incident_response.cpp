@@ -1,5 +1,7 @@
 #include "src/analysis/incident_response.h"
 
+#include <algorithm>
+
 namespace rs::analysis {
 
 IncidentMeasurement measure_incident(
@@ -10,11 +12,13 @@ IncidentMeasurement measure_incident(
   out.incident = incident.name;
   out.nss_removal = incident.nss_removal;
 
-  // Resolve the incident roots to fingerprints.
+  // Resolve the incident roots to fingerprints, one per distinct root.
   std::vector<rs::crypto::Sha256Digest> prints;
   for (const auto& id : incident.root_ids) {
     if (auto cert = factory.find(id)) prints.push_back(cert->sha256());
   }
+  std::sort(prints.begin(), prints.end());
+  prints.erase(std::unique(prints.begin(), prints.end()), prints.end());
 
   for (const auto& [name, history] : db.histories()) {
     if (name == "NSS") continue;
@@ -27,14 +31,16 @@ IncidentMeasurement measure_incident(
     MeasuredResponse r;
     r.provider = name;
 
-    std::vector<rs::crypto::Sha256Digest> carried_prints;
+    // carried[k]: prints[k] was a TLS anchor in some snapshot.
+    std::vector<bool> carried(prints.size(), false);
     for (const auto& snap : history.snapshots()) {
       bool any_shipped = false;
       bool any_effective = false;
-      for (const auto& fp : prints) {
+      for (std::size_t k = 0; k < prints.size(); ++k) {
+        const auto& fp = prints[k];
         const auto* entry = snap.find(fp);
         if (entry == nullptr || !entry->is_tls_anchor()) continue;
-        carried_prints.push_back(fp);
+        carried[k] = true;
         any_shipped = true;
         if (overlay == nullptr || !overlay->is_revoked(fp, snap.date)) {
           any_effective = true;
@@ -43,8 +49,8 @@ IncidentMeasurement measure_incident(
       if (any_shipped) r.shipped_until = snap.date;
       if (any_effective) r.trusted_until = snap.date;
     }
-    const rs::store::FingerprintSet carried(std::move(carried_prints));
-    r.certs_carried = static_cast<int>(carried.size());
+    r.certs_carried =
+        static_cast<int>(std::count(carried.begin(), carried.end(), true));
     if (r.certs_carried == 0) continue;  // provider never included the roots
 
     // State at the newest snapshot.

@@ -1,8 +1,7 @@
 #include "src/analysis/removals.h"
 
 #include <map>
-
-#include "src/store/fingerprint_set.h"
+#include <set>
 
 namespace rs::analysis {
 
@@ -46,22 +45,19 @@ ReportAudit audit_removal_report(
   audit.measured = measured.size();
   audit.reported = reported.size();
 
-  rs::store::FingerprintSet report_set(
-      std::vector<rs::crypto::Sha256Digest>(reported.begin(), reported.end()));
-  std::vector<rs::crypto::Sha256Digest> measured_roots;
-  measured_roots.reserve(measured.size());
-  for (const auto& r : measured) measured_roots.push_back(r.root);
-  const rs::store::FingerprintSet measured_set(std::move(measured_roots));
+  // Each covered removal takes its digest out of the set, so what stays
+  // is the report entries no measured removal matched.
+  std::set<rs::crypto::Sha256Digest> unmatched(reported.begin(),
+                                               reported.end());
   for (const auto& r : measured) {
-    if (report_set.contains(r.root)) {
+    if (unmatched.erase(r.root) != 0) {
       ++audit.covered;
     } else {
       ++audit.missing;
       if (r.expired_at_removal) ++audit.missing_expired;
     }
   }
-  audit.unmatched_report_entries =
-      report_set.difference(measured_set).size();
+  audit.unmatched_report_entries = unmatched.size();
   return audit;
 }
 

@@ -43,6 +43,7 @@ struct ReportAudit {
   std::size_t unmatched_report_entries = 0;
 };
 
+/// `measured` holds one entry per root, as measured_removals returns it.
 ReportAudit audit_removal_report(
     const std::vector<MeasuredRemoval>& measured,
     const std::vector<rs::crypto::Sha256Digest>& reported);

@@ -8,7 +8,6 @@
 #include "src/analysis/jaccard.h"
 #include "src/analysis/mds.h"
 #include "src/analysis/staleness.h"
-#include "src/store/membership.h"
 #include "src/synth/user_agents.h"
 #include "src/util/table.h"
 
@@ -16,14 +15,13 @@ namespace rs::core {
 
 using rs::util::fmt_double;
 
-std::string figure1_csv(rs::synth::PaperScenario& scenario,
+std::string figure1_csv(const EcosystemStudy& study,
                         std::size_t max_per_provider) {
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = max_per_provider;
-  const auto& db = scenario.database();
-  const auto table = rs::store::MembershipTable::build(db);
-  const auto dist = rs::analysis::jaccard_matrix(db, table, opts);
+  const auto dist = rs::analysis::jaccard_matrix(
+      study.database(), study.membership(), opts, study.pool());
   const auto mds = rs::analysis::smacof_mds(dist);
   const auto clustering = rs::analysis::cluster_snapshots(dist, 0.35);
 
@@ -41,13 +39,13 @@ std::string figure1_csv(rs::synth::PaperScenario& scenario,
   return out;
 }
 
-std::string figure3_csv(rs::synth::PaperScenario& scenario) {
-  const auto* nss = scenario.database().find("NSS");
+std::string figure3_csv(const EcosystemStudy& study) {
+  const auto& db = study.database();
+  const auto* nss = db.find("NSS");
   std::string out =
       "provider,date,matched_version,current_version,versions_behind\n";
   if (nss == nullptr) return out;
-  const auto& db = scenario.database();
-  const auto table = rs::store::MembershipTable::build(db);
+  const auto& table = study.membership();
   const auto index = rs::analysis::build_version_index(*nss, table);
   for (const char* name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
@@ -64,8 +62,9 @@ std::string figure3_csv(rs::synth::PaperScenario& scenario) {
   return out;
 }
 
-std::string figure4_csv(rs::synth::PaperScenario& scenario) {
-  const auto* nss = scenario.database().find("NSS");
+std::string figure4_csv(const EcosystemStudy& study) {
+  const auto& db = study.database();
+  const auto* nss = db.find("NSS");
   std::string out = "provider,date,matched_version";
   for (std::size_t c = 0; c < rs::analysis::kAddCategoryCount; ++c) {
     out += ",add_" + std::string(rs::analysis::to_string(
@@ -82,8 +81,7 @@ std::string figure4_csv(rs::synth::PaperScenario& scenario) {
     if (ch == ' ') ch = '_';
   }
 
-  const auto& db = scenario.database();
-  const auto table = rs::store::MembershipTable::build(db);
+  const auto& table = study.membership();
   const auto index = rs::analysis::build_version_index(*nss, table);
   for (const char* name :
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
@@ -101,11 +99,11 @@ std::string figure4_csv(rs::synth::PaperScenario& scenario) {
   return out;
 }
 
-std::string churn_csv(rs::synth::PaperScenario& scenario) {
+std::string churn_csv(const EcosystemStudy& study) {
   std::vector<rs::analysis::ChurnSeries> all;
-  for (const auto& [name, history] : scenario.database().histories()) {
+  for (const auto& [name, history] : study.database().histories()) {
     (void)name;
-    all.push_back(rs::analysis::churn_series(history));
+    all.push_back(rs::analysis::churn_series(history, study.membership()));
   }
   const auto outliers = rs::analysis::find_outliers(all);
   std::set<std::pair<std::string, std::int64_t>> outlier_keys;

@@ -87,16 +87,10 @@ std::string EcosystemStudy::report_table2() const {
   for (const auto& row : reference) {
     const auto* h = database().find(row.provider);
     if (h == nullptr || h->empty()) continue;
-    // "# Uniq" counts distinct store states across the history.
-    std::size_t uniq = 0;
-    rs::store::FingerprintSet prev;
-    bool first = true;
-    for (const auto& snap : h->snapshots()) {
-      auto prints = snap.all_fingerprints();
-      if (first || !(prints == prev)) ++uniq;
-      prev = std::move(prints);
-      first = false;
-    }
+    // "# Uniq" counts store states: the first snapshot plus every change
+    // between consecutive present rows (§6.1's substantial updates).
+    const std::size_t uniq =
+        rs::analysis::update_cadence(*h, *membership_).substantial_updates;
     measured_total += h->size();
     paper_total += row.snapshots;
     t.add_row({row.provider, h->first_date().to_string(),
@@ -379,7 +373,7 @@ std::string EcosystemStudy::report_figure1(std::size_t max_per_provider) const {
   std::vector<rs::analysis::ChurnSeries> churn;
   for (const auto& [name, history] : database().histories()) {
     (void)name;
-    churn.push_back(rs::analysis::churn_series(history));
+    churn.push_back(rs::analysis::churn_series(history, *membership_));
   }
   const auto outliers = rs::analysis::find_outliers(churn);
   out += "\nOrdination outliers (batch-change snapshots, sigma >= 2):\n";
@@ -496,7 +490,7 @@ std::string EcosystemStudy::report_figure3() const {
                            "Android", "AmazonLinux"}) {
     const auto* h = database().find(name);
     if (h == nullptr) continue;
-    const auto c = rs::analysis::update_cadence(*h);
+    const auto c = rs::analysis::update_cadence(*h, *membership_);
     cadence.add_row({name, std::to_string(c.snapshots),
                      std::to_string(c.substantial_updates),
                      std::to_string(c.noop_updates),
@@ -769,7 +763,7 @@ std::string EcosystemStudy::report_ct_landscape() {
       {"CtLogSlow", 330, 120, 0.80, 0.05, 0.20},
   };
   std::vector<std::string> log_names;
-  std::vector<rs::store::ProviderHistory> logs;
+  std::vector<rs::synth::CtLogPolicy> policies;
   for (const auto& s : specs) {
     rs::synth::CtLogPolicy policy;
     policy.name = s.name;
@@ -780,8 +774,9 @@ std::string EcosystemStudy::report_ct_landscape() {
     policy.extra_accept_prob = s.extra;
     policy.retire_prob = s.retire;
     log_names.push_back(policy.name);
-    logs.push_back(rs::synth::generate_ct_log(policy, db));
+    policies.push_back(std::move(policy));
   }
+  auto logs = rs::synth::generate_ct_logs(policies, db);
   // The logs only accept certificates the database already holds, so the
   // study's universe still covers everything: reuse its rows and build
   // rows for the three log lanes alone.

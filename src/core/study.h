@@ -2,9 +2,10 @@
 //
 // Wraps a materialized scenario (or any StoreDatabase) and renders every
 // table and figure of the evaluation as printable text, pairing measured
-// values with the paper's published ones.  The bench harnesses are thin
-// wrappers over these report functions; library users can call the
-// underlying analysis modules directly for structured results.
+// values with the paper's published ones.  `rootstore report <name>`
+// prints these reports, and src/core/export.h writes the data behind the
+// figures as CSV; library users can call the underlying analysis modules
+// directly for structured results.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +21,10 @@ class TrustIndex;
 }
 
 namespace rs::core {
+
+/// Figure 1's per-provider snapshot cap: the report and its CSV export
+/// embed the same points.
+inline constexpr std::size_t kFigure1MaxPerProvider = 40;
 
 /// Execution knobs for a study instance.
 struct StudyOptions {
@@ -72,7 +77,8 @@ class EcosystemStudy {
   /// removal-report completeness audit.
   std::string report_table7();
   /// Figure 1: MDS of pairwise Jaccard distances + cluster summary.
-  std::string report_figure1(std::size_t max_per_provider = 40) const;
+  std::string report_figure1(
+      std::size_t max_per_provider = kFigure1MaxPerProvider) const;
   /// Figure 2: the inverted pyramid (program shares of top UAs).
   std::string report_figure2() const;
   /// Figure 3: derivative staleness, paper vs measured.

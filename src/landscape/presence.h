@@ -12,8 +12,9 @@
 // src/landscape/index_view.h resolves a TrustIndex into such views for the
 // engine, the study reports, and the tests.  All integer cardinalities are
 // exact, so every derived double (and its fixed-precision rendering) is
-// bit-identical to a brute-force FingerprintSet recomputation — the
-// differential battery in tests/landscape/ holds that line.
+// bit-identical to a brute-force recomputation over the sorted-digest sets
+// of the test referee (tests/referee/) — the differential battery in
+// tests/landscape/ holds that line.
 #pragma once
 
 #include <cstddef>

@@ -6,8 +6,7 @@
 // and edge-triggered (EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET): reads
 // drain until EAGAIN, writes flush until EAGAIN, and EPOLLOUT interest is
 // registered only while a write buffer is nonempty.  The idiom follows the
-// Chromium net stack's socket pumps (see
-// /root/related/klzgrad__naiveproxy/src/net/socket/).
+// Chromium net stack's socket pumps (net/socket/).
 //
 // Accepting: exactly one loop (index 0 by convention) registers the
 // listening socket (level-triggered) and round-robins accepted fds across

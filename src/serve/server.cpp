@@ -167,8 +167,7 @@ std::string Server::respond_line(std::string_view line) {
   // a batch is answered by the same engine even when a hot swap lands
   // mid-batch, and the pinned shared_ptr keeps the old engine alive until
   // this request is done.
-  const std::shared_ptr<const Published> pub =
-      published_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Published> pub = published();
 
   if (rs::query::looks_like_batch(line)) {
     auto items = rs::query::parse_batch_request(line);
@@ -334,21 +333,25 @@ void Server::run_reload() {
   rs::obs::Registry::global().counter("serve.reloads").increment();
 }
 
-void Server::swap_engine(
-    std::shared_ptr<const rs::query::QueryEngine> engine) {
-  auto cur = published_.load(std::memory_order_acquire);
-  std::shared_ptr<const Published> next;
-  do {
-    next = std::make_shared<const Published>(
-        Published{engine, cur->epoch + 1});
-  } while (!published_.compare_exchange_weak(cur, next,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire));
+std::shared_ptr<const Server::Published> Server::published() const {
+  const rs::util::MutexLock lock(published_mutex_);
+  return published_;
 }
 
-std::uint64_t Server::epoch() const {
-  return published_.load(std::memory_order_acquire)->epoch;
+void Server::swap_engine(
+    std::shared_ptr<const rs::query::QueryEngine> engine) {
+  std::shared_ptr<const Published> old;
+  {
+    const rs::util::MutexLock lock(published_mutex_);
+    old = published_;
+    published_ = std::make_shared<const Published>(
+        Published{std::move(engine), old->epoch + 1});
+  }
+  // `old` drops here, outside the lock: when no request still pins it,
+  // the replaced engine is freed without blocking readers.
 }
+
+std::uint64_t Server::epoch() const { return published()->epoch; }
 
 ServerStats Server::stats() const {
   ServerStats s;

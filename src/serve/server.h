@@ -22,13 +22,19 @@
 //     epoch-prefixed canonical_request() fronts the engine, so loops
 //     answering different requests never contend on one cache lock.
 //
-// Hot swap (RCU): the engine is published as
-// `std::atomic<std::shared_ptr<const Published>>` where Published bundles
-// {engine, epoch}.  A request pins one Published at dispatch and uses it
-// for the whole line (every item of a batch included), so a swap mid-line
-// never mixes epochs.  Old engines are freed when the last in-flight
-// request drops its shared_ptr.  Cache keys carry the epoch, so entries
-// cached under a replaced engine can never be served after a flip.
+// Hot swap (RCU): the engine is published as a
+// `std::shared_ptr<const Published>` guarded by a Mutex, where Published
+// bundles {engine, epoch}.  A request copies that pointer once, under the
+// lock, at dispatch and uses it for the whole line (every item of a batch
+// included), so a swap mid-line never mixes epochs; the lock covers only
+// the copy, never the request's work.  A swap assigns a new pointer under
+// the same lock.  Old engines are freed when the last in-flight request
+// drops its shared_ptr.  Cache keys carry the epoch, so entries cached
+// under a replaced engine can never be served after a flip.  (Not an
+// atomic shared_ptr: libstdc++ 12's load releases its lock bit with a
+// relaxed store, so a later compare_exchange is unordered after the read,
+// a race ThreadSanitizer reports; tools/check_concurrency.sh rule R6 bans
+// it.)
 // Swaps come from the `reload_index` admin op or `--watch-index` polling;
 // both run options_.reload_factory on the dedicated reloader thread —
 // never on an event loop — so serving latency is unaffected by index
@@ -136,13 +142,16 @@ class Server {
   std::uint64_t epoch() const;
 
  private:
-  /// One atomically published engine+epoch pair.  Bundling them means a
-  /// single load observes a consistent pair — no torn engine/epoch reads.
+  /// One published engine+epoch pair.  Bundling them means a single
+  /// pointer copy observes a consistent pair — no torn engine/epoch reads.
   struct Published {
     std::shared_ptr<const rs::query::QueryEngine> engine;
     std::uint64_t epoch = 0;
   };
 
+  /// The current publication, copied under published_mutex_.
+  std::shared_ptr<const Published> published() const
+      RS_EXCLUDES(published_mutex_);
   std::string respond_single(const Published& pub, std::string_view line);
   std::string server_stats_response() const;
   std::string reload_response(const Published& pub) RS_EXCLUDES(reload_mutex_);
@@ -151,7 +160,8 @@ class Server {
 
   const ServerOptions options_;
   ShardedCache cache_;
-  std::atomic<std::shared_ptr<const Published>> published_;
+  mutable rs::util::Mutex published_mutex_;
+  std::shared_ptr<const Published> published_ RS_GUARDED_BY(published_mutex_);
 
   // unique_ptr: EventLoop is immovable (owns a Mutex and a thread).
   std::vector<std::unique_ptr<EventLoop>> loops_;

@@ -31,16 +31,6 @@ std::size_t StoreDatabase::total_snapshots() const {
   return n;
 }
 
-std::shared_ptr<const rs::x509::Certificate> StoreDatabase::certificate(
-    const rs::crypto::Sha256Digest& fp) const {
-  for (const auto& [_, h] : histories_) {
-    for (const auto& s : h.snapshots()) {
-      if (const TrustEntry* e = s.find(fp)) return e->certificate;
-    }
-  }
-  return nullptr;
-}
-
 std::vector<PresenceInterval> StoreDatabase::tls_presence(
     const rs::crypto::Sha256Digest& fp) const {
   std::vector<PresenceInterval> out;
@@ -65,20 +55,6 @@ std::vector<PresenceInterval> StoreDatabase::tls_presence(
     }
   }
   return out;
-}
-
-FingerprintSet StoreDatabase::all_tls_roots_ever() const {
-  // Bulk build: collect every anchor then sort/dedupe once, instead of a
-  // re-allocating merge per snapshot.
-  std::vector<rs::crypto::Sha256Digest> prints;
-  for (const auto& [_, h] : histories_) {
-    for (const auto& s : h.snapshots()) {
-      for (const auto& e : s.entries) {
-        if (e.is_tls_anchor()) prints.push_back(e.certificate->sha256());
-      }
-    }
-  }
-  return FingerprintSet(std::move(prints));
 }
 
 }  // namespace rs::store

@@ -1,8 +1,8 @@
-// The snapshot database: all providers' histories plus a certificate index.
+// The snapshot database: all providers' histories.
 //
 // This is the study's consolidated dataset (Table 2): every parsed snapshot
-// from every provider, with a cross-provider index from fingerprint to the
-// certificate and the (provider, date) intervals in which it appears.
+// from every provider, and the (provider, date) intervals in which a
+// certificate appears as a TLS anchor.
 #pragma once
 
 #include <map>
@@ -35,16 +35,9 @@ class StoreDatabase {
   std::size_t provider_count() const noexcept { return histories_.size(); }
   std::size_t total_snapshots() const;
 
-  /// The certificate object for a fingerprint, if any provider carries it.
-  std::shared_ptr<const rs::x509::Certificate> certificate(
-      const rs::crypto::Sha256Digest& fp) const;
-
   /// Providers/intervals where the certificate appears as a *TLS anchor*.
   std::vector<PresenceInterval> tls_presence(
       const rs::crypto::Sha256Digest& fp) const;
-
-  /// Distinct certificates that were ever TLS anchors in any history.
-  FingerprintSet all_tls_roots_ever() const;
 
   /// All histories in provider-name order.
   const std::map<std::string, ProviderHistory>& histories() const noexcept {

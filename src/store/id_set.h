@@ -6,7 +6,8 @@
 // plus popcount over a handful of cache lines, instead of a linear merge
 // over 32-byte digests.  All cardinalities are exact integers, so the
 // doubles derived from them (Jaccard) are bit-identical to the merge-based
-// FingerprintSet results; see docs/INTERNING.md for the contract.
+// results of the sorted-digest test referee (tests/referee/); see
+// docs/INTERNING.md for the contract.
 #pragma once
 
 #include <cstddef>
@@ -47,8 +48,8 @@ class IdSet {
   IdSet& operator|=(const IdSet& other);
 
   /// Jaccard distance 1 - |A∩B| / |A∪B|; two empty sets have distance 0.
-  /// Exact-integer cardinalities make this bit-identical to
-  /// FingerprintSet::jaccard_distance on the equivalent sets.
+  /// Exact-integer cardinalities make this bit-identical to the referee's
+  /// sorted-digest merge on the equivalent sets.
   double jaccard_distance(const IdSet& other) const noexcept;
 
   /// All IDs present, ascending.  Because the interner assigns IDs in

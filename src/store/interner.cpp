@@ -41,11 +41,4 @@ std::optional<std::uint32_t> CertInterner::id_of(
   return static_cast<std::uint32_t>(it - digests_.begin());
 }
 
-FingerprintSet CertInterner::materialize(const IdSet& ids) const {
-  std::vector<rs::crypto::Sha256Digest> out;
-  out.reserve(ids.size());
-  for (const std::uint32_t id : ids.ids()) out.push_back(digests_[id]);
-  return FingerprintSet(std::move(out));
-}
-
 }  // namespace rs::store

@@ -10,7 +10,8 @@
 // mapping is a pure function of the certificate universe — independent of
 // snapshot iteration order, build order, or thread count.  Materialized
 // results (IdSet::ids() walked through digest_of) therefore come out in
-// the same sorted order FingerprintSet maintains.  See docs/INTERNING.md.
+// sorted-digest order, the order the sorted-digest test referee keeps
+// (tests/referee/).  See docs/INTERNING.md.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "src/crypto/digest.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/id_set.h"
 
 namespace rs::store {
@@ -45,9 +45,6 @@ class CertInterner {
   const rs::crypto::Sha256Digest& digest_of(std::uint32_t id) const {
     return digests_[id];
   }
-
-  /// Round-trips an IdSet back to digests (sorted, by the ID order contract).
-  FingerprintSet materialize(const IdSet& ids) const;
 
   /// The sorted, unique digest universe (ID i maps to digests()[i]).  The
   /// persistence layer serializes this flat array directly.

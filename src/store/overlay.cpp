@@ -19,27 +19,4 @@ const OverlayRevocation* TrustOverlay::find(
   return nullptr;
 }
 
-FingerprintSet effective_tls_anchors(const Snapshot& snapshot,
-                                     const TrustOverlay& overlay) {
-  // Bulk build (one sort) instead of per-element sorted inserts.
-  std::vector<rs::crypto::Sha256Digest> prints;
-  for (const auto& e : snapshot.entries) {
-    if (!e.is_tls_anchor()) continue;
-    const auto fp = e.certificate->sha256();
-    if (!overlay.is_revoked(fp, snapshot.date)) prints.push_back(fp);
-  }
-  return FingerprintSet(std::move(prints));
-}
-
-FingerprintSet revoked_but_shipped(const Snapshot& snapshot,
-                                   const TrustOverlay& overlay) {
-  std::vector<rs::crypto::Sha256Digest> prints;
-  for (const auto& e : snapshot.entries) {
-    if (!e.is_tls_anchor()) continue;
-    const auto fp = e.certificate->sha256();
-    if (overlay.is_revoked(fp, snapshot.date)) prints.push_back(fp);
-  }
-  return FingerprintSet(std::move(prints));
-}
-
 }  // namespace rs::store

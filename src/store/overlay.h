@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/crypto/digest.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/snapshot.h"
 #include "src/util/date.h"
 
@@ -60,15 +59,5 @@ class TrustOverlay {
   std::string provider_;
   std::vector<OverlayRevocation> revocations_;
 };
-
-/// TLS anchors of `snapshot` that remain effective under `overlay` at the
-/// snapshot's own date.
-FingerprintSet effective_tls_anchors(const Snapshot& snapshot,
-                                     const TrustOverlay& overlay);
-
-/// Shipped-but-revoked TLS anchors — the "opportunity to clean up
-/// untrusted roots" the paper points at (§5.2).
-FingerprintSet revoked_but_shipped(const Snapshot& snapshot,
-                                   const TrustOverlay& overlay);
 
 }  // namespace rs::store

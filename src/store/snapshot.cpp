@@ -4,21 +4,6 @@
 
 namespace rs::store {
 
-FingerprintSet Snapshot::all_fingerprints() const {
-  std::vector<rs::crypto::Sha256Digest> prints;
-  prints.reserve(entries.size());
-  for (const auto& e : entries) prints.push_back(e.certificate->sha256());
-  return FingerprintSet(std::move(prints));
-}
-
-FingerprintSet Snapshot::anchors_for(TrustPurpose p) const {
-  std::vector<rs::crypto::Sha256Digest> prints;
-  for (const auto& e : entries) {
-    if (e.is_anchor_for(p)) prints.push_back(e.certificate->sha256());
-  }
-  return FingerprintSet(std::move(prints));
-}
-
 const TrustEntry* Snapshot::find(const rs::crypto::Sha256Digest& fp) const {
   for (const auto& e : entries) {
     if (e.certificate->sha256() == fp) return &e;
@@ -61,22 +46,6 @@ const Snapshot* ProviderHistory::at(rs::util::Date when) const {
     else break;
   }
   return best;
-}
-
-std::size_t ProviderHistory::unique_certificates() const {
-  FingerprintSet all;
-  for (const auto& s : snapshots_) {
-    all = all.set_union(s.all_fingerprints());
-  }
-  return all.size();
-}
-
-std::size_t ProviderHistory::unique_tls_certificates() const {
-  FingerprintSet all;
-  for (const auto& s : snapshots_) {
-    all = all.set_union(s.tls_anchors());
-  }
-  return all.size();
 }
 
 }  // namespace rs::store

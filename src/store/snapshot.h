@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/store/fingerprint_set.h"
 #include "src/store/trust.h"
 #include "src/util/date.h"
 
@@ -23,16 +22,6 @@ struct Snapshot {
   std::vector<TrustEntry> entries;
 
   std::size_t size() const noexcept { return entries.size(); }
-
-  /// Fingerprints of every certificate present, regardless of trust bits.
-  FingerprintSet all_fingerprints() const;
-
-  /// Fingerprints of anchors for the given purpose.
-  FingerprintSet anchors_for(TrustPurpose p) const;
-
-  /// Fingerprints of TLS server-auth anchors — the set used for family
-  /// clustering and derivative matching.
-  FingerprintSet tls_anchors() const { return anchors_for(TrustPurpose::kServerAuth); }
 
   /// Entry for a fingerprint, if present.
   const TrustEntry* find(const rs::crypto::Sha256Digest& fp) const;
@@ -67,13 +56,6 @@ class ProviderHistory {
 
   /// Latest snapshot dated on or before `when`, if any.
   const Snapshot* at(rs::util::Date when) const;
-
-  /// Number of distinct certificates ever present (Table 2 "# Uniq" is the
-  /// count of distinct *trusted-for-TLS* roots; see unique_tls_certificates).
-  std::size_t unique_certificates() const;
-
-  /// Distinct certificates that were ever TLS anchors in this history.
-  std::size_t unique_tls_certificates() const;
 
   /// Date range covered.
   rs::util::Date first_date() const { return snapshots_.front().date; }

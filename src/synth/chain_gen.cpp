@@ -386,8 +386,8 @@ ChainGenConfig default_chain_config(const rs::store::StoreDatabase& db,
     }
   }
 
-  // An email anchor nobody ever TLS-trusted (Microsoft's purpose pool).
-  const auto ever_tls = db.all_tls_roots_ever();
+  // An email anchor nobody ever TLS-trusted (Microsoft's purpose pool):
+  // tls_counts holds exactly the roots ever TLS-trusted anywhere.
   std::map<rs::crypto::Sha256Digest, std::shared_ptr<const Certificate>>
       email_only;
   for (const auto& [provider, history] : db.histories()) {
@@ -395,7 +395,7 @@ ChainGenConfig default_chain_config(const rs::store::StoreDatabase& db,
       for (const auto& entry : snapshot.entries) {
         const auto& fp = entry.certificate->sha256();
         if (entry.is_anchor_for(rs::store::TrustPurpose::kEmailProtection) &&
-            !ever_tls.contains(fp)) {
+            !tls_counts.contains(fp)) {
           email_only.emplace(fp, entry.certificate);
         }
       }

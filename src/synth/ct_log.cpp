@@ -22,13 +22,12 @@ struct RootSighting {
   std::optional<Date> first_present;
 };
 
-}  // namespace
+// Sorted-fingerprint map keeps the acceptance draws in a deterministic
+// order regardless of database iteration order.
+using Sightings = std::map<rs::crypto::Sha256Digest, RootSighting>;
 
-rs::store::ProviderHistory generate_ct_log(
-    const CtLogPolicy& policy, const rs::store::StoreDatabase& db) {
-  // Sorted-fingerprint map keeps the acceptance draws in a deterministic
-  // order regardless of database iteration order.
-  std::map<rs::crypto::Sha256Digest, RootSighting> sightings;
+Sightings sweep_sightings(const rs::store::StoreDatabase& db) {
+  Sightings sightings;
   for (const auto& [name, history] : db.histories()) {
     (void)name;
     for (const auto& snap : history.snapshots()) {
@@ -45,7 +44,13 @@ rs::store::ProviderHistory generate_ct_log(
       }
     }
   }
+  return sightings;
+}
 
+/// One log: its acceptance draws over the shared sightings, then one
+/// accepted-roots snapshot per cadence step.
+rs::store::ProviderHistory draw_log(const CtLogPolicy& policy,
+                                    const Sightings& sightings) {
   rs::crypto::Prng rng =
       rs::crypto::Prng::from_label(policy.seed, "ct-log:" + policy.name);
 
@@ -100,6 +105,21 @@ rs::store::ProviderHistory generate_ct_log(
     d = d + policy.snapshot_interval_days;
   }
   return history;
+}
+
+}  // namespace
+
+std::vector<rs::store::ProviderHistory> generate_ct_logs(
+    const std::vector<CtLogPolicy>& policies,
+    const rs::store::StoreDatabase& db) {
+  std::vector<rs::store::ProviderHistory> logs;
+  if (policies.empty()) return logs;
+  const Sightings sightings = sweep_sightings(db);
+  logs.reserve(policies.size());
+  for (const auto& policy : policies) {
+    logs.push_back(draw_log(policy, sightings));
+  }
+  return logs;
 }
 
 }  // namespace rs::synth

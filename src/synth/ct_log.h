@@ -9,12 +9,14 @@
 // them, and picks up a fraction of the present-but-never-TLS roots
 // (email-only and the like) — the log-exclusive population.
 //
-// Deterministic in (seed, name): generation draws from one labeled Prng
-// stream and walks certificates in sorted-fingerprint order.
+// Deterministic in (seed, name): each log draws from its own labeled Prng
+// stream and walks certificates in sorted-fingerprint order, so a log's
+// history does not depend on which other logs are generated beside it.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/store/database.h"
 #include "src/store/snapshot.h"
@@ -44,10 +46,14 @@ struct CtLogPolicy {
   rs::util::Date end = rs::util::Date::ymd(2021, 1, 1);
 };
 
-/// Generates the log's accepted-roots history from the stores in `db`.
-/// Accepted roots are modeled as TLS anchors (a log's accepted list has a
-/// single purpose).  Deterministic in (policy.seed, policy.name).
-rs::store::ProviderHistory generate_ct_log(const CtLogPolicy& policy,
-                                           const rs::store::StoreDatabase& db);
+/// Generates one accepted-roots history per policy, in policy order, from
+/// the stores in `db`: one sweep over `db` collects every certificate's
+/// sightings, then each log draws its acceptances from them.  Accepted
+/// roots are modeled as TLS anchors (a log's accepted list has a single
+/// purpose).  Log i is deterministic in (policies[i].seed,
+/// policies[i].name).
+std::vector<rs::store::ProviderHistory> generate_ct_logs(
+    const std::vector<CtLogPolicy>& policies,
+    const rs::store::StoreDatabase& db);
 
 }  // namespace rs::synth

@@ -657,7 +657,9 @@ rs::store::ProviderHistory materialize_program(
 
   rs::store::ProviderHistory history(name);
   int version = 0;
-  rs::store::FingerprintSet previous;
+  // The sorted, unique digests of the previous snapshot: no universe
+  // exists yet to intern against.
+  std::vector<rs::crypto::Sha256Digest> previous;
   bool first = true;
   for (Date d : dates) {
     if (d < start || d > end) continue;
@@ -665,10 +667,16 @@ rs::store::ProviderHistory materialize_program(
     snap.provider = name;
     snap.date = d;
     snap.entries = t.materialize(d, factory);
-    const auto current = snap.all_fingerprints();
-    if (first || !(current == previous)) {
+    std::vector<rs::crypto::Sha256Digest> current;
+    current.reserve(snap.entries.size());
+    for (const auto& e : snap.entries) {
+      current.push_back(e.certificate->sha256());
+    }
+    std::sort(current.begin(), current.end());
+    current.erase(std::unique(current.begin(), current.end()), current.end());
+    if (first || current != previous) {
       ++version;
-      previous = current;
+      previous = std::move(current);
       first = false;
     }
     snap.version = "3." + std::to_string(version);

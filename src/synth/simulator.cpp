@@ -162,7 +162,7 @@ SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
   // derivatives).  Labeled Prng streams keep every draw independent of the
   // simulation above, so ct_log_count == 0 reproduces pre-log ecosystems
   // byte for byte.
-  std::vector<rs::store::ProviderHistory> logs;
+  std::vector<CtLogPolicy> policies;
   for (int i = 0; i < config.ct_log_count; ++i) {
     CtLogPolicy policy;
     policy.name = "CtLog" + std::to_string(i);
@@ -182,11 +182,13 @@ SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
     policy.start = config.start;
     policy.end = config.end;
     out.ct_log_names.push_back(policy.name);
-    // Generate before adding so every log reads the same pre-log store
-    // ecosystem (logs do not accept each other's lists).
-    logs.push_back(generate_ct_log(policy, out.database));
+    policies.push_back(std::move(policy));
   }
-  for (auto& log : logs) out.database.add(std::move(log));
+  // Generate before adding so every log reads the same pre-log store
+  // ecosystem (logs do not accept each other's lists).
+  for (auto& log : generate_ct_logs(policies, out.database)) {
+    out.database.add(std::move(log));
+  }
 
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/store/membership.h"
 #include "src/store/trust.h"
 #include "src/synth/paper_scenario.h"
 #include "src/x509/builder.h"
@@ -31,6 +32,13 @@ Snapshot snap(Date date, std::initializer_list<int> ids) {
   return s;
 }
 
+/// update_cadence over `h`, read through a membership table of its own.
+UpdateCadence cadence_of(const ProviderHistory& h) {
+  rs::store::StoreDatabase db;
+  db.add(h);
+  return update_cadence(h, rs::store::MembershipTable::build(db));
+}
+
 TEST(Cadence, CountsSubstantialAndNoopUpdates) {
   ProviderHistory h("P");
   h.add(snap(Date::ymd(2020, 1, 1), {1}));        // substantial (first)
@@ -38,7 +46,7 @@ TEST(Cadence, CountsSubstantialAndNoopUpdates) {
   h.add(snap(Date::ymd(2020, 3, 1), {1, 2}));     // substantial
   h.add(snap(Date::ymd(2020, 4, 1), {1, 2}));     // no-op
   h.add(snap(Date::ymd(2020, 5, 1), {2}));        // substantial
-  const auto c = update_cadence(h);
+  const auto c = cadence_of(h);
   EXPECT_EQ(c.snapshots, 5u);
   EXPECT_EQ(c.substantial_updates, 3u);
   EXPECT_EQ(c.noop_updates, 2u);
@@ -49,7 +57,7 @@ TEST(Cadence, IntervalStatistics) {
   h.add(snap(Date::ymd(2020, 1, 1), {1}));
   h.add(snap(Date::ymd(2020, 1, 11), {2}));   // +10 days
   h.add(snap(Date::ymd(2020, 1, 31), {3}));   // +20 days
-  const auto c = update_cadence(h);
+  const auto c = cadence_of(h);
   EXPECT_DOUBLE_EQ(c.mean_interval_days, 15.0);
   EXPECT_DOUBLE_EQ(c.median_interval_days, 15.0);
   // Substantial intervals are measured between substantial updates.
@@ -61,7 +69,7 @@ TEST(Cadence, NoopsDoNotResetSubstantialIntervals) {
   h.add(snap(Date::ymd(2020, 1, 1), {1}));
   h.add(snap(Date::ymd(2020, 1, 10), {1}));   // no-op
   h.add(snap(Date::ymd(2020, 1, 21), {2}));   // substantial: 20 days later
-  const auto c = update_cadence(h);
+  const auto c = cadence_of(h);
   EXPECT_DOUBLE_EQ(c.mean_substantial_interval_days, 20.0);
 }
 
@@ -70,15 +78,15 @@ TEST(Cadence, PerYearRate) {
   h.add(snap(Date::ymd(2019, 1, 1), {1}));
   h.add(snap(Date::ymd(2019, 7, 1), {2}));
   h.add(snap(Date::ymd(2020, 1, 1), {3}));
-  const auto c = update_cadence(h);
+  const auto c = cadence_of(h);
   EXPECT_NEAR(c.substantial_per_year, 3.0, 0.1);
 }
 
 TEST(Cadence, DegenerateHistories) {
-  EXPECT_EQ(update_cadence(ProviderHistory("P")).snapshots, 0u);
+  EXPECT_EQ(cadence_of(ProviderHistory("P")).snapshots, 0u);
   ProviderHistory one("P");
   one.add(snap(Date::ymd(2020, 1, 1), {1}));
-  const auto c = update_cadence(one);
+  const auto c = cadence_of(one);
   EXPECT_EQ(c.snapshots, 1u);
   EXPECT_EQ(c.substantial_updates, 1u);
   EXPECT_EQ(c.mean_interval_days, 0.0);
@@ -88,9 +96,11 @@ TEST(Cadence, PaperScenarioNssUpdatesMostOften) {
   // §6.1: "NSS's relatively frequent updates" — no derivative should ship
   // substantial updates more often than NSS itself.
   auto scenario = rs::synth::build_paper_scenario();
-  const auto nss = update_cadence(*scenario.database().find("NSS"));
+  const auto& db = scenario.database();
+  const auto table = rs::store::MembershipTable::build(db);
+  const auto nss = update_cadence(*db.find("NSS"), table);
   for (const char* name : {"Android", "AmazonLinux", "NodeJS"}) {
-    const auto deriv = update_cadence(*scenario.database().find(name));
+    const auto deriv = update_cadence(*db.find(name), table);
     EXPECT_LT(deriv.substantial_per_year, nss.substantial_per_year) << name;
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/store/membership.h"
 #include "src/store/trust.h"
 #include "src/x509/builder.h"
 
@@ -30,10 +31,17 @@ Snapshot snap(Date date, std::initializer_list<int> ids) {
   return s;
 }
 
+/// churn_series over `h`, read through a membership table of its own.
+ChurnSeries churn_of(const ProviderHistory& h) {
+  rs::store::StoreDatabase db;
+  db.add(h);
+  return churn_series(h, rs::store::MembershipTable::build(db));
+}
+
 TEST(Churn, FirstSnapshotHasZeroChange) {
   ProviderHistory h("P");
   h.add(snap(Date::ymd(2020, 1, 1), {1, 2, 3}));
-  const auto series = churn_series(h);
+  const auto series = churn_of(h);
   ASSERT_EQ(series.points.size(), 1u);
   EXPECT_EQ(series.points[0].total_change(), 0u);
   EXPECT_EQ(series.points[0].change_fraction, 0.0);
@@ -43,7 +51,7 @@ TEST(Churn, AddsAndRemovesCounted) {
   ProviderHistory h("P");
   h.add(snap(Date::ymd(2020, 1, 1), {1, 2, 3}));
   h.add(snap(Date::ymd(2020, 2, 1), {2, 3, 4, 5}));
-  const auto series = churn_series(h);
+  const auto series = churn_of(h);
   ASSERT_EQ(series.points.size(), 2u);
   EXPECT_EQ(series.points[1].added, 2u);    // 4, 5
   EXPECT_EQ(series.points[1].removed, 1u);  // 1
@@ -55,12 +63,12 @@ TEST(Churn, UnchangedSnapshotsAreZero) {
   ProviderHistory h("P");
   h.add(snap(Date::ymd(2020, 1, 1), {1, 2}));
   h.add(snap(Date::ymd(2020, 2, 1), {1, 2}));
-  const auto series = churn_series(h);
+  const auto series = churn_of(h);
   EXPECT_EQ(series.points[1].total_change(), 0u);
 }
 
 TEST(Churn, EmptyHistory) {
-  const auto series = churn_series(ProviderHistory("P"));
+  const auto series = churn_of(ProviderHistory("P"));
   EXPECT_TRUE(series.points.empty());
   EXPECT_EQ(series.mean_change_fraction, 0.0);
 }
@@ -92,7 +100,7 @@ TEST(ChurnOutliers, DetectsBurstAmongQuietSnapshots) {
     h.add(make(d, ids));
     d = d.add_months(2);
   }
-  const auto outliers = find_outliers({churn_series(h)}, 2.0, 8);
+  const auto outliers = find_outliers({churn_of(h)}, 2.0, 8);
   ASSERT_EQ(outliers.size(), 1u);
   EXPECT_EQ(outliers[0].provider, "P");
   EXPECT_EQ(outliers[0].point.date, Date::ymd(2016, 1, 1));  // m == 6
@@ -106,7 +114,7 @@ TEST(ChurnOutliers, MinChangeFiltersTinyStores) {
   h.add(snap(Date::ymd(2020, 2, 1), {2}));  // 100% change but only 2 roots
   h.add(snap(Date::ymd(2020, 3, 1), {2}));
   h.add(snap(Date::ymd(2020, 4, 1), {2}));
-  const auto outliers = find_outliers({churn_series(h)}, 1.0, 8);
+  const auto outliers = find_outliers({churn_of(h)}, 1.0, 8);
   EXPECT_TRUE(outliers.empty());
 }
 
@@ -134,8 +142,8 @@ TEST(ChurnOutliers, SortedByScore) {
     return h;
   };
   const auto outliers = find_outliers(
-      {churn_series(history_with_burst("Big", 25, 10000)),
-       churn_series(history_with_burst("Small", 10, 20000))},
+      {churn_of(history_with_burst("Big", 25, 10000)),
+       churn_of(history_with_burst("Small", 10, 20000))},
       1.5, 8);
   ASSERT_GE(outliers.size(), 2u);
   for (std::size_t i = 1; i < outliers.size(); ++i) {

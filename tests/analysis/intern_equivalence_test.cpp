@@ -1,9 +1,10 @@
 // Table-vs-referee equivalence: the membership-table engine must reproduce
 // the sorted-merge referee (tests/analysis/merge_referee.h) bit for bit —
-// Jaccard matrices, closest-version matches, staleness series, diff series
-// and exclusive roots — serially and on a 3-worker pool, on the paper
-// scenario, on simulated ecosystems, and on a database whose providers
-// ship same-date re-releases.  See docs/INTERNING.md.
+// Jaccard matrices, closest-version matches, staleness series, diff series,
+// exclusive roots, Table 2's store-state counts, churn and update cadence
+// — serially and on a 3-worker pool, on the paper scenario, on simulated
+// ecosystems, and on a database whose providers ship same-date
+// re-releases.  See docs/INTERNING.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/cadence.h"
+#include "src/analysis/churn.h"
 #include "src/analysis/diffs.h"
 #include "src/analysis/exclusive.h"
 #include "src/analysis/jaccard.h"
@@ -89,7 +92,8 @@ void check_closest_match(const Input& in) {
       const auto& lane = table.lane(h);
       for (std::size_t k = 0; k < h.size(); ++k) {
         const auto* want =
-            referee::closest_match(versions, h.snapshots()[k].tls_anchors());
+            referee::closest_match(versions,
+                                   referee::tls_anchors(h.snapshots()[k]));
         const auto* got = index.closest_match(
             rs::store::in_scope(lane[k], rs::store::Scope::kTls));
         ASSERT_NE(want, nullptr);
@@ -138,6 +142,37 @@ void check_exclusive(const Input& in) {
   });
 }
 
+// Table 2's "# Uniq" is update_cadence's substantial-update count.
+void check_store_states(const Input& in) {
+  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+    for (const auto& [name, history] : in.db->histories()) {
+      EXPECT_EQ(update_cadence(history, table).substantial_updates,
+                referee::store_states(history))
+          << name;
+    }
+  });
+}
+
+void check_churn(const Input& in) {
+  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+    for (const auto& [name, history] : in.db->histories()) {
+      EXPECT_TRUE(churn_series(history, table) ==
+                  referee::churn_series(history))
+          << name;
+    }
+  });
+}
+
+void check_cadence(const Input& in) {
+  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+    for (const auto& [name, history] : in.db->histories()) {
+      EXPECT_TRUE(update_cadence(history, table) ==
+                  referee::update_cadence(history))
+          << name;
+    }
+  });
+}
+
 void check_all(const Input& in) {
   check_jaccard(in, SetKind::kAllCertificates);
   check_jaccard(in, SetKind::kTlsAnchors);
@@ -145,6 +180,9 @@ void check_all(const Input& in) {
   check_staleness(in);
   check_diffs(in);
   check_exclusive(in);
+  check_store_states(in);
+  check_churn(in);
+  check_cadence(in);
 }
 
 // --- the paper scenario ----------------------------------------------------
@@ -183,6 +221,14 @@ TEST(InternEquivalence, StalenessSeriesIdentical) { check_staleness(paper()); }
 TEST(InternEquivalence, DiffSeriesIdentical) { check_diffs(paper()); }
 
 TEST(InternEquivalence, ExclusiveRootsIdentical) { check_exclusive(paper()); }
+
+TEST(InternEquivalence, Table2StoreStatesIdentical) {
+  check_store_states(paper());
+}
+
+TEST(InternEquivalence, ChurnSeriesIdentical) { check_churn(paper()); }
+
+TEST(InternEquivalence, UpdateCadenceIdentical) { check_cadence(paper()); }
 
 // --- simulated ecosystems ---------------------------------------------------
 

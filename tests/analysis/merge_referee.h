@@ -1,9 +1,10 @@
 // Sorted-merge referee for the membership-table analyses.
 //
 // Each function recomputes one analysis from the snapshots themselves,
-// with FingerprintSet linear merges over sorted 32-byte digests: no
-// interner, no IdSet, no membership table.  intern_equivalence_test.cpp
-// requires the table engine to reproduce these results bit for bit.
+// with FingerprintSet linear merges over sorted 32-byte digests
+// (tests/referee/fingerprint_set.h): no interner, no IdSet, no membership
+// table.  intern_equivalence_test.cpp requires the table engine to
+// reproduce these results bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -11,16 +12,21 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/cadence.h"
+#include "src/analysis/churn.h"
 #include "src/analysis/diffs.h"
 #include "src/analysis/exclusive.h"
 #include "src/analysis/jaccard.h"
 #include "src/analysis/staleness.h"
 #include "src/store/database.h"
-#include "src/store/fingerprint_set.h"
+#include "src/util/stats.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::analysis::referee {
 
-using rs::store::FingerprintSet;
+using rs::referee::all_fingerprints;
+using rs::referee::FingerprintSet;
+using rs::referee::tls_anchors;
 
 /// Row-major distances between the labelled snapshots of `db`.
 inline std::vector<double> jaccard_values(
@@ -30,8 +36,8 @@ inline std::vector<double> jaccard_values(
   for (const auto& label : labels) {
     const auto& snap =
         db.find(label.provider)->snapshots()[label.provider_index];
-    sets.push_back(kind == SetKind::kAllCertificates ? snap.all_fingerprints()
-                                                     : snap.tls_anchors());
+    sets.push_back(kind == SetKind::kAllCertificates ? all_fingerprints(snap)
+                                                     : tls_anchors(snap));
   }
   const std::size_t n = sets.size();
   std::vector<double> values(n * n, 0.0);
@@ -60,7 +66,7 @@ inline std::vector<Version> substantial_versions(
   std::vector<Version> versions;
   for (std::size_t k = 0; k < nss.size(); ++k) {
     const auto& snap = nss.snapshots()[k];
-    FingerprintSet tls = snap.tls_anchors();
+    FingerprintSet tls = tls_anchors(snap);
     if (!versions.empty() && tls == versions.back().tls) continue;
     versions.push_back({versions.size() + 1, k, snap.date, std::move(tls)});
   }
@@ -88,7 +94,7 @@ inline std::vector<StalenessPoint> staleness_points(
     const std::vector<Version>& versions) {
   std::vector<StalenessPoint> points;
   for (const auto& snap : deriv.snapshots()) {
-    const auto* matched = closest_match(versions, snap.tls_anchors());
+    const auto* matched = closest_match(versions, tls_anchors(snap));
     const Version* current = nullptr;
     for (const auto& v : versions) {
       if (v.date <= snap.date) current = &v;
@@ -112,13 +118,13 @@ inline DerivativeDiffSeries diffs(const rs::store::ProviderHistory& deriv,
   FingerprintSet ever_tls;
   std::map<rs::crypto::Sha256Digest, rs::util::Date> first_tls;
   for (const auto& snap : nss.snapshots()) {
-    ever_any = ever_any.set_union(snap.all_fingerprints());
-    const auto tls = snap.tls_anchors();
+    ever_any = ever_any.set_union(all_fingerprints(snap));
+    const auto tls = tls_anchors(snap);
     ever_tls = ever_tls.set_union(tls);
     for (const auto& fp : tls.items()) first_tls.emplace(fp, snap.date);
   }
   for (const auto& snap : deriv.snapshots()) {
-    const auto deriv_tls = snap.tls_anchors();
+    const auto deriv_tls = tls_anchors(snap);
     const auto* matched = closest_match(versions, deriv_tls);
     if (matched == nullptr) continue;
     SnapshotDiff diff;
@@ -170,12 +176,98 @@ inline std::vector<ExclusiveSet> exclusive_roots(
     for (const auto& other : names) {
       if (other == name) continue;
       for (const auto& snap : db.find(other)->snapshots()) {
-        others = others.set_union(snap.tls_anchors());
+        others = others.set_union(tls_anchors(snap));
       }
     }
-    const auto latest = db.find(name)->back().tls_anchors();
+    const auto latest = tls_anchors(db.find(name)->back());
     out.push_back({name, latest.difference(others).items()});
   }
+  return out;
+}
+
+/// Table 2's "# Uniq": the first snapshot plus every snapshot whose
+/// certificate set differs from its predecessor's.
+inline std::size_t store_states(const rs::store::ProviderHistory& history) {
+  std::size_t states = 0;
+  FingerprintSet prev;
+  bool first = true;
+  for (const auto& snap : history.snapshots()) {
+    auto prints = all_fingerprints(snap);
+    if (first || !(prints == prev)) ++states;
+    prev = std::move(prints);
+    first = false;
+  }
+  return states;
+}
+
+/// §4 churn: adds, removes and change fraction against the predecessor.
+inline ChurnSeries churn_series(const rs::store::ProviderHistory& history) {
+  ChurnSeries out;
+  out.provider = history.provider();
+  if (history.empty()) return out;
+  FingerprintSet previous;
+  bool first = true;
+  double fraction_sum = 0;
+  for (const auto& snap : history.snapshots()) {
+    const auto current = all_fingerprints(snap);
+    ChurnPoint p;
+    p.date = snap.date;
+    p.version = snap.version;
+    if (!first) {
+      p.added = current.difference(previous).size();
+      p.removed = previous.difference(current).size();
+      const std::size_t uni = current.union_size(previous);
+      p.change_fraction =
+          uni == 0 ? 0.0
+                   : static_cast<double>(p.added + p.removed) /
+                         static_cast<double>(uni);
+    }
+    fraction_sum += p.change_fraction;
+    out.points.push_back(std::move(p));
+    previous = current;
+    first = false;
+  }
+  out.mean_change_fraction =
+      fraction_sum / static_cast<double>(out.points.size());
+  return out;
+}
+
+/// §6.1 update cadence over certificate sets.
+inline UpdateCadence update_cadence(const rs::store::ProviderHistory& history) {
+  UpdateCadence out;
+  out.provider = history.provider();
+  out.snapshots = history.size();
+  if (history.size() < 2) {
+    out.substantial_updates = history.size();
+    return out;
+  }
+  std::vector<double> intervals;
+  std::vector<double> substantial_intervals;
+  FingerprintSet previous = all_fingerprints(history.front());
+  rs::util::Date last_substantial = history.front().date;
+  out.substantial_updates = 1;
+  for (std::size_t i = 1; i < history.size(); ++i) {
+    const auto& snap = history.snapshots()[i];
+    intervals.push_back(
+        static_cast<double>(snap.date - history.snapshots()[i - 1].date));
+    auto current = all_fingerprints(snap);
+    if (current == previous) {
+      ++out.noop_updates;
+    } else {
+      ++out.substantial_updates;
+      substantial_intervals.push_back(
+          static_cast<double>(snap.date - last_substantial));
+      last_substantial = snap.date;
+      previous = std::move(current);
+    }
+  }
+  out.mean_interval_days = rs::util::mean(intervals);
+  out.median_interval_days = rs::util::median(intervals);
+  out.mean_substantial_interval_days = rs::util::mean(substantial_intervals);
+  const double years =
+      rs::util::years_between(history.first_date(), history.last_date());
+  out.substantial_per_year =
+      years > 0 ? static_cast<double>(out.substantial_updates) / years : 0;
   return out;
 }
 

@@ -1,5 +1,6 @@
 // CSV exports: the figure data series must be well-formed CSV with the
-// documented headers and one row per data point.
+// documented headers and one row per data point, and Figure 1's CSV must
+// hold exactly the points `report fig1` embeds.
 #include "src/core/export.h"
 
 #include <gtest/gtest.h>
@@ -12,16 +13,15 @@ namespace {
 class ExportTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    scenario_ =
-        new rs::synth::PaperScenario(rs::synth::build_paper_scenario());
+    study_ = new EcosystemStudy(EcosystemStudy::from_paper_scenario());
   }
   static void TearDownTestSuite() {
-    delete scenario_;
-    scenario_ = nullptr;
+    delete study_;
+    study_ = nullptr;
   }
-  static rs::synth::PaperScenario* scenario_;
+  static EcosystemStudy* study_;
 };
-rs::synth::PaperScenario* ExportTest::scenario_ = nullptr;
+EcosystemStudy* ExportTest::study_ = nullptr;
 
 std::vector<std::string_view> rows(const std::string& csv) {
   auto lines = rs::util::split_lines(csv);
@@ -29,7 +29,7 @@ std::vector<std::string_view> rows(const std::string& csv) {
 }
 
 TEST_F(ExportTest, Figure1CsvShape) {
-  const auto csv = figure1_csv(*scenario_, 10);
+  const auto csv = figure1_csv(*study_, 10);
   const auto lines = rows(csv);
   ASSERT_GT(lines.size(), 10u);
   EXPECT_EQ(lines[0], "provider,family,date,version,x,y,cluster");
@@ -41,8 +41,21 @@ TEST_F(ExportTest, Figure1CsvShape) {
   EXPECT_NE(csv.find("Debian,Mozilla/NSS"), std::string::npos);
 }
 
+// `report fig1 --csv` is the data behind `report fig1`: one row per
+// embedded snapshot, under the same default per-provider cap.
+TEST_F(ExportTest, Figure1CsvHoldsTheReportsSnapshots) {
+  const auto lines = rows(figure1_csv(*study_));
+  const std::string report = study_->report_figure1();
+  const std::string key = "snapshots=";
+  const auto at = report.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t embedded = std::stoul(report.substr(at + key.size()));
+  EXPECT_GT(embedded, 250u);
+  EXPECT_EQ(lines.size() - 1, embedded);
+}
+
 TEST_F(ExportTest, Figure3CsvShape) {
-  const auto csv = figure3_csv(*scenario_);
+  const auto csv = figure3_csv(*study_);
   const auto lines = rows(csv);
   EXPECT_EQ(lines[0],
             "provider,date,matched_version,current_version,versions_behind");
@@ -56,7 +69,7 @@ TEST_F(ExportTest, Figure3CsvShape) {
 }
 
 TEST_F(ExportTest, Figure4CsvShape) {
-  const auto csv = figure4_csv(*scenario_);
+  const auto csv = figure4_csv(*study_);
   const auto lines = rows(csv);
   // Header: 3 id columns + 4 add categories + 2 remove categories.
   EXPECT_EQ(rs::util::split(lines[0], ',').size(), 9u);
@@ -67,7 +80,7 @@ TEST_F(ExportTest, Figure4CsvShape) {
 }
 
 TEST_F(ExportTest, ChurnCsvMarksOutliers) {
-  const auto csv = churn_csv(*scenario_);
+  const auto csv = churn_csv(*study_);
   const auto lines = rows(csv);
   EXPECT_EQ(lines[0], "provider,date,added,removed,change_fraction,is_outlier");
   bool any_outlier = false;
@@ -80,7 +93,7 @@ TEST_F(ExportTest, ChurnCsvMarksOutliers) {
 }
 
 TEST_F(ExportTest, CsvIsDeterministic) {
-  EXPECT_EQ(figure3_csv(*scenario_), figure3_csv(*scenario_));
+  EXPECT_EQ(figure3_csv(*study_), figure3_csv(*study_));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "src/synth/simulator.h"
 #include "src/x509/builder.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::formats {
 namespace {
@@ -171,7 +172,8 @@ TEST_F(DatasetIoTest, SimulatedEcosystemRoundTrips) {
   const auto* orig = eco.database.find("Prog0");
   const auto* back = loaded.value().find("Prog0");
   ASSERT_NE(back, nullptr);
-  EXPECT_EQ(orig->back().all_fingerprints(), back->back().all_fingerprints());
+  EXPECT_EQ(rs::referee::all_fingerprints(orig->back()),
+            rs::referee::all_fingerprints(back->back()));
 }
 
 }  // namespace

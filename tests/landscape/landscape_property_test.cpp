@@ -19,17 +19,17 @@
 #include "src/query/engine.h"
 #include "src/query/request.h"
 #include "src/store/database.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/snapshot.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
 #include "src/util/date.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace {
 
 using rs::crypto::Sha256Digest;
 using rs::query::QueryEngine;
-using rs::store::FingerprintSet;
+using rs::referee::FingerprintSet;
 using rs::store::ProviderHistory;
 using rs::store::StoreDatabase;
 using rs::util::Date;
@@ -77,8 +77,9 @@ std::optional<RefStore> ref_store_at(const ProviderHistory& h, Date date,
   if (snap == nullptr) return std::nullopt;
   RefStore out;
   out.snapshot_date = snap->date;
-  out.roots = scope == "present" ? snap->all_fingerprints()
-                                 : snap->anchors_for(ref_purpose(scope));
+  out.roots = scope == "present"
+                  ? rs::referee::all_fingerprints(*snap)
+                  : rs::referee::anchors_for(*snap, ref_purpose(scope));
   return out;
 }
 

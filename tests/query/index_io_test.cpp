@@ -21,6 +21,7 @@
 #include "src/synth/simulator.h"
 #include "src/synth/user_agents.h"
 #include "src/util/hex.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::query {
 namespace {
@@ -158,7 +159,7 @@ TEST(IndexIoRoundTrip, LoadedEngineAnswersByteIdentically) {
                     R"(","date_b":")" + history->last_date().to_string() +
                     R"(","scope":"present"})");
   }
-  const auto roots = db.all_tls_roots_ever();
+  const auto roots = rs::referee::all_tls_roots_ever(db);
   std::size_t i = 0;
   for (const auto& fp : roots.items()) {
     if (++i % 7 != 0) continue;

@@ -16,6 +16,7 @@
 #include "src/synth/paper_scenario.h"
 #include "src/synth/user_agents.h"
 #include "src/util/hex.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::query {
 namespace {
@@ -121,7 +122,7 @@ TEST(QueryProperty, StoreAtMatchesSnapshotScan) {
       const Snapshot* snapshot = history->at(date);
       ASSERT_NE(snapshot, nullptr);
       EXPECT_EQ(view->snapshot_date, snapshot->date);
-      const auto expected = snapshot->tls_anchors();
+      const auto expected = rs::referee::tls_anchors(*snapshot);
       ASSERT_EQ(view->roots->size(), expected.size())
           << provider << " " << date.to_string();
       for (const auto& fp : expected.items()) {
@@ -158,7 +159,7 @@ TEST(QueryProperty, ThreadedBuildIsByteIdenticalToSerial) {
                     R"(","date_b":")" + history->last_date().to_string() +
                     R"(","scope":"present"})");
   }
-  const auto roots = db.all_tls_roots_ever();
+  const auto roots = rs::referee::all_tls_roots_ever(db);
   std::size_t i = 0;
   for (const auto& fp : roots.items()) {
     if (++i % 10 != 0) continue;  // every 10th root keeps the sweep brisk

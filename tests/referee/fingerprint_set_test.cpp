@@ -1,8 +1,9 @@
-#include "src/store/fingerprint_set.h"
+// The referee set itself: construction, membership and merge algebra.
+#include "tests/referee/fingerprint_set.h"
 
 #include <gtest/gtest.h>
 
-namespace rs::store {
+namespace rs::referee {
 namespace {
 
 rs::crypto::Sha256Digest fp(int n) {
@@ -89,4 +90,4 @@ TEST(FingerprintSetProperty, AlgebraSizesAreConsistent) {
 }
 
 }  // namespace
-}  // namespace rs::store
+}  // namespace rs::referee

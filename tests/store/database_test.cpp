@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/store/membership.h"
 #include "src/x509/builder.h"
 
 namespace rs::store {
@@ -67,13 +68,14 @@ TEST(StoreDatabase, AddReplacesExistingProvider) {
   EXPECT_EQ(db.find("A")->size(), 1u);
 }
 
+// A database's certificates are looked up through its interned universe.
 TEST(StoreDatabase, CertificateLookup) {
   const StoreDatabase db = make_db();
-  auto shared = make_cert(1);
-  auto found = db.certificate(shared->sha256());
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->sha256(), shared->sha256());
-  EXPECT_EQ(db.certificate(make_cert(99)->sha256()), nullptr);
+  const auto interner = CertInterner::from_database(db);
+  const auto id = interner.id_of(make_cert(1)->sha256());
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(interner.digest_of(*id), make_cert(1)->sha256());
+  EXPECT_EQ(interner.id_of(make_cert(99)->sha256()), std::nullopt);
 }
 
 TEST(StoreDatabase, TlsPresenceIntervals) {
@@ -93,9 +95,18 @@ TEST(StoreDatabase, TlsPresenceIntervals) {
   EXPECT_FALSE(removed_presence[0].in_latest);
 }
 
+// Ever-sets are OR-accumulated membership rows.
 TEST(StoreDatabase, EverSets) {
   const StoreDatabase db = make_db();
-  EXPECT_EQ(db.all_tls_roots_ever().size(), 3u);
+  const auto table = MembershipTable::build(db);
+  IdSet ever_tls;
+  for (const auto& [name, history] : db.histories()) {
+    (void)name;
+    for (const auto& row : table.lane(history)) {
+      ever_tls |= in_scope(row, Scope::kTls);
+    }
+  }
+  EXPECT_EQ(ever_tls.size(), 3u);
 }
 
 }  // namespace

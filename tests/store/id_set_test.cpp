@@ -1,8 +1,9 @@
 // IdSet unit tests plus randomized IdSet-vs-FingerprintSet equivalence:
 // on any pair of digest sets, interning and running the bitset algebra
-// must produce exactly the results of the sorted-merge FingerprintSet
-// algebra — cardinalities, materialized elements, and the Jaccard double
-// bit-for-bit (both divide the same exact integers).
+// must produce exactly the results of the referee's sorted-merge
+// FingerprintSet algebra (tests/referee/fingerprint_set.h) —
+// cardinalities, materialized elements, and the Jaccard double bit for
+// bit (both divide the same exact integers).
 #include "src/store/id_set.h"
 
 #include <gtest/gtest.h>
@@ -10,13 +11,15 @@
 #include <vector>
 
 #include "src/crypto/prng.h"
-#include "src/store/fingerprint_set.h"
 #include "src/store/interner.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::store {
 namespace {
 
 using rs::crypto::Sha256Digest;
+using rs::referee::FingerprintSet;
+using rs::referee::materialize;
 
 Sha256Digest digest_from(std::uint64_t value) {
   Sha256Digest d{};
@@ -145,11 +148,11 @@ void expect_equivalent(const SetPair& a, const SetPair& b,
   EXPECT_EQ(a.ids.jaccard_distance(b.ids), a.fps.jaccard_distance(b.fps));
   // Materialized difference/intersection/union round-trip to identical
   // FingerprintSets.
-  EXPECT_TRUE(interner.materialize(a.ids.difference(b.ids)) ==
+  EXPECT_TRUE(materialize(interner, a.ids.difference(b.ids)) ==
               a.fps.difference(b.fps));
-  EXPECT_TRUE(interner.materialize(a.ids.intersection(b.ids)) ==
+  EXPECT_TRUE(materialize(interner, a.ids.intersection(b.ids)) ==
               a.fps.intersection(b.fps));
-  EXPECT_TRUE(interner.materialize(a.ids.set_union(b.ids)) ==
+  EXPECT_TRUE(materialize(interner, a.ids.set_union(b.ids)) ==
               a.fps.set_union(b.fps));
 }
 
@@ -175,8 +178,8 @@ TEST(IdSetProperty, RandomizedEquivalenceWithFingerprintSet) {
     expect_equivalent(b, b, interner, "identical sets (b)");
 
     // Round trip: interned -> materialized == original.
-    EXPECT_TRUE(interner.materialize(a.ids) == a.fps);
-    EXPECT_TRUE(interner.materialize(b.ids) == b.fps);
+    EXPECT_TRUE(materialize(interner, a.ids) == a.fps);
+    EXPECT_TRUE(materialize(interner, b.ids) == b.fps);
   }
 }
 

@@ -1,6 +1,7 @@
 // CertInterner unit tests — the determinism contract (IDs in sorted-digest
-// order, independent of input order), lookup symmetry, materialization,
-// database universe construction — and MembershipTable unit tests: one row
+// order, independent of input order), lookup symmetry, the sorted-digest
+// order of IdSet::ids() walked through digest_of, database universe
+// construction — and MembershipTable unit tests: one row
 // per (provider, snapshot, scope), equal-dated snapshots kept as separate
 // rows, loud failures for a mismatched history or universe.  Pooled
 // builds and added lanes are checked against the referee in
@@ -64,7 +65,7 @@ TEST(CertInterner, EmptyUniverseAndEmptySet) {
   const CertInterner interner;
   EXPECT_TRUE(interner.empty());
   EXPECT_EQ(interner.id_of(digest_from(9)), std::nullopt);
-  EXPECT_TRUE(interner.materialize(IdSet{}).empty());
+  EXPECT_TRUE(IdSet{}.ids().empty());
 }
 
 std::shared_ptr<const rs::x509::Certificate> make_cert(std::uint64_t seed) {
@@ -78,13 +79,16 @@ TEST(CertInterner, MaterializeRoundTripsSortedOrder) {
   std::vector<Sha256Digest> digests;
   for (std::uint64_t v = 0; v < 40; ++v) digests.push_back(digest_from(v * 3));
   const CertInterner interner{std::vector<Sha256Digest>(digests)};
-  const FingerprintSet original(std::move(digests));
   IdSet ids;
-  for (auto it = original.items().rbegin(); it != original.items().rend();
-       ++it) {
+  for (auto it = digests.rbegin(); it != digests.rend(); ++it) {
     ids.insert(*interner.id_of(*it));  // any insertion order
   }
-  EXPECT_TRUE(interner.materialize(ids) == original);
+  std::vector<Sha256Digest> walked;
+  for (const std::uint32_t id : ids.ids()) {
+    walked.push_back(interner.digest_of(id));
+  }
+  std::sort(digests.begin(), digests.end());
+  EXPECT_EQ(walked, digests);
 }
 
 Snapshot snap(const std::string& provider, Date date,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/store/membership.h"
 #include "src/x509/builder.h"
 
 namespace rs::store {
@@ -43,10 +44,15 @@ TEST(Snapshot, FingerprintSetsByPurpose) {
   const Snapshot s =
       snapshot_with({tls, email, both}, Date::ymd(2020, 1, 1));
 
-  EXPECT_EQ(s.all_fingerprints().size(), 3u);
-  EXPECT_EQ(s.tls_anchors().size(), 2u);
-  EXPECT_EQ(s.anchors_for(TrustPurpose::kEmailProtection).size(), 2u);
-  EXPECT_EQ(s.anchors_for(TrustPurpose::kCodeSigning).size(), 0u);
+  // The snapshot's membership row holds one set per scope.
+  const CertInterner interner({tls.certificate->sha256(),
+                               email.certificate->sha256(),
+                               both.certificate->sha256()});
+  const auto row = MembershipTable::rows_of(s, interner);
+  EXPECT_EQ(in_scope(row, Scope::kPresent).size(), 3u);
+  EXPECT_EQ(in_scope(row, Scope::kTls).size(), 2u);
+  EXPECT_EQ(in_scope(row, Scope::kEmail).size(), 2u);
+  EXPECT_EQ(in_scope(row, Scope::kCode).size(), 0u);
 }
 
 TEST(Snapshot, FindByFingerprint) {
@@ -117,8 +123,18 @@ TEST(ProviderHistory, UniqueCertificateCounts) {
   h.add(snapshot_with(
       {make_anchor_for(b, {TrustPurpose::kEmailProtection})},
       Date::ymd(2021, 1, 1)));
-  EXPECT_EQ(h.unique_certificates(), 2u);
-  EXPECT_EQ(h.unique_tls_certificates(), 2u);  // b was a TLS anchor in 2020
+  // Distinct certificates ever present / ever TLS-trusted are the ORs of
+  // the history's membership rows.
+  StoreDatabase db;
+  db.add(h);
+  const auto table = MembershipTable::build(db);
+  IdSet ever_present, ever_tls;
+  for (const auto& row : table.lane(h)) {
+    ever_present |= in_scope(row, Scope::kPresent);
+    ever_tls |= in_scope(row, Scope::kTls);
+  }
+  EXPECT_EQ(ever_present.size(), 2u);
+  EXPECT_EQ(ever_tls.size(), 2u);  // b was a TLS anchor in 2020
 }
 
 }  // namespace

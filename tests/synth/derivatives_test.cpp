@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/referee/fingerprint_set.h"
+
 namespace rs::synth {
 namespace {
 
@@ -48,9 +50,9 @@ TEST(Derivatives, LagDelaysCopies) {
   const auto history = generate_derivative(p, nss, f, {});
   ASSERT_EQ(history.size(), 2u);
   // 2018-02-01 - 100d < 2018-01-01: "late" not yet copied.
-  EXPECT_EQ(history.snapshots()[0].tls_anchors().size(), 2u);
+  EXPECT_EQ(rs::referee::tls_anchors(history.snapshots()[0]).size(), 2u);
   // 2018-08-01 - 100d >= 2018-01-01: now present.
-  EXPECT_EQ(history.snapshots()[1].tls_anchors().size(), 3u);
+  EXPECT_EQ(rs::referee::tls_anchors(history.snapshots()[1]).size(), 3u);
 }
 
 TEST(Derivatives, EmailConflationWindow) {
@@ -62,10 +64,10 @@ TEST(Derivatives, EmailConflationWindow) {
   const auto history = generate_derivative(p, nss, f, {});
   // Before the cutover: email-only root is (mis)trusted for TLS.
   const auto& early = history.snapshots()[0];
-  EXPECT_EQ(early.tls_anchors().size(), 3u);  // tls, partial, email
+  EXPECT_EQ(rs::referee::tls_anchors(early).size(), 3u);  // tls, partial, email
   // After: TLS-only population.
   const auto& late = history.snapshots()[1];
-  EXPECT_EQ(late.tls_anchors().size(), 2u);  // tls, partial
+  EXPECT_EQ(rs::referee::tls_anchors(late).size(), 2u);  // tls, partial
 }
 
 TEST(Derivatives, CopiedEntriesAreMultiPurposeAndFlattened) {
@@ -93,7 +95,7 @@ TEST(Derivatives, FreezeCapsEffectiveDate) {
   p.snapshot_dates = {Date::ymd(2020, 6, 1)};
   const auto history = generate_derivative(p, nss, f, {});
   // Frozen before "late" landed in NSS.
-  EXPECT_EQ(history.snapshots()[0].tls_anchors().size(), 2u);
+  EXPECT_EQ(rs::referee::tls_anchors(history.snapshots()[0]).size(), 2u);
   EXPECT_EQ(history.snapshots()[0].version, "sync-2016-01-01");
 }
 

@@ -8,6 +8,7 @@
 #include "src/store/membership.h"
 #include "src/store/overlay.h"
 #include "src/synth/paper_scenario.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::synth {
 namespace {
@@ -103,13 +104,13 @@ TEST_F(FidelityTest, AppleOverlayRevokesWithoutRemoving) {
 
   const auto* apple = scenario_->database().find("Apple");
   const auto& latest = apple->back();
-  const auto zombies = rs::store::revoked_but_shipped(latest, overlay);
+  const auto zombies = rs::referee::revoked_but_shipped(latest, overlay);
   // StartCom x2 + Certinomis + Gov. of Venezuela.
   EXPECT_EQ(zombies.size(), 4u);
   // And the effective set is correspondingly smaller than the shipped one.
-  EXPECT_EQ(rs::store::effective_tls_anchors(latest, overlay).size() +
+  EXPECT_EQ(rs::referee::effective_tls_anchors(latest, overlay).size() +
                 zombies.size(),
-            latest.tls_anchors().size());
+            rs::referee::tls_anchors(latest).size());
 }
 
 TEST_F(FidelityTest, VenezuelaRootStillShippedStillExclusive) {
@@ -129,7 +130,7 @@ TEST_F(FidelityTest, Figure1OutliersReproduced) {
   // §4's ordination outliers: Java 2018-08 ("removal of 9 roots ... and the
   // addition of 21") and Apple 2014-02 (a large batch after stagnation).
   const auto java = rs::analysis::churn_series(
-      *scenario_->database().find("Java"));
+      *scenario_->database().find("Java"), *table_);
   const rs::analysis::ChurnPoint* java_peak = nullptr;
   for (const auto& p : java.points) {
     if (p.date == Date::ymd(2018, 8, 15)) java_peak = &p;
@@ -142,7 +143,7 @@ TEST_F(FidelityTest, Figure1OutliersReproduced) {
   EXPECT_EQ(java_outliers[0].point.date, Date::ymd(2018, 8, 15));
 
   const auto apple = rs::analysis::churn_series(
-      *scenario_->database().find("Apple"));
+      *scenario_->database().find("Apple"), *table_);
   const auto apple_outliers = rs::analysis::find_outliers({apple}, 2.0, 8);
   bool found_2014 = false;
   for (const auto& o : apple_outliers) {

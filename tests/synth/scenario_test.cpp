@@ -7,6 +7,7 @@
 #include "src/synth/paper_scenario.h"
 #include "src/synth/software_survey.h"
 #include "src/synth/user_agents.h"
+#include "tests/referee/fingerprint_set.h"
 
 namespace rs::synth {
 namespace {
@@ -153,19 +154,19 @@ TEST_F(ScenarioTest, DebianCarriedNonNssRootsUntil2015) {
   const auto* debian = scenario_->database().find("Debian");
   int early_extra = 0, late_extra = 0;
   const auto* nss = scenario_->database().find("NSS");
-  rs::store::FingerprintSet nss_ever;
+  rs::referee::FingerprintSet nss_ever;
   for (const auto& s : nss->snapshots()) {
-    nss_ever = nss_ever.set_union(s.all_fingerprints());
+    nss_ever = nss_ever.set_union(rs::referee::all_fingerprints(s));
   }
   const auto* early = debian->at(Date::ymd(2010, 1, 1));
   const auto* late = debian->at(Date::ymd(2018, 1, 1));
   ASSERT_NE(early, nullptr);
   ASSERT_NE(late, nullptr);
-  const auto early_fps = early->all_fingerprints();
+  const auto early_fps = rs::referee::all_fingerprints(*early);
   for (const auto& fp : early_fps.items()) {
     if (!nss_ever.contains(fp)) ++early_extra;
   }
-  const auto late_fps = late->all_fingerprints();
+  const auto late_fps = rs::referee::all_fingerprints(*late);
   for (const auto& fp : late_fps.items()) {
     if (!nss_ever.contains(fp)) ++late_extra;
   }
@@ -178,11 +179,13 @@ TEST_F(ScenarioTest, DeterministicAcrossBuilds) {
   const auto* a = scenario_->database().find("NSS");
   const auto* b = again.database().find("NSS");
   ASSERT_EQ(a->size(), b->size());
-  EXPECT_EQ(a->back().all_fingerprints(), b->back().all_fingerprints());
+  EXPECT_EQ(rs::referee::all_fingerprints(a->back()),
+            rs::referee::all_fingerprints(b->back()));
   // A different seed produces different certificates.
   auto other = build_paper_scenario(7);
   const auto* c = other.database().find("NSS");
-  EXPECT_FALSE(a->back().all_fingerprints() == c->back().all_fingerprints());
+  EXPECT_FALSE(rs::referee::all_fingerprints(a->back()) ==
+               rs::referee::all_fingerprints(c->back()));
 }
 
 TEST(ScenarioData, UserAgentPopulationMatchesTable1) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/referee/fingerprint_set.h"
+
 namespace rs::synth {
 namespace {
 
@@ -30,12 +32,13 @@ TEST(Simulator, DeterministicInSeed) {
   const auto& ha = *a.database.find("Prog0");
   const auto& hb = *b.database.find("Prog0");
   ASSERT_EQ(ha.size(), hb.size());
-  EXPECT_EQ(ha.back().all_fingerprints(), hb.back().all_fingerprints());
+  EXPECT_EQ(rs::referee::all_fingerprints(ha.back()),
+            rs::referee::all_fingerprints(hb.back()));
 
   cfg.seed = 12;
   const auto c = simulate_ecosystem(cfg);
-  EXPECT_FALSE(ha.back().all_fingerprints() ==
-               c.database.find("Prog0")->back().all_fingerprints());
+  EXPECT_FALSE(rs::referee::all_fingerprints(ha.back()) ==
+               rs::referee::all_fingerprints(c.database.find("Prog0")->back()));
 }
 
 TEST(Simulator, IncidentsAreRemovedFromBaseProgram) {
@@ -83,8 +86,8 @@ TEST(Simulator, DerivativesTrackBaseProgram) {
   const auto* deriv = eco.database.find("Deriv0");
   ASSERT_NE(deriv, nullptr);
   // The derivative's final TLS set should heavily overlap the base's.
-  const auto base_tls = base->back().tls_anchors();
-  const auto deriv_tls = deriv->back().tls_anchors();
+  const auto base_tls = rs::referee::tls_anchors(base->back());
+  const auto deriv_tls = rs::referee::tls_anchors(deriv->back());
   ASSERT_GT(base_tls.size(), 0u);
   EXPECT_LT(deriv_tls.jaccard_distance(base_tls), 0.5);
 }
@@ -116,12 +119,12 @@ TEST(Simulator, CtLogsAreGeneratedAndDeterministic) {
     ASSERT_NE(h, nullptr) << name;
     EXPECT_FALSE(h->empty()) << name;
     // A log accepts roots from programs it watches, so it is non-trivial.
-    EXPECT_GT(h->back().tls_anchors().size(), 0u) << name;
+    EXPECT_GT(rs::referee::tls_anchors(h->back()).size(), 0u) << name;
   }
   const auto again = simulate_ecosystem(cfg);
   for (const auto& name : eco.ct_log_names) {
-    EXPECT_EQ(eco.database.find(name)->back().all_fingerprints(),
-              again.database.find(name)->back().all_fingerprints())
+    EXPECT_EQ(rs::referee::all_fingerprints(eco.database.find(name)->back()),
+              rs::referee::all_fingerprints(again.database.find(name)->back()))
         << name;
   }
 }
@@ -143,7 +146,8 @@ TEST(Simulator, ZeroCtLogsLeavesTheEcosystemByteIdentical) {
     const auto* hb = after.database.find(name);
     ASSERT_NE(hb, nullptr);
     ASSERT_EQ(ha->size(), hb->size());
-    EXPECT_EQ(ha->back().all_fingerprints(), hb->back().all_fingerprints());
+    EXPECT_EQ(rs::referee::all_fingerprints(ha->back()),
+              rs::referee::all_fingerprints(hb->back()));
   }
 }
 

@@ -22,6 +22,10 @@
 #   R5  no naked epoll calls (epoll_create1/epoll_ctl/epoll_wait) outside
 #       src/serve/event_loop.* — readiness bookkeeping that bypasses
 #       EventLoop breaks its edge-triggered re-arm and drain invariants.
+#   R6  no std::atomic<std::shared_ptr<...>> — libstdc++ 12's load drops
+#       its lock bit with a relaxed store, so a later compare_exchange is
+#       unordered after the read (a race TSan reports); publish through a
+#       shared_ptr guarded by rs::util::Mutex instead.
 #
 # Usage: tools/check_concurrency.sh   (exits non-zero on any finding)
 set -eu
@@ -65,6 +69,16 @@ if [ -n "$r5" ]; then
   status=1
   echo "check_concurrency: R5 naked epoll call outside src/serve/event_loop.* (route readiness through EventLoop):" >&2
   printf '%s\n' "$r5" >&2
+fi
+
+# R6: atomic shared_ptr.  No exemption: the Mutex-guarded pointer is the
+# one publication pattern (src/serve/server.h).
+r6=$(printf '%s\n' "$files" |
+  xargs grep -nE 'std::atomic<\s*std::shared_ptr' /dev/null || true)
+if [ -n "$r6" ]; then
+  status=1
+  echo "check_concurrency: R6 std::atomic<std::shared_ptr> (publish a shared_ptr guarded by rs::util::Mutex instead):" >&2
+  printf '%s\n' "$r6" >&2
 fi
 
 # R3/R4: pattern uses requiring a nearby rationale comment.

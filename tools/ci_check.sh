@@ -40,7 +40,7 @@
 #                        temporal scan beating the day-by-day scan >= 5x,
 #                        and the landscape agreement-matrix comparison
 #                        into BENCH_landscape.json, gated on the IdSet
-#                        matrix beating the naive FingerprintSet scan
+#                        matrix beating the naive sorted-digest scan
 #                        >= 5x (skip with ROOTSTORE_SKIP_BENCH=1)
 #   7. coverage          gcov build + full suite, enforcing the src/ line
 #                        coverage floor in tools/coverage_baseline.txt

@@ -5,10 +5,10 @@
 #     IdSet presence views resolved from the TrustIndex
 #   * BM_AgreementMatrixIdSetPooled — the same pass on a 3-worker pool
 #   * BM_AgreementMatrixNaive — the same metrics recomputed from sorted
-#     32-byte FingerprintSets, the path an implementation without the
-#     interner would run per request
+#     32-byte digest sets (the test referee, tests/referee/), the path an
+#     implementation without the interner would run per request
 #
-# Gate: the IdSet matrix must beat the naive FingerprintSet scan by >= 5x
+# Gate: the IdSet matrix must beat the naive sorted-digest scan by >= 5x
 # on the simulated 14-provider ecosystem (see docs/LANDSCAPE.md).  The
 # committed BENCH_landscape.json is the record.
 #
@@ -45,7 +45,7 @@ awk '
     if (times["BM_AgreementMatrixIdSet"] > 0) {
       naive = times["BM_AgreementMatrixNaive"];
       speedup = naive / times["BM_AgreementMatrixIdSet"];
-      printf "agreement matrix: IdSet %.1fx vs FingerprintSet scan (floor 5x)\n",
+      printf "agreement matrix: IdSet %.1fx vs sorted-digest scan (floor 5x)\n",
              speedup;
       if (speedup < 5) {
         print "record_landscape_bench: IdSet-speedup floor MISSED";

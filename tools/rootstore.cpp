@@ -403,13 +403,13 @@ int cmd_report(const std::string& name, bool csv, std::size_t threads,
   rs::core::EcosystemStudy study(std::move(scenario), options);
   if (csv) {
     if (name == "fig1") {
-      std::fputs(rs::core::figure1_csv(study.scenario()).c_str(), stdout);
+      std::fputs(rs::core::figure1_csv(study).c_str(), stdout);
     } else if (name == "fig3") {
-      std::fputs(rs::core::figure3_csv(study.scenario()).c_str(), stdout);
+      std::fputs(rs::core::figure3_csv(study).c_str(), stdout);
     } else if (name == "fig4") {
-      std::fputs(rs::core::figure4_csv(study.scenario()).c_str(), stdout);
+      std::fputs(rs::core::figure4_csv(study).c_str(), stdout);
     } else if (name == "churn") {
-      std::fputs(rs::core::churn_csv(study.scenario()).c_str(), stdout);
+      std::fputs(rs::core::churn_csv(study).c_str(), stdout);
     } else {
       return die("no CSV export for '" + name + "'");
     }

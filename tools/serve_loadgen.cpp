@@ -166,11 +166,20 @@ std::vector<std::string> build_requests(const rs::store::StoreDatabase& db,
                                         std::size_t count,
                                         std::uint64_t salt) {
   std::vector<std::string> providers = db.providers();
-  std::vector<std::string> fps;
-  const auto roots = db.all_tls_roots_ever();
-  for (const auto& fp : roots.items()) {
-    fps.push_back(rs::util::hex_encode(fp));
+  // Every root ever TLS-trusted anywhere, in digest order.
+  std::vector<rs::crypto::Sha256Digest> roots;
+  for (const auto& [name, history] : db.histories()) {
+    (void)name;
+    for (const auto& snap : history.snapshots()) {
+      for (const auto& entry : snap.entries) {
+        if (entry.is_tls_anchor()) roots.push_back(entry.certificate->sha256());
+      }
+    }
   }
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  std::vector<std::string> fps;
+  for (const auto& fp : roots) fps.push_back(rs::util::hex_encode(fp));
   std::vector<std::string> requests;
   requests.reserve(count);
   std::uint64_t state = salt * 0x9E3779B97F4A7C15ULL + 1;
