@@ -19,10 +19,12 @@
 #include <vector>
 
 #include "src/crypto/sha1.h"
+#include "src/encoding/base64.h"
 #include "src/formats/authroot_stl.h"
 #include "src/formats/certdata.h"
 #include "src/formats/jks.h"
 #include "src/formats/pem_bundle.h"
+#include "src/formats/portable.h"
 #include "src/query/index_io.h"
 #include "src/query/request.h"
 #include "src/query/trust_index.h"
@@ -237,6 +239,41 @@ int main(int argc, char** argv) {
     alias_overflow.push_back('a');
     write_seed(dir, "alias-overflow.jks", sign_jks(std::move(alias_overflow)));
     write_seed(dir, "empty.jks", Bytes{});
+  }
+
+  // --- rsts: the dataset snapshot format ---------------------------------
+  {
+    const fs::path dir = root / "rsts";
+    auto rich = entries;
+    rich[1].trust_for(rs::store::TrustPurpose::kServerAuth).distrust_after =
+        rs::util::Date::ymd(2020, 6, 1);
+    rich[2].trust_for(rs::store::TrustPurpose::kEmailProtection).level =
+        rs::store::TrustLevel::kDistrusted;
+    const std::string store = rs::formats::write_rsts(rich);
+    write_seed(dir, "store.rsts", store);
+    const std::string text0 =
+        rs::encoding::base64_encode(entries[0].certificate->der());
+    const std::string text1 =
+        rs::encoding::base64_encode(entries[1].certificate->der());
+    std::string swapped = store;  // root 0's cert under root 1's pin
+    swapped.replace(swapped.find(text1), text1.size(), text0);
+    write_seed(dir, "pin-mismatch.rsts", swapped);
+    std::string bad = store;
+    bad.replace(bad.find(text0), 4, "!!!!");
+    write_seed(dir, "bad-base64.rsts", bad);
+    write_seed(dir, "truncated.rsts",
+               std::string_view(store).substr(0, store.size() / 2));
+    std::string unknown = store;
+    unknown.insert(unknown.find("  sha256"),
+                   "  future-field some value\n"
+                   "  trust server-auth bogus-level\n"
+                   "  trust code-signing distrusted colour=blue\n");
+    write_seed(dir, "unknown-keys.rsts", unknown);
+    // The same certificate in three blocks: pool hits inside one document.
+    auto repeated = std::vector{rich[0], rich[1], rich[0]};
+    repeated[2] = rs::store::make_anchor_for(
+        rich[0].certificate, {rs::store::TrustPurpose::kEmailProtection});
+    write_seed(dir, "repeated-cert.rsts", rs::formats::write_rsts(repeated));
   }
 
   // --- persist_load: RSIX trust-index images -----------------------------

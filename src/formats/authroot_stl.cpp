@@ -100,7 +100,8 @@ AuthRootBlob write_authroot(const std::vector<TrustEntry>& entries) {
 namespace {
 
 Result<ParsedStore> parse_authroot_impl(std::span<const std::uint8_t> stl,
-                                        const CertByHash& certs) {
+                                        const CertByHash& certs,
+                                        CertPool& pool) {
   Reader top(stl);
   auto body = top.read_sequence();
   if (!body) return body.propagate<ParsedStore>();
@@ -174,18 +175,17 @@ Result<ParsedStore> parse_authroot_impl(std::span<const std::uint8_t> stl,
       out.warnings.push_back("authroot: no cached certificate for " + sha1_hex);
       continue;
     }
-    auto cert = rs::x509::Certificate::parse(it->second);
+    auto cert = pool.decode(it->second);
     if (!cert) {
       out.warnings.push_back("authroot: cached certificate for " + sha1_hex +
                              " undecodable: " + cert.error());
       continue;
     }
-    if (rs::util::hex_encode(cert.value().sha1()) != sha1_hex) {
+    if (rs::util::hex_encode(cert.value()->sha1()) != sha1_hex) {
       out.warnings.push_back("authroot: cache mismatch for " + sha1_hex);
       continue;
     }
-    entry.certificate =
-        std::make_shared<const rs::x509::Certificate>(std::move(cert).take());
+    entry.certificate = std::move(cert).take();
     out.entries.push_back(std::move(entry));
   }
   return out;
@@ -196,8 +196,9 @@ Result<ParsedStore> parse_authroot_impl(std::span<const std::uint8_t> stl,
 Result<ParsedStore> parse_authroot(std::span<const std::uint8_t> stl,
                                    const CertByHash& certs) {
   rs::obs::Span span("formats/authroot");
-  auto result = parse_authroot_impl(stl, certs);
-  detail::note_parse(span, stl.size(), result);
+  CertPool pool;
+  auto result = parse_authroot_impl(stl, certs, pool);
+  detail::note_parse(span, stl.size(), result, pool);
   return result;
 }
 

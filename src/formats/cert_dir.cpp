@@ -6,6 +6,7 @@
 
 #include "src/encoding/pem.h"
 #include "src/formats/instrument.h"
+#include "src/formats/read_all.h"
 #include "src/util/hex.h"
 
 namespace rs::formats {
@@ -16,7 +17,8 @@ using rs::util::Result;
 namespace {
 
 Result<ParsedStore> parse_cert_dir_impl(const std::vector<CertDirFile>& files,
-                                        const BundleTrustPolicy& policy) {
+                                        const BundleTrustPolicy& policy,
+                                        CertPool& pool) {
   ParsedStore out;
   for (const auto& file : files) {
     // Heuristic matching real tooling: PEM if the marker appears, else DER.
@@ -35,15 +37,14 @@ Result<ParsedStore> parse_cert_dir_impl(const std::vector<CertDirFile>& files,
     } else {
       const std::vector<std::uint8_t> der(file.content.begin(),
                                           file.content.end());
-      auto cert = rs::x509::Certificate::parse(der);
+      auto cert = pool.decode(der);
       if (!cert) {
         out.warnings.push_back(file.name +
                                ": undecodable DER: " + cert.error());
         continue;
       }
       TrustEntry entry;
-      entry.certificate =
-          std::make_shared<const rs::x509::Certificate>(std::move(cert).take());
+      entry.certificate = std::move(cert).take();
       for (auto p : policy.granted) {
         entry.trust_for(p).level = rs::store::TrustLevel::kTrustedDelegator;
       }
@@ -60,8 +61,9 @@ Result<ParsedStore> parse_cert_dir(const std::vector<CertDirFile>& files,
   rs::obs::Span span("formats/cert_dir");
   std::size_t bytes = 0;
   for (const auto& file : files) bytes += file.content.size();
-  auto result = parse_cert_dir_impl(files, policy);
-  detail::note_parse(span, bytes, result);
+  CertPool pool;
+  auto result = parse_cert_dir_impl(files, policy, pool);
+  detail::note_parse(span, bytes, result, pool);
   return result;
 }
 
@@ -108,15 +110,13 @@ Result<std::vector<CertDirFile>> load_cert_dir_from_disk(
     if (ec) break;
     if (!entry.is_regular_file()) continue;
     std::ifstream in(entry.path(), std::ios::binary);
-    if (!in) {
+    auto content = in ? detail::read_all(in) : std::nullopt;
+    if (!content) {
       return Result<std::vector<CertDirFile>>::err("unreadable file: " +
                                                    entry.path().string());
     }
-    CertDirFile f;
-    f.name = entry.path().filename().string();
-    f.content.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    files.push_back(std::move(f));
+    files.push_back(CertDirFile{entry.path().filename().string(),
+                                std::move(*content)});
   }
   if (ec) {
     return Result<std::vector<CertDirFile>>::err("directory iteration failed: " +

@@ -262,7 +262,8 @@ std::string octal_encode(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
-Result<ParsedStore> parse_certdata_impl(std::string_view text) {
+Result<ParsedStore> parse_certdata_impl(std::string_view text,
+                                        CertPool& pool) {
   auto objects = lex_objects(text);
   if (!objects) return objects.propagate<ParsedStore>();
 
@@ -285,14 +286,13 @@ Result<ParsedStore> parse_certdata_impl(std::string_view text) {
       out.warnings.push_back("certificate object without CKA_VALUE skipped");
       continue;
     }
-    auto parsed = rs::x509::Certificate::parse(value->bytes);
-    if (!parsed) {
+    auto decoded = pool.decode(value->bytes);
+    if (!decoded) {
       out.warnings.push_back("undecodable certificate skipped: " +
-                             parsed.error());
+                             decoded.error());
       continue;
     }
-    auto cert = std::make_shared<const rs::x509::Certificate>(
-        std::move(parsed).take());
+    auto cert = std::move(decoded).take();
     const std::string sha1_hex = rs::util::hex_encode(cert->sha1());
     if (by_sha1.contains(sha1_hex)) {
       out.warnings.push_back("duplicate certificate object for SHA1 " +
@@ -385,8 +385,9 @@ Result<ParsedStore> parse_certdata_impl(std::string_view text) {
 
 Result<ParsedStore> parse_certdata(std::string_view text) {
   rs::obs::Span span("formats/certdata");
-  auto result = parse_certdata_impl(text);
-  detail::note_parse(span, text.size(), result);
+  CertPool pool;
+  auto result = parse_certdata_impl(text, pool);
+  detail::note_parse(span, text.size(), result, pool);
   return result;
 }
 

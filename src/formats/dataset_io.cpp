@@ -4,8 +4,10 @@
 #include <fstream>
 #include <map>
 
+#include "src/formats/cert_pool.h"
 #include "src/formats/instrument.h"
 #include "src/formats/portable.h"
+#include "src/formats/read_all.h"
 #include "src/util/strings.h"
 
 namespace rs::formats {
@@ -72,13 +74,16 @@ Result<rs::store::StoreDatabase> load_dataset(const std::string& dir) {
   if (!manifest_in) {
     return Out::err("dataset: missing MANIFEST in " + dir);
   }
-  const std::string manifest(std::istreambuf_iterator<char>(manifest_in),
-                             std::istreambuf_iterator<char>{});
-  const auto lines = rs::util::split_lines(manifest);
+  const auto manifest = detail::read_all(manifest_in);
+  if (!manifest) return Out::err("dataset: cannot read MANIFEST in " + dir);
+  const auto lines = rs::util::split_lines(*manifest);
   if (lines.empty() || rs::util::trim(lines[0]) != kManifestHeader) {
     return Out::err("dataset: MANIFEST missing 'RSDS 1' header");
   }
 
+  // One pool for the whole dataset: each distinct certificate is decoded
+  // once, and every snapshot holding it shares that object.
+  CertPool pool;
   std::map<std::string, rs::store::ProviderHistory> histories;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const auto line = rs::util::trim(lines[i]);
@@ -97,9 +102,11 @@ Result<rs::store::StoreDatabase> load_dataset(const std::string& dir) {
     const fs::path path = fs::path(dir) / std::string(fields[3]);
     std::ifstream in(path, std::ios::binary);
     if (!in) return Out::err("dataset: missing snapshot file " + path.string());
-    const std::string content(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>{});
-    auto parsed = parse_rsts(content);
+    const auto content = detail::read_all(in);
+    if (!content) {
+      return Out::err("dataset: cannot read snapshot file " + path.string());
+    }
+    auto parsed = parse_rsts(*content, pool);
     if (!parsed) {
       return Out::err("dataset: " + path.string() + ": " + parsed.error());
     }

@@ -150,7 +150,8 @@ std::vector<std::uint8_t> write_jks(const std::vector<TrustEntry>& entries,
 namespace {
 
 Result<ParsedStore> parse_jks_impl(std::span<const std::uint8_t> data,
-                                   std::string_view password) {
+                                   std::string_view password,
+                                   CertPool& pool) {
   if (data.size() < 12 + 20) {
     return Result<ParsedStore>::err("jks: file too short");
   }
@@ -207,15 +208,14 @@ Result<ParsedStore> parse_jks_impl(std::span<const std::uint8_t> data,
       return Result<ParsedStore>::err("jks: truncated certificate");
     }
     const auto der = cur.bytes(cert_len);
-    auto cert = rs::x509::Certificate::parse(der);
+    auto cert = pool.decode(der);
     if (!cert) {
       out.warnings.push_back("jks: undecodable certificate skipped: " +
                              cert.error());
       continue;
     }
     TrustEntry entry;
-    entry.certificate =
-        std::make_shared<const rs::x509::Certificate>(std::move(cert).take());
+    entry.certificate = std::move(cert).take();
     // JKS has no purpose restrictions: anchor for everything.
     for (TrustPurpose p : rs::store::kAllPurposes) {
       entry.trust_for(p).level = TrustLevel::kTrustedDelegator;
@@ -236,8 +236,9 @@ Result<ParsedStore> parse_jks_impl(std::span<const std::uint8_t> data,
 Result<ParsedStore> parse_jks(std::span<const std::uint8_t> data,
                               std::string_view password) {
   rs::obs::Span span("formats/jks");
-  auto result = parse_jks_impl(data, password);
-  detail::note_parse(span, data.size(), result);
+  CertPool pool;
+  auto result = parse_jks_impl(data, password, pool);
+  detail::note_parse(span, data.size(), result, pool);
   return result;
 }
 

@@ -22,7 +22,8 @@ BundleTrustPolicy BundleTrustPolicy::tls_only() {
 namespace {
 
 Result<ParsedStore> parse_pem_bundle_impl(std::string_view text,
-                                          const BundleTrustPolicy& policy) {
+                                          const BundleTrustPolicy& policy,
+                                          CertPool& pool) {
   const auto pem = rs::encoding::pem_parse_all(text);
   ParsedStore out;
   out.warnings = pem.errors;
@@ -32,15 +33,14 @@ Result<ParsedStore> parse_pem_bundle_impl(std::string_view text,
                              obj.label + "'");
       continue;
     }
-    auto parsed = rs::x509::Certificate::parse(obj.der);
-    if (!parsed) {
+    auto decoded = pool.decode(obj.der);
+    if (!decoded) {
       out.warnings.push_back("undecodable certificate skipped: " +
-                             parsed.error());
+                             decoded.error());
       continue;
     }
     TrustEntry entry;
-    entry.certificate = std::make_shared<const rs::x509::Certificate>(
-        std::move(parsed).take());
+    entry.certificate = std::move(decoded).take();
     for (TrustPurpose p : policy.granted) {
       entry.trust_for(p).level = rs::store::TrustLevel::kTrustedDelegator;
     }
@@ -54,8 +54,9 @@ Result<ParsedStore> parse_pem_bundle_impl(std::string_view text,
 Result<ParsedStore> parse_pem_bundle(std::string_view text,
                                      const BundleTrustPolicy& policy) {
   rs::obs::Span span("formats/pem_bundle");
-  auto result = parse_pem_bundle_impl(text, policy);
-  detail::note_parse(span, text.size(), result);
+  CertPool pool;
+  auto result = parse_pem_bundle_impl(text, policy, pool);
+  detail::note_parse(span, text.size(), result, pool);
   return result;
 }
 

@@ -71,7 +71,7 @@ std::string write_rsts(const std::vector<TrustEntry>& entries) {
 
 namespace {
 
-Result<ParsedStore> parse_rsts_impl(std::string_view text) {
+Result<ParsedStore> parse_rsts_impl(std::string_view text, CertPool& pool) {
   const auto lines = rs::util::split_lines(text);
   std::size_t i = 0;
 
@@ -112,9 +112,12 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
     }
     ++i;
 
-    // One root block.
+    // One root block.  The last `cert` line wins: either a pool hit
+    // (`cert`) or freshly decoded DER, parsed once the block closes.
     std::string label;
     std::string sha256_hex;
+    std::string_view cert_text;
+    CertPool::CertPtr cert;
     std::vector<std::uint8_t> der;
     bool der_ok = false;
     TrustEntry entry;
@@ -138,7 +141,13 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
       } else if (key == "sha256" && tokens.size() == 2) {
         sha256_hex = rs::util::to_lower(tokens[1]);
       } else if (key == "cert" && tokens.size() == 2) {
-        auto decoded = rs::encoding::base64_decode(tokens[1]);
+        cert_text = tokens[1];
+        cert = pool.find_base64(cert_text);
+        if (cert) {
+          der_ok = true;
+          continue;
+        }
+        auto decoded = rs::encoding::base64_decode(cert_text);
         if (!decoded) {
           out.warnings.push_back("rsts: bad base64 in cert at line " +
                                  std::to_string(i + 1));
@@ -194,19 +203,22 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
                              (label.empty() ? "" : " (" + label + ")"));
       continue;
     }
-    auto cert = rs::x509::Certificate::parse(der);
     if (!cert) {
-      out.warnings.push_back("rsts: undecodable certificate skipped: " +
-                             cert.error());
-      continue;
+      auto decoded = pool.decode(der);
+      if (!decoded) {
+        out.warnings.push_back("rsts: undecodable certificate skipped: " +
+                               decoded.error());
+        continue;
+      }
+      cert = std::move(decoded).take();
+      pool.remember_base64(cert_text, cert);
     }
-    if (rs::util::hex_encode(cert.value().sha256()) != sha256_hex) {
+    if (rs::util::hex_encode(cert->sha256()) != sha256_hex) {
       out.warnings.push_back("rsts: sha256 pin mismatch, entry rejected" +
                              (label.empty() ? "" : " (" + label + ")"));
       continue;
     }
-    entry.certificate =
-        std::make_shared<const rs::x509::Certificate>(std::move(cert).take());
+    entry.certificate = std::move(cert);
     out.entries.push_back(std::move(entry));
   }
   return out;
@@ -215,9 +227,15 @@ Result<ParsedStore> parse_rsts_impl(std::string_view text) {
 }  // namespace
 
 Result<ParsedStore> parse_rsts(std::string_view text) {
+  CertPool pool;
+  return parse_rsts(text, pool);
+}
+
+Result<ParsedStore> parse_rsts(std::string_view text, CertPool& pool) {
   rs::obs::Span span("formats/rsts");
-  auto result = parse_rsts_impl(text);
-  detail::note_parse(span, text.size(), result);
+  const CertPool::Counts before = pool.counts();
+  auto result = parse_rsts_impl(text, pool);
+  detail::note_parse(span, text.size(), result, pool, before);
   return result;
 }
 

@@ -31,6 +31,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/formats/cert_pool.h"
 #include "src/formats/certdata.h"
 #include "src/store/trust.h"
 #include "src/util/result.h"
@@ -47,5 +48,13 @@ inline constexpr int kRstsVersion = 1;
 /// fail the parse; per-entry problems (bad base64, sha256 mismatch,
 /// unknown keys) become warnings and skip the entry or key.
 [[nodiscard]] rs::util::Result<ParsedStore> parse_rsts(std::string_view text);
+
+/// parse_rsts through a caller's pool, so that documents parsed into one
+/// pool share their certificate objects (load_dataset's case).  A `cert`
+/// text the pool already holds is a hit and is not base64-decoded again;
+/// every entry's sha256 pin is still checked.  Entries and warnings are
+/// the same as parse_rsts(text) gives.
+[[nodiscard]] rs::util::Result<ParsedStore> parse_rsts(std::string_view text,
+                                                       CertPool& pool);
 
 }  // namespace rs::formats

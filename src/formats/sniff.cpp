@@ -6,6 +6,7 @@
 #include "src/formats/jks.h"
 #include "src/formats/pem_bundle.h"
 #include "src/formats/portable.h"
+#include "src/formats/read_all.h"
 
 namespace rs::formats {
 
@@ -70,9 +71,11 @@ rs::util::Result<ParsedStore> load_any_store(const std::string& path,
   if (!in) {
     return rs::util::Result<ParsedStore>::err("cannot open " + path);
   }
-  const std::string content(std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>{});
-  return parse_any_store(content, multi_purpose);
+  const auto content = detail::read_all(in);
+  if (!content) {
+    return rs::util::Result<ParsedStore>::err("cannot read " + path);
+  }
+  return parse_any_store(*content, multi_purpose);
 }
 
 }  // namespace rs::formats

@@ -1,6 +1,7 @@
 #include "src/store/interner.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
@@ -17,12 +18,19 @@ CertInterner::CertInterner(std::vector<rs::crypto::Sha256Digest> digests)
 
 CertInterner CertInterner::from_database(const StoreDatabase& db) {
   rs::obs::Span span("store/intern_build");
+  // Snapshots share their Certificate objects (a decoded dataset through
+  // its CertPool, the scenario and the simulator by construction), so only
+  // the first entry per object contributes a digest.  Distinct objects
+  // with equal DER still collapse in the constructor's sort and unique.
+  std::unordered_set<const rs::x509::Certificate*> seen;
   std::vector<rs::crypto::Sha256Digest> digests;
   for (const auto& [name, history] : db.histories()) {
     (void)name;
     for (const auto& snap : history.snapshots()) {
       for (const auto& entry : snap.entries) {
-        digests.push_back(entry.certificate->sha256());
+        if (seen.insert(entry.certificate.get()).second) {
+          digests.push_back(entry.certificate->sha256());
+        }
       }
     }
   }

@@ -4,8 +4,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 
+#include "src/formats/portable.h"
+#include "src/obs/clock.h"
+#include "src/obs/registry.h"
+#include "src/store/interner.h"
+#include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
 #include "src/x509/builder.h"
 #include "tests/referee/fingerprint_set.h"
@@ -156,6 +162,28 @@ TEST_F(DatasetIoTest, CorruptSnapshotFails) {
   EXPECT_FALSE(load_dataset(dir_.string()).ok());
 }
 
+TEST_F(DatasetIoTest, SnapshotPathNamingADirectoryIsATypedError) {
+  // A MANIFEST is untrusted input: a path field naming a directory (the
+  // dataset root, or a provider's folder) opens but cannot be read.
+  ASSERT_TRUE(write_dataset(small_db(), dir_.string()).ok());
+  for (const std::string rel : {".", "ProvA"}) {
+    std::ofstream(dir_ / "MANIFEST", std::ios::trunc)
+        << "RSDS 1\nProvA\t2020-01-01\tv1\t" << rel << "\n";
+    auto loaded = load_dataset(dir_.string());
+    ASSERT_FALSE(loaded.ok()) << rel;
+    EXPECT_EQ(loaded.error(), "dataset: cannot read snapshot file " +
+                                  (dir_ / rel).string());
+  }
+}
+
+TEST_F(DatasetIoTest, ManifestThatIsADirectoryIsATypedError) {
+  fs::create_directories(dir_ / "MANIFEST");
+  auto loaded = load_dataset(dir_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error(),
+            "dataset: cannot read MANIFEST in " + dir_.string());
+}
+
 TEST_F(DatasetIoTest, SimulatedEcosystemRoundTrips) {
   rs::synth::SimulatorConfig cfg;
   cfg.seed = 77;
@@ -174,6 +202,77 @@ TEST_F(DatasetIoTest, SimulatedEcosystemRoundTrips) {
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(rs::referee::all_fingerprints(orig->back()),
             rs::referee::all_fingerprints(back->back()));
+}
+
+// --- the paper dataset through one pool ------------------------------------
+
+class PaperDatasetTest : public DatasetIoTest {
+ protected:
+  void SetUp() override {
+    DatasetIoTest::SetUp();
+    auto written = write_dataset(scenario_.database(), dir_.string());
+    ASSERT_TRUE(written.ok()) << written.error();
+  }
+  const rs::synth::PaperScenario scenario_ = rs::synth::build_paper_scenario();
+};
+
+TEST_F(PaperDatasetTest, LoadDecodesEachDistinctCertificateOnce) {
+  auto& reg = rs::obs::Registry::global();
+  rs::obs::FakeClock clock;
+  reg.reset();
+  reg.enable(&clock);
+  auto loaded = load_dataset(dir_.string());
+  reg.disable();
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+
+  std::size_t entries = 0;
+  std::set<const rs::x509::Certificate*> objects;
+  for (const auto& [name, history] : loaded.value().histories()) {
+    (void)name;
+    for (const auto& snap : history.snapshots()) {
+      for (const auto& entry : snap.entries) {
+        objects.insert(entry.certificate.get());
+        ++entries;
+      }
+    }
+  }
+  const std::size_t distinct =
+      rs::store::CertInterner::from_database(scenario_.database()).size();
+  EXPECT_EQ(entries, 99087u);
+  EXPECT_EQ(distinct, 456u);
+  EXPECT_EQ(objects.size(), distinct);
+  EXPECT_EQ(reg.counter("formats.certs_decoded").value(), distinct);
+  EXPECT_EQ(reg.counter("formats.cert_pool_hits").value(), entries - distinct);
+  reg.reset();
+}
+
+TEST_F(PaperDatasetTest, WarmSharedPoolParsesEveryFileLikeAFreshOne) {
+  std::ifstream manifest(dir_ / "MANIFEST");
+  std::string line;
+  std::getline(manifest, line);  // header
+  CertPool shared;
+  std::size_t files = 0;
+  while (std::getline(manifest, line)) {
+    const std::string rel = line.substr(line.rfind('\t') + 1);
+    std::ifstream in(dir_ / rel, std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto fresh = parse_rsts(text);
+    const auto warm = parse_rsts(text, shared);
+    ASSERT_TRUE(fresh.ok()) << rel << ": " << fresh.error();
+    ASSERT_TRUE(warm.ok()) << rel << ": " << warm.error();
+    EXPECT_EQ(warm.value().warnings, fresh.value().warnings) << rel;
+    const auto& a = fresh.value().entries;
+    const auto& b = warm.value().entries;
+    ASSERT_EQ(a.size(), b.size()) << rel;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].certificate->der(), a[i].certificate->der()) << rel;
+      EXPECT_EQ(b[i].purposes, a[i].purposes) << rel;
+    }
+    ++files;
+  }
+  EXPECT_EQ(files, scenario_.database().total_snapshots());
+  EXPECT_EQ(shared.size(), 456u);
 }
 
 }  // namespace

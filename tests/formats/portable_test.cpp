@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/encoding/base64.h"
 #include "src/util/strings.h"
 #include "src/x509/builder.h"
 
@@ -98,6 +99,30 @@ TEST(Rsts, Sha256PinRejectsSubstitutedCert) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.value().entries.empty());
   ASSERT_FALSE(parsed.value().warnings.empty());
+  EXPECT_NE(parsed.value().warnings[0].find("pin mismatch"),
+            std::string::npos);
+}
+
+TEST(Rsts, Sha256PinCheckedOnPoolHits) {
+  // The pool already holds root A, so A's cert line in B's block is a hit
+  // that skips decoding; B's pin must still reject it.
+  const TrustEntry a = rich_entry(8);
+  const TrustEntry b = rich_entry(9);
+  CertPool pool;
+  auto warm = parse_rsts(write_rsts({a}), pool);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.value().entries.size(), 1u);
+
+  std::string tampered = write_rsts({b});
+  const std::string b_text = rs::encoding::base64_encode(b.certificate->der());
+  tampered.replace(tampered.find(b_text), b_text.size(),
+                   rs::encoding::base64_encode(a.certificate->der()));
+  const std::size_t hits = pool.counts().hits;
+  auto parsed = parse_rsts(tampered, pool);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(pool.counts().hits, hits + 1);
+  EXPECT_TRUE(parsed.value().entries.empty());
+  ASSERT_EQ(parsed.value().warnings.size(), 1u);
   EXPECT_NE(parsed.value().warnings[0].find("pin mismatch"),
             std::string::npos);
 }

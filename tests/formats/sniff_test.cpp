@@ -1,6 +1,9 @@
 #include "src/formats/sniff.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
 
 #include "src/formats/jks.h"
 #include "src/formats/pem_bundle.h"
@@ -75,6 +78,30 @@ TEST(Sniff, LoadAnyStoreReportsMissingFile) {
   auto loaded = load_any_store("/no/such/file");
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.error().find("cannot open"), std::string::npos);
+}
+
+TEST(Sniff, LoadAnyStoreOnADirectoryIsATypedError) {
+  // A directory opens as a stream, but reading it fails (EISDIR).
+  const std::string dir = ::testing::TempDir();
+  auto loaded = load_any_store(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error(), "cannot read " + dir);
+}
+
+TEST(Sniff, LoadAnyStoreReadsAPipeToItsEnd) {
+  // A pipe has no size to take up front, so it is read to end of stream.
+  const std::string pem = write_pem_bundle(entries());
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], pem.data(), pem.size()),
+            static_cast<ssize_t>(pem.size()));
+  ::close(fds[1]);
+  auto loaded = load_any_store("/proc/self/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  ASSERT_EQ(loaded.value().entries.size(), 1u);
+  EXPECT_EQ(loaded.value().entries[0].certificate->sha256(),
+            entries()[0].certificate->sha256());
 }
 
 TEST(Sniff, FormatNames) {

@@ -1,7 +1,8 @@
 // CertInterner unit tests — the determinism contract (IDs in sorted-digest
 // order, independent of input order), lookup symmetry, the sorted-digest
 // order of IdSet::ids() walked through digest_of, database universe
-// construction — and MembershipTable unit tests: one row
+// construction, independent of whether snapshots share Certificate
+// objects — and MembershipTable unit tests: one row
 // per (provider, snapshot, scope), equal-dated snapshots kept as separate
 // rows, loud failures for a mismatched history or universe.  Pooled
 // builds and added lanes are checked against the referee in
@@ -17,6 +18,7 @@
 #include "src/store/database.h"
 #include "src/store/membership.h"
 #include "src/store/trust.h"
+#include "src/synth/paper_scenario.h"
 #include "src/x509/builder.h"
 
 namespace rs::store {
@@ -144,6 +146,34 @@ TEST(CertInterner, FromDatabaseCoversEveryEntry) {
       }
     }
   }
+}
+
+TEST(CertInterner, FromDatabaseIgnoresObjectSharing) {
+  // The paper scenario shares one Certificate object per root across its
+  // snapshots; the deep copy gives every entry its own object with equal
+  // DER.  The universe and its order are the same either way.
+  const auto scenario = rs::synth::build_paper_scenario();
+  const StoreDatabase& shared = scenario.database();
+  StoreDatabase deep;
+  std::size_t entries = 0;
+  for (const auto& [name, history] : shared.histories()) {
+    ProviderHistory copy(name);
+    for (Snapshot s : history.snapshots()) {
+      for (auto& entry : s.entries) {
+        entry.certificate = std::make_shared<const rs::x509::Certificate>(
+            *entry.certificate);
+        ++entries;
+      }
+      copy.add(std::move(s));
+    }
+    deep.add(std::move(copy));
+  }
+  const CertInterner from_shared = CertInterner::from_database(shared);
+  const CertInterner from_deep = CertInterner::from_database(deep);
+  EXPECT_GT(entries, 10 * from_shared.size());
+  EXPECT_EQ(from_shared.digests(), from_deep.digests());
+  EXPECT_TRUE(std::is_sorted(from_shared.digests().begin(),
+                             from_shared.digests().end()));
 }
 
 TEST(MembershipTable, OneRowPerSnapshotAndScope) {

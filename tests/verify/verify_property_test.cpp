@@ -9,7 +9,8 @@
 // variants included) with every provider, every snapshot boundary date
 // (±1), the chains' validity edges, and all four scopes — at least 100k
 // comparisons with zero tolerated disagreement, one test instance per
-// provider so ctest runs the sweep in parallel.
+// provider (NSS, the largest grid, in three chain-case slices) so ctest
+// runs the sweep in parallel.
 //
 // Also pinned here: the DigiNotar-style flip dates (first_rejected_at must
 // equal a literal day-by-day scan and the provider's purge date), the
@@ -275,14 +276,18 @@ std::vector<Date> probe_dates(const ProviderHistory& history,
   return dates;
 }
 
+/// Probes of one chain case in one provider's grid: every (pool variant,
+/// date, scope).
+std::size_t case_size(const ProviderHistory& history, const ChainCase& c) {
+  return (1 + c.pool.size()) * probe_dates(history, c).size() *
+         std::size(kScopes);
+}
+
 /// Probes in one provider's grid: every (case, pool variant, date, scope).
 std::size_t grid_size(const Fixture& f, const std::string& provider) {
   const ProviderHistory& history = *f.scenario.database().find(provider);
   std::size_t n = 0;
-  for (const ChainCase& c : f.cases) {
-    n += (1 + c.pool.size()) * probe_dates(history, c).size() *
-         std::size(kScopes);
-  }
+  for (const ChainCase& c : f.cases) n += case_size(history, c);
   return n;
 }
 
@@ -298,12 +303,56 @@ TEST(VerifyDifferentialGrid, CoversEveryProviderAndAtLeast100kProbes) {
   EXPECT_GE(total, 100000u) << "sweep shrank below the contract";
 }
 
-/// One sweep instance's provider; printed bare, so ctest names the
-/// instance .../EngineAgreesWithRefereeOnEveryProbe/<provider>.
+/// One sweep instance: a provider's whole grid, or one of `slices`
+/// contiguous chain-case slices of it for a provider whose grid would
+/// bound the suite's wall time.  Printed as the provider, or as
+/// <provider>_<k>of<n>, so ctest names the instance
+/// .../EngineAgreesWithRefereeOnEveryProbe/NSS_2of3.
 struct ProviderParam {
   const char* name;
+  std::size_t slice = 0;
+  std::size_t slices = 1;
 };
-void PrintTo(const ProviderParam& p, std::ostream* os) { *os << p.name; }
+void PrintTo(const ProviderParam& p, std::ostream* os) {
+  *os << p.name;
+  if (p.slices > 1) *os << "_" << p.slice + 1 << "of" << p.slices;
+}
+
+/// NSS holds the largest grid (its history is the longest); three slices
+/// keep each below the next-largest provider's whole grid.
+constexpr std::size_t kNssSlices = 3;
+
+/// The chain cases [first, last) of one instance: slice boundaries fall
+/// where the running probe count first reaches k/slices of the grid.
+std::pair<std::size_t, std::size_t> case_range(const Fixture& f,
+                                               const ProviderHistory& history,
+                                               const ProviderParam& p) {
+  const std::size_t total = grid_size(f, history.provider());
+  auto boundary = [&](std::size_t k) {
+    std::size_t i = 0;
+    for (std::size_t done = 0; i < f.cases.size() && done * p.slices <
+                                                         total * k;
+         ++i) {
+      done += case_size(history, f.cases[i]);
+    }
+    return i;
+  };
+  return {boundary(p.slice), boundary(p.slice + 1)};
+}
+
+TEST(VerifyDifferentialGrid, NssSlicesPartitionItsCases) {
+  // Every NSS probe runs in exactly one slice, and no slice is empty.
+  Fixture& f = fixture();
+  const ProviderHistory& nss = *f.scenario.database().find("NSS");
+  std::size_t next = 0;
+  for (std::size_t k = 0; k < kNssSlices; ++k) {
+    const auto [first, last] = case_range(f, nss, {"NSS", k, kNssSlices});
+    EXPECT_EQ(first, next);
+    EXPECT_LT(first, last);
+    next = last;
+  }
+  EXPECT_EQ(next, f.cases.size());
+}
 
 class VerifyDifferential : public ::testing::TestWithParam<ProviderParam> {};
 
@@ -313,17 +362,24 @@ TEST_P(VerifyDifferential, EngineAgreesWithRefereeOnEveryProbe) {
   const std::string provider = GetParam().name;
   const ProviderHistory* history = db.find(provider);
   ASSERT_NE(history, nullptr);
-  // Probe numbers continue across providers in database order, so the
-  // pooled-engine sample below picks the same probes as one whole sweep.
+  const auto [first_case, last_case] = case_range(f, *history, GetParam());
+  // Probe numbers continue across providers in database order, and across
+  // slices in case order, so the pooled-engine sample below picks the same
+  // probes as one whole sweep.
   std::size_t checks = 0;
   for (const auto& before : db.providers()) {
     if (before == provider) break;
     checks += grid_size(f, before);
   }
+  std::size_t expected = 0;
+  for (std::size_t i = 0; i < last_case; ++i) {
+    (i < first_case ? checks : expected) += case_size(*history, f.cases[i]);
+  }
   const std::size_t first_check = checks;
   std::size_t accepted = 0, rejected = 0, uncovered = 0;
 
-  for (const ChainCase& c : f.cases) {
+  for (std::size_t case_idx = first_case; case_idx < last_case; ++case_idx) {
+    const ChainCase& c = f.cases[case_idx];
     const std::vector<Date> dates = probe_dates(*history, c);
     std::size_t variant_idx = 0;
     for (const auto& pool : pool_variants(c)) {
@@ -371,12 +427,13 @@ TEST_P(VerifyDifferential, EngineAgreesWithRefereeOnEveryProbe) {
       ++variant_idx;
     }
   }
-  EXPECT_EQ(checks - first_check, grid_size(f, provider));
+  EXPECT_EQ(checks - first_check, expected);
   RecordProperty("probes", std::to_string(checks - first_check));
   RecordProperty("verdicts", std::to_string(accepted) + " accepted, " +
                                  std::to_string(rejected) + " rejected, " +
                                  std::to_string(uncovered) + " not covered");
-  // All three verdict classes must actually occur; NSS's grid holds each.
+  // All three verdict classes must actually occur; each slice of NSS's
+  // grid holds each.
   if (provider == "NSS") {
     EXPECT_GT(accepted, 0u);
     EXPECT_GT(rejected, 0u);
@@ -386,7 +443,10 @@ TEST_P(VerifyDifferential, EngineAgreesWithRefereeOnEveryProbe) {
 
 INSTANTIATE_TEST_SUITE_P(Providers, VerifyDifferential, [] {
   std::vector<ProviderParam> params;
-  for (const char* name : kProviders) params.push_back({name});
+  for (const char* name : kProviders) {
+    const std::size_t slices = std::string_view(name) == "NSS" ? kNssSlices : 1;
+    for (std::size_t k = 0; k < slices; ++k) params.push_back({name, k, slices});
+  }
   return ::testing::ValuesIn(params);
 }());
 
