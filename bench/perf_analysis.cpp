@@ -1,10 +1,12 @@
 // Microbenchmarks for the analysis layer: Jaccard matrix construction,
 // classical-vs-SMACOF MDS (the DESIGN.md ablation), clustering, staleness,
-// and full scenario construction.  Also reports the trust-aware vs
-// all-certificates Jaccard ablation.
+// full scenario construction, and the membership-table lane build on a
+// pool.  Also reports the trust-aware vs all-certificates Jaccard
+// ablation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/analysis/cadence.h"
@@ -17,6 +19,7 @@
 #include "src/analysis/staleness.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/registry.h"
+#include "src/store/interner.h"
 #include "src/store/membership.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
@@ -38,10 +41,24 @@ const rs::store::MembershipTable& shared_table() {
 
 // The Jaccard matrix over the shared scenario and table.
 rs::analysis::DistanceMatrix shared_matrix(
-    const rs::analysis::JaccardOptions& opts,
-    rs::exec::ThreadPool* pool = nullptr) {
+    const rs::analysis::JaccardOptions& opts) {
   return rs::analysis::jaccard_matrix(shared_scenario().database(),
-                                      shared_table(), opts, pool);
+                                      shared_table(), opts);
+}
+
+// perfbench's sim_index point: 600 CAs, 6 programs, 6 derivatives, a
+// 30-day cadence and 2 CT logs (14 providers), seed 1.
+const rs::store::StoreDatabase& sim_index_database() {
+  static const rs::synth::SimulatedEcosystem eco = [] {
+    rs::synth::SimulatorConfig cfg;
+    cfg.ca_count = 600;
+    cfg.program_count = 6;
+    cfg.derivative_count = 6;
+    cfg.snapshot_interval_days = 30;
+    cfg.ct_log_count = 2;
+    return rs::synth::simulate_ecosystem(cfg);
+  }();
+  return eco.database;
 }
 
 void BM_ScenarioBuild(benchmark::State& state) {
@@ -78,48 +95,31 @@ void BM_JaccardMatrix(benchmark::State& state) {
 BENCHMARK(BM_JaccardMatrix)->Arg(10)->Arg(25)->Arg(50)
     ->Unit(benchmark::kMillisecond);
 
-// Thread-pool scaling on the Figure-1-sized matrix (the paper's 2011-2021
-// window, 40 snapshots/provider — the report_figure1 default).  Arg is the
-// worker count; 0 is the inline serial baseline.  Results are
-// bitwise-identical across args (see docs/PARALLELISM.md); only the wall
-// clock moves.  tools/record_parallel_bench.sh captures this sweep into
-// BENCH_parallel.json.
-void BM_JaccardMatrixParallel(benchmark::State& state) {
-  shared_table();  // built outside the timed loop
-  rs::analysis::JaccardOptions opts;
-  opts.min_date = rs::util::Date::ymd(2011, 1, 1);
-  opts.max_per_provider = 40;
-  const auto threads = static_cast<std::size_t>(state.range(0));
+// Thread-pool scaling of the one pooled kernel: the membership table's
+// per-provider lanes over a fixed universe.  The first arg picks the
+// database (0: the paper scenario, 10 providers; 1: the sim_index point,
+// 14), the second is the worker count (0 is the inline serial baseline).
+// The table is identical across args (see docs/PARALLELISM.md); only the
+// wall clock moves.  tools/record_parallel_bench.sh captures this sweep
+// into BENCH_parallel.json.
+void BM_MembershipBuildParallel(benchmark::State& state) {
+  const auto& db = state.range(0) == 1 ? sim_index_database()
+                                       : shared_scenario().database();
+  const auto interner = rs::store::CertInterner::from_database(db);
+  const auto threads = static_cast<std::size_t>(state.range(1));
   std::unique_ptr<rs::exec::ThreadPool> pool;
   if (threads > 0) pool = std::make_unique<rs::exec::ThreadPool>(threads);
   for (auto _ : state) {
-    auto dist = shared_matrix(opts, pool.get());
-    benchmark::DoNotOptimize(dist.values.data());
-    state.counters["snapshots"] = static_cast<double>(dist.size());
+    auto table = rs::store::MembershipTable::build(db, interner, pool.get());
+    benchmark::DoNotOptimize(table);
   }
+  state.counters["providers"] = static_cast<double>(db.histories().size());
   state.counters["threads"] = static_cast<double>(threads);
-  state.SetLabel(threads == 0 ? "serial" : std::to_string(threads) + "-workers");
+  state.SetLabel((state.range(0) == 1 ? "sim_index " : "paper ") +
+                 (threads == 0 ? std::string("serial")
+                               : std::to_string(threads) + "-workers"));
 }
-BENCHMARK(BM_JaccardMatrixParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_MdsSmacofParallel(benchmark::State& state) {
-  rs::analysis::JaccardOptions opts;
-  opts.min_date = rs::util::Date::ymd(2011, 1, 1);
-  opts.max_per_provider = 40;
-  const auto dist = shared_matrix(opts);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::unique_ptr<rs::exec::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<rs::exec::ThreadPool>(threads);
-  for (auto _ : state) {
-    auto mds = rs::analysis::smacof_mds(dist, {}, pool.get());
-    benchmark::DoNotOptimize(mds.points.data());
-    state.counters["iters"] = static_cast<double>(mds.iterations);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.SetLabel(threads == 0 ? "serial" : std::to_string(threads) + "-workers");
-}
-BENCHMARK(BM_MdsSmacofParallel)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_MembershipBuildParallel)->ArgsProduct({{0, 1}, {0, 1, 2, 4}})
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // --- Membership-table benchmarks -------------------------------------------

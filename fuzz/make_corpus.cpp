@@ -35,6 +35,7 @@
 #include "src/store/snapshot.h"
 #include "src/store/trust.h"
 #include "src/util/date.h"
+#include "src/util/hex.h"
 #include "src/x509/builder.h"
 
 namespace {
@@ -274,6 +275,22 @@ int main(int argc, char** argv) {
     repeated[2] = rs::store::make_anchor_for(
         rich[0].certificate, {rs::store::TrustPurpose::kEmailProtection});
     write_seed(dir, "repeated-cert.rsts", rs::formats::write_rsts(repeated));
+    // A distrusted root whose CN spells out a trusted root block for
+    // entries[0]: write_rsts must keep it one entry on the round trip.
+    rs::x509::Name injecting;
+    injecting.add_common_name(
+        "Innocent\nend\nroot\n  sha256 " +
+        rs::util::hex_encode(entries[0].certificate->sha256()) +
+        "\n  cert " + text0 +
+        "\n  trust server-auth trusted-delegator\nend\nroot");
+    rs::store::TrustEntry distrusted;
+    distrusted.certificate = std::make_shared<const rs::x509::Certificate>(
+        rs::x509::CertificateBuilder().subject(injecting).key_seed(7100).build());
+    for (const auto p : rs::store::kAllPurposes) {
+      distrusted.trust_for(p).level = rs::store::TrustLevel::kDistrusted;
+    }
+    write_seed(dir, "label-injection.rsts",
+               rs::formats::write_rsts({distrusted}));
   }
 
   // --- persist_load: RSIX trust-index images -----------------------------

@@ -51,15 +51,13 @@ std::size_t SnapshotDiff::removed_total() const noexcept {
 DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
                                       const rs::store::ProviderHistory& nss,
                                       const rs::store::MembershipTable& table,
-                                      const NssVersionIndex& index,
-                                      rs::exec::ThreadPool* pool) {
+                                      const NssVersionIndex& index) {
   rs::obs::Span span("diffs/derivative");
   DerivativeDiffSeries out;
   out.provider = deriv.provider();
 
   // NSS-ever sets (ORs of the NSS rows) and first-TLS dates, for
-  // categorization (serial: each step folds into the previous union).
-  // Everything below only reads them.
+  // categorization.
   const auto& nss_lane = table.lane(nss);
   IdSet nss_ever_any;
   IdSet nss_ever_tls;
@@ -73,16 +71,14 @@ DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
     nss_ever_any |= in_scope(nss_lane[k], Scope::kPresent);
   }
 
-  // Each derivative snapshot diffs against the shared read-only index
-  // independently; results land in per-snapshot slots and are collected in
-  // snapshot order afterwards.
+  // Each derivative snapshot diffs against its matched version, in
+  // snapshot order.
   const auto& snaps = deriv.snapshots();
   const auto& lane = table.lane(deriv);
-  std::vector<std::optional<SnapshotDiff>> results(snaps.size());
-  rs::exec::parallel_for(pool, snaps.size(), [&](std::size_t k) {
+  for (std::size_t k = 0; k < snaps.size(); ++k) {
     const IdSet& deriv_tls = in_scope(lane[k], Scope::kTls);
     const auto* matched = index.closest_match(deriv_tls);
-    if (matched == nullptr) return;
+    if (matched == nullptr) continue;
 
     SnapshotDiff diff;
     diff.date = snaps[k].date;
@@ -115,15 +111,8 @@ DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
       ++diff.removes[static_cast<std::size_t>(cat)];
     }
 
-    results[k] = diff;
-  });
-
-  for (const auto& diff : results) {
-    if (!diff) continue;
-    if (diff->added_total() + diff->removed_total() > 0) {
-      out.ever_deviates = true;
-    }
-    out.points.push_back(*diff);
+    if (diff.added_total() + diff.removed_total() > 0) out.ever_deviates = true;
+    out.points.push_back(diff);
   }
   span.set_items(out.points.size());
   rs::obs::Registry::global()

@@ -68,13 +68,11 @@ struct DerivativeDiffSeries {
 /// Computes the series.  `nss` (the history `index` was built from)
 /// supplies the ever-present / ever-TLS sets used for categorization and
 /// the trust bits of each matched version's snapshot; `table` holds both
-/// histories' rows.  Snapshots diff independently, so `pool` parallelizes
-/// the per-snapshot matching and categorization; points stay in snapshot
-/// order and the result is identical for any worker count.
+/// histories' rows.  Points come in snapshot order, one per matched
+/// snapshot.
 DerivativeDiffSeries derivative_diffs(const rs::store::ProviderHistory& deriv,
                                       const rs::store::ProviderHistory& nss,
                                       const rs::store::MembershipTable& table,
-                                      const NssVersionIndex& index,
-                                      rs::exec::ThreadPool* pool = nullptr);
+                                      const NssVersionIndex& index);
 
 }  // namespace rs::analysis

@@ -26,15 +26,14 @@ void note_matrix(rs::obs::Span& span, std::size_t n) {
 
 DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
                               const rs::store::MembershipTable& table,
-                              const JaccardOptions& options,
-                              rs::exec::ThreadPool* pool) {
+                              const JaccardOptions& options) {
   rs::obs::Span matrix_span("jaccard/matrix");
   DistanceMatrix out;
   const rs::store::Scope scope = options.set_kind == SetKind::kAllCertificates
                                      ? rs::store::Scope::kPresent
                                      : rs::store::Scope::kTls;
-  // Phase 1 (serial): select snapshots, fix the matrix order, and point
-  // each row at its snapshot's set.
+  // Select snapshots, fix the matrix order, and point each row at its
+  // snapshot's set.
   std::vector<const rs::store::IdSet*> sets;
   for (const auto& [name, history] : db.histories()) {
     const auto& lane = table.lane(history);
@@ -75,16 +74,14 @@ DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
   const std::size_t n = out.labels.size();
   out.values.assign(n * n, 0.0);
 
-  // Phase 2 (parallel): popcount pair loop over upper-triangle row blocks.
-  // Each pair (i, j > i) is computed by exactly one task and written to
-  // two distinct cells, so the result is independent of scheduling.
-  rs::exec::parallel_for(pool, n, [&](std::size_t i) {
+  // The popcount pair loop over the upper triangle, mirrored below it.
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double d = sets[i]->jaccard_distance(*sets[j]);
       out.values[i * n + j] = d;
       out.values[j * n + i] = d;
     }
-  });
+  }
   note_matrix(matrix_span, n);
   return out;
 }

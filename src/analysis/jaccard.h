@@ -6,18 +6,16 @@
 // over all certificates present or over TLS anchors only (trust-aware
 // variant; see DESIGN.md ablations).
 //
-// Matrix construction runs in two phases: snapshot selection (serial),
-// which points each matrix row at its membership-table set, and the O(n^2)
-// upper-triangle popcount pair loop (parallel row blocks).  Results are
-// bitwise-identical for any worker count; see docs/PARALLELISM.md.
+// Matrix construction points each matrix row at its membership-table set,
+// then runs the O(n^2) upper-triangle popcount pair loop inline.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/store/database.h"
 #include "src/store/membership.h"
 #include "src/util/date.h"
@@ -65,12 +63,9 @@ struct JaccardOptions {
 };
 
 /// Builds the pairwise Jaccard distance matrix over `db`'s snapshots,
-/// reading each snapshot's set from `table` (built over `db`).  `pool`
-/// parallelizes the pair loop; null (or a zero-worker pool) computes
-/// inline serially with an identical matrix.
+/// reading each snapshot's set from `table` (built over `db`).
 DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
                               const rs::store::MembershipTable& table,
-                              const JaccardOptions& options = {},
-                              rs::exec::ThreadPool* pool = nullptr);
+                              const JaccardOptions& options = {});
 
 }  // namespace rs::analysis

@@ -2,13 +2,17 @@
 
 #include <cmath>
 
-#include "src/crypto/prng.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 
 namespace rs::analysis {
 
 namespace {
+
+// SMACOF stops after this many Guttman transforms, or earlier once one
+// improves the stress by less than kTolerance of its previous value.
+constexpr std::size_t kMaxIterations = 300;
+constexpr double kTolerance = 1e-7;
 
 double point_distance(const Point2& a, const Point2& b) {
   const double dx = a.x - b.x;
@@ -17,21 +21,18 @@ double point_distance(const Point2& a, const Point2& b) {
 }
 
 // Sum of squared upper-triangle distances (the normalized-stress
-// denominator).  Per-row partials combined in row order: deterministic for
-// any worker count.
-double pairwise_squared_sum(const DistanceMatrix& dist,
-                            rs::exec::ThreadPool* pool) {
+// denominator).  Each row's partial sum is added to the total as the row
+// finishes, the order Figure 1's stress digits were recorded in.
+double pairwise_squared_sum(const DistanceMatrix& dist) {
   const std::size_t n = dist.size();
-  std::vector<double> row(n, 0.0);
-  rs::exec::parallel_for(pool, n, [&](std::size_t i) {
-    double acc = 0.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      acc += dist.at(i, j) * dist.at(i, j);
-    }
-    row[i] = acc;
-  });
   double total = 0.0;
-  for (double v : row) total += v;
+  for (std::size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      row += dist.at(i, j) * dist.at(i, j);
+    }
+    total += row;
+  }
   return total;
 }
 
@@ -101,23 +102,19 @@ void power_iteration(const std::vector<double>& m, std::size_t n,
 }  // namespace
 
 double embedding_stress(const DistanceMatrix& dist,
-                        const std::vector<Point2>& points,
-                        rs::exec::ThreadPool* pool) {
+                        const std::vector<Point2>& points) {
   const std::size_t n = dist.size();
-  std::vector<double> row(n, 0.0);
-  rs::exec::parallel_for(pool, n, [&](std::size_t i) {
-    double acc = 0.0;
+  // Per-row partials folded in row order, as pairwise_squared_sum does.
+  double stress = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double row = 0.0;
     for (std::size_t j = i + 1; j < n; ++j) {
       const double d = point_distance(points[i], points[j]);
       const double delta = dist.at(i, j);
-      acc += (d - delta) * (d - delta);
+      row += (d - delta) * (d - delta);
     }
-    row[i] = acc;
-  });
-  // Combine per-row partials in row order so the floating-point result does
-  // not depend on scheduling or worker count.
-  double stress = 0.0;
-  for (double v : row) stress += v;
+    stress += row;
+  }
   return stress;
 }
 
@@ -162,14 +159,13 @@ MdsResult classical_mds(const DistanceMatrix& dist) {
     out.points[i].y = evals[1] > 0 ? evecs[1][i] * std::sqrt(evals[1]) : 0.0;
   }
   out.stress = embedding_stress(dist, out.points);
-  const double denom = pairwise_squared_sum(dist, nullptr);
+  const double denom = pairwise_squared_sum(dist);
   out.normalized_stress = denom > 0 ? out.stress / denom : 0.0;
   out.iterations = 1;
   return out;
 }
 
-MdsResult smacof_mds(const DistanceMatrix& dist, const MdsOptions& options,
-                     rs::exec::ThreadPool* pool) {
+MdsResult smacof_mds(const DistanceMatrix& dist) {
   rs::obs::Span span("mds/smacof");
   const std::size_t n = dist.size();
   MdsResult out;
@@ -178,27 +174,17 @@ MdsResult smacof_mds(const DistanceMatrix& dist, const MdsOptions& options,
     return out;
   }
 
-  if (options.random_init) {
-    out.points.assign(n, Point2{});
-    rs::crypto::Prng rng(options.seed);
-    for (auto& p : out.points) {
-      p.x = rng.uniform01() - 0.5;
-      p.y = rng.uniform01() - 0.5;
-    }
-  } else {
-    out.points = classical_mds(dist).points;
-  }
-
-  double prev_stress = embedding_stress(dist, out.points, pool);
+  out.points = classical_mds(dist).points;
+  double prev_stress = embedding_stress(dist, out.points);
   std::vector<Point2> next(n);
   std::size_t iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     // Guttman transform with unit weights:
     //   x_i' = (1/n) * sum_{j != i} (delta_ij / d_ij) * (x_i - x_j)
     // (row i of n^-1 B(X) X, where B(X)_ij = -delta_ij/d_ij off-diagonal
     // and the diagonal makes rows sum to zero).  Each row only reads the
-    // previous iterate and writes its own slot, so rows run in parallel.
-    rs::exec::parallel_for(pool, n, [&](std::size_t i) {
+    // previous iterate and writes its own slot.
+    for (std::size_t i = 0; i < n; ++i) {
       double sx = 0.0, sy = 0.0;
       for (std::size_t j = 0; j < n; ++j) {
         if (j == i) continue;
@@ -209,10 +195,10 @@ MdsResult smacof_mds(const DistanceMatrix& dist, const MdsOptions& options,
       }
       next[i].x = sx / static_cast<double>(n);
       next[i].y = sy / static_cast<double>(n);
-    });
+    }
     std::swap(out.points, next);
-    const double stress = embedding_stress(dist, out.points, pool);
-    if (prev_stress - stress < options.tolerance * prev_stress) {
+    const double stress = embedding_stress(dist, out.points);
+    if (prev_stress - stress < kTolerance * prev_stress) {
       prev_stress = std::min(stress, prev_stress);
       break;
     }
@@ -220,7 +206,7 @@ MdsResult smacof_mds(const DistanceMatrix& dist, const MdsOptions& options,
   }
   out.iterations = iter + 1;
   out.stress = prev_stress;
-  const double denom = pairwise_squared_sum(dist, pool);
+  const double denom = pairwise_squared_sum(dist);
   out.normalized_stress = denom > 0 ? out.stress / denom : 0.0;
   span.set_items(out.iterations);
   rs::obs::Registry::global()

@@ -4,14 +4,14 @@
 // metric MDS (SMACOF stress majorization).  We implement both stages from
 // scratch: classical (Torgerson) MDS via double-centering and power
 // iteration for a good initialization, then SMACOF iterations with the
-// Guttman transform until the stress improvement stalls.
+// Guttman transform until the stress improvement stalls.  Both run inline
+// (docs/PARALLELISM.md says why).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "src/analysis/jaccard.h"
-#include "src/exec/thread_pool.h"
 
 namespace rs::analysis {
 
@@ -19,17 +19,6 @@ namespace rs::analysis {
 struct Point2 {
   double x = 0;
   double y = 0;
-};
-
-/// SMACOF configuration.
-struct MdsOptions {
-  std::size_t max_iterations = 300;
-  /// Stop when relative stress improvement falls below this.
-  double tolerance = 1e-7;
-  /// Skip the classical-MDS initialization and start from a deterministic
-  /// pseudo-random layout (ablation knob; usually worse).
-  bool random_init = false;
-  std::uint64_t seed = 7;
 };
 
 /// Result of an embedding.
@@ -44,18 +33,14 @@ struct MdsResult {
 /// double-centered squared-distance matrix via deflated power iteration.
 MdsResult classical_mds(const DistanceMatrix& dist);
 
-/// Metric MDS via SMACOF, initialized from classical MDS (or random).
-/// `pool` parallelizes the Guttman transform and stress evaluation per
-/// iteration; results are bitwise-identical for any worker count (fixed
-/// chunking, per-row partials combined in row order).
-MdsResult smacof_mds(const DistanceMatrix& dist, const MdsOptions& options = {},
-                     rs::exec::ThreadPool* pool = nullptr);
+/// Metric MDS via SMACOF, initialized from classical MDS: at most 300
+/// Guttman transforms, stopping once one improves the stress by less than
+/// 1e-7 of its previous value.
+MdsResult smacof_mds(const DistanceMatrix& dist);
 
-/// Raw stress of an embedding against a distance matrix.  Accumulates
-/// per-row partial sums and combines them in row order, so the value is
-/// identical whether computed serially or on a pool.
+/// Raw stress of an embedding against a distance matrix: per-row partial
+/// sums, folded in row order.
 double embedding_stress(const DistanceMatrix& dist,
-                        const std::vector<Point2>& points,
-                        rs::exec::ThreadPool* pool = nullptr);
+                        const std::vector<Point2>& points);
 
 }  // namespace rs::analysis

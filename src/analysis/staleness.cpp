@@ -1,7 +1,5 @@
 #include "src/analysis/staleness.h"
 
-#include <optional>
-
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 
@@ -50,8 +48,7 @@ NssVersionIndex build_version_index(const rs::store::ProviderHistory& nss,
 
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
                                      const rs::store::MembershipTable& table,
-                                     const NssVersionIndex& index,
-                                     rs::exec::ThreadPool* pool) {
+                                     const NssVersionIndex& index) {
   rs::obs::Span stage_span("staleness/derivative");
   StalenessResult out;
   out.provider = deriv.provider();
@@ -61,33 +58,24 @@ StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
       .counter("analysis.staleness_matches")
       .add(deriv.size());
 
-  // Each snapshot matches against the read-only index independently;
-  // per-snapshot slots keep the points in snapshot order.
   const auto& snaps = deriv.snapshots();
   const auto& lane = table.lane(deriv);
-  std::vector<std::optional<StalenessPoint>> samples(snaps.size());
-  rs::exec::parallel_for(pool, snaps.size(), [&](std::size_t k) {
-    const auto& snap = snaps[k];
+  out.always_stale = true;
+  for (std::size_t k = 0; k < snaps.size(); ++k) {
     const auto* matched =
         index.closest_match(rs::store::in_scope(lane[k], Scope::kTls));
-    const auto* current = index.current_at(snap.date);
-    if (matched == nullptr || current == nullptr) return;
+    const auto* current = index.current_at(snaps[k].date);
+    if (matched == nullptr || current == nullptr) continue;
     StalenessPoint p;
-    p.date = snap.date;
+    p.date = snaps[k].date;
     p.matched_version = matched->index;
     p.current_version = current->index;
     p.versions_behind =
         matched->index >= current->index
             ? 0.0
             : static_cast<double>(current->index - matched->index);
-    samples[k] = p;
-  });
-
-  out.always_stale = true;
-  for (const auto& p : samples) {
-    if (!p) continue;
-    if (p->versions_behind == 0.0) out.always_stale = false;
-    out.points.push_back(*p);
+    if (p.versions_behind == 0.0) out.always_stale = false;
+    out.points.push_back(p);
   }
 
   // Time-weighted integral (piecewise-constant between samples).

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/store/id_set.h"
 #include "src/store/membership.h"
 #include "src/store/snapshot.h"
@@ -78,12 +77,10 @@ struct StalenessResult {
 };
 
 /// Computes the staleness series, matching `deriv`'s TLS rows from
-/// `table` against `index`.  Snapshots are independent, so `pool`
-/// parallelizes the per-snapshot version matching; points stay in snapshot
-/// order and the result is identical for any worker count.
+/// `table` against `index`, one point per matched snapshot in snapshot
+/// order.
 StalenessResult derivative_staleness(const rs::store::ProviderHistory& deriv,
                                      const rs::store::MembershipTable& table,
-                                     const NssVersionIndex& index,
-                                     rs::exec::ThreadPool* pool = nullptr);
+                                     const NssVersionIndex& index);
 
 }  // namespace rs::analysis

@@ -20,8 +20,8 @@ std::string figure1_csv(const EcosystemStudy& study,
   rs::analysis::JaccardOptions opts;
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);
   opts.max_per_provider = max_per_provider;
-  const auto dist = rs::analysis::jaccard_matrix(
-      study.database(), study.membership(), opts, study.pool());
+  const auto dist =
+      rs::analysis::jaccard_matrix(study.database(), study.membership(), opts);
   const auto mds = rs::analysis::smacof_mds(dist);
   const auto clustering = rs::analysis::cluster_snapshots(dist, 0.35);
 

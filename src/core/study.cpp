@@ -302,11 +302,9 @@ std::string EcosystemStudy::report_figure1(std::size_t max_per_provider) const {
   opts.min_date = rs::util::Date::ymd(2011, 1, 1);  // paper's Figure 1 window
   opts.max_per_provider = max_per_provider;
   const auto dist =
-      rs::analysis::jaccard_matrix(database(), *membership_, opts, pool());
-  // SMACOF runs inline: at this size (~300 points) each of its ~85
-  // iterations is two sub-millisecond sweeps, and a fork-join per sweep
-  // costs about what it saves, more when the workers wake on a busy CPU.
-  // The embedding is bitwise the same either way (docs/PARALLELISM.md).
+      rs::analysis::jaccard_matrix(database(), *membership_, opts);
+  // SMACOF runs inline, as does every analysis that reads the table
+  // (docs/PARALLELISM.md).
   const auto mds = rs::analysis::smacof_mds(dist);
 
   // Cluster and label by root program family.
@@ -463,7 +461,7 @@ std::string EcosystemStudy::report_figure3() const {
     const auto* h = database().find(ref.provider);
     if (h == nullptr) continue;
     auto res =
-        rs::analysis::derivative_staleness(*h, *membership_, index, pool());
+        rs::analysis::derivative_staleness(*h, *membership_, index);
     order.emplace_back(res.avg_versions_behind, ref.provider);
     results.emplace(ref.provider, std::move(res));
   }
@@ -515,8 +513,8 @@ std::string EcosystemStudy::report_figure4() const {
        {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
     const auto* h = database().find(name);
     if (h == nullptr) continue;
-    const auto series = rs::analysis::derivative_diffs(*h, *nss, *membership_,
-                                                       index, pool());
+    const auto series =
+        rs::analysis::derivative_diffs(*h, *nss, *membership_, index);
 
     std::array<std::size_t, rs::analysis::kAddCategoryCount> add_totals{};
     std::array<std::size_t, rs::analysis::kRemoveCategoryCount> rm_totals{};
@@ -570,7 +568,7 @@ std::string EcosystemStudy::report_figure4() const {
 const rs::query::TrustIndex& EcosystemStudy::trust_index() {
   if (!trust_index_) {
     trust_index_ = std::make_shared<const rs::query::TrustIndex>(
-        rs::query::TrustIndex::build(database(), *membership_, pool()));
+        rs::query::TrustIndex::build(database(), *membership_));
   }
   return *trust_index_;
 }
@@ -615,7 +613,7 @@ std::string EcosystemStudy::report_agreement() {
   const rs::util::Date date = latest_common_date(index);
   const auto view = rs::landscape::presence_at(index, date,
                                               rs::query::Scope::kTls);
-  const auto summary = rs::landscape::agreement_summary(view.sets, pool());
+  const auto summary = rs::landscape::agreement_summary(view.sets);
 
   std::string out = "Landscape: cross-store agreement at " + date.to_string() +
                     " (TLS scope)\n\n";
@@ -667,7 +665,7 @@ std::string EcosystemStudy::report_agreement() {
     const auto at = rs::landscape::presence_at(
         index, rs::util::Date::ymd(y, 1, 1), rs::query::Scope::kTls);
     if (at.providers.empty()) continue;
-    const auto s = rs::landscape::agreement_summary(at.sets, pool());
+    const auto s = rs::landscape::agreement_summary(at.sets);
     series.add_row({std::to_string(y), std::to_string(at.providers.size()),
                     std::to_string(s.union_size),
                     std::to_string(s.intersection_size),
@@ -785,7 +783,7 @@ std::string EcosystemStudy::report_ct_landscape() {
   for (const auto& log : logs) log_lanes.push_back(&log);
   table.add(log_lanes, pool());
   for (auto& log : logs) db.add(std::move(log));
-  const auto index = rs::query::TrustIndex::build(db, table, pool());
+  const auto index = rs::query::TrustIndex::build(db, table);
   const rs::util::Date date = latest_common_date(index);
   const auto first_seen =
       rs::landscape::first_seen_tables(index, rs::query::Scope::kTls);

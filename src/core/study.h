@@ -28,9 +28,11 @@ inline constexpr std::size_t kFigure1MaxPerProvider = 40;
 
 /// Execution knobs for a study instance.
 struct StudyOptions {
-  /// Worker threads for the analysis hot paths (Jaccard matrix, SMACOF,
-  /// staleness/diff series).  0 = inline serial execution.  Any value
-  /// produces bitwise-identical reports (see docs/PARALLELISM.md).
+  /// Worker threads for the membership-table build: one task per
+  /// provider's lane, at construction and for report_ct_landscape's
+  /// CT-log lanes.  Every analysis runs inline.  0 = inline serial
+  /// execution.  Any value produces byte-identical reports (see
+  /// docs/PARALLELISM.md).
   std::size_t num_threads = 0;
 };
 
@@ -50,8 +52,8 @@ class EcosystemStudy {
   }
   rs::synth::PaperScenario& scenario() { return scenario_; }
   const StudyOptions& options() const noexcept { return options_; }
-  /// The study's pool (nullptr when num_threads == 0): analyses run
-  /// serially inline in that case.
+  /// The study's pool for the membership lanes (nullptr when
+  /// num_threads == 0: they are built inline).
   rs::exec::ThreadPool* pool() const noexcept { return pool_.get(); }
   /// The database's membership table over its complete interner, built
   /// once at construction: every set reader (Jaccard matrix, NSS version
@@ -98,9 +100,9 @@ class EcosystemStudy {
 
  private:
   /// Lazily compiles (and caches) the TrustIndex over the scenario
-  /// database from the study's membership table, on the study pool.  The
-  /// landscape reports resolve presence views through it; the classic
-  /// reports never touch it.
+  /// database from the study's membership table.  The landscape reports
+  /// resolve presence views through it; the classic reports never touch
+  /// it.
   const rs::query::TrustIndex& trust_index();
 
   rs::synth::PaperScenario scenario_;

@@ -1,19 +1,19 @@
-// Deterministic fork-join execution for the analysis hot paths.
+// Deterministic fork-join execution for the membership-table build.
 //
-// The paper's expensive computations (the 619x619 Jaccard matrix, SMACOF
-// stress majorization, per-derivative diff series) are embarrassingly
-// parallel.  This module provides the one concurrency primitive the
-// pipeline needs: a fixed-size thread pool plus chunked parallel-for /
-// parallel-reduce helpers whose results are bitwise-identical for ANY
-// worker count, including zero workers (inline serial execution).
+// One production site uses the pool: MembershipTable::add builds each
+// provider's lane of per-snapshot rows on its own task.  Every other
+// analysis runs inline, because there a fork-join costs about what it
+// saves (docs/PARALLELISM.md has the per-site measurements);
+// landscape::agreement_summary keeps a pooled pair loop that only a
+// benchmark drives.  This module provides the primitive: a fixed-size
+// thread pool plus a chunked parallel-for whose results are identical for
+// ANY worker count, including zero workers (inline serial execution).
 //
 // Determinism contract (see docs/PARALLELISM.md):
 //   * Chunk boundaries depend only on the range length `n`, never on the
 //     worker count (plan_chunks).
 //   * parallel_for bodies write disjoint outputs, so scheduling order is
 //     irrelevant.
-//   * parallel_reduce combines per-chunk partials serially in chunk-index
-//     order, so floating-point association is fixed.
 //   * The serial fallback (`pool == nullptr` or zero workers) walks the
 //     same chunks in the same order through the same code path.
 #pragma once
@@ -80,7 +80,7 @@ struct ChunkPlan {
 
 inline ChunkPlan plan_chunks(std::size_t n) noexcept {
   // Enough chunks that a handful of workers load-balance across uneven
-  // per-element cost (e.g. shrinking Jaccard row blocks), few enough that
+  // per-element cost (providers differ in snapshot count), few enough that
   // queue overhead stays negligible.
   constexpr std::size_t kTargetChunks = 64;
   ChunkPlan plan;
@@ -155,26 +155,6 @@ void parallel_for(ThreadPool* pool, std::size_t n, const Body& body) {
                      std::size_t end) {
                    for (std::size_t i = begin; i < end; ++i) body(i);
                  });
-}
-
-/// Chunked reduction: `map_chunk(begin, end) -> T` runs per chunk (possibly
-/// in parallel), then partials are combined serially in chunk-index order
-/// with `combine(acc, partial) -> T`.  The fixed chunking plus ordered
-/// combine make the result bitwise-identical for any worker count even for
-/// non-associative-in-floating-point operations like double sums.
-template <typename T, typename MapChunk, typename Combine>
-T parallel_reduce(ThreadPool* pool, std::size_t n, T identity,
-                  const MapChunk& map_chunk, const Combine& combine) {
-  const ChunkPlan plan = plan_chunks(n);
-  if (plan.chunk_count == 0) return identity;
-  std::vector<T> partials(plan.chunk_count, identity);
-  for_each_chunk(pool, n,
-                 [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-                   partials[chunk] = map_chunk(begin, end);
-                 });
-  T acc = std::move(identity);
-  for (T& partial : partials) acc = combine(std::move(acc), std::move(partial));
-  return acc;
 }
 
 }  // namespace rs::exec

@@ -22,8 +22,11 @@ Result<ParsedStore> parse_cert_dir_impl(const std::vector<CertDirFile>& files,
   ParsedStore out;
   for (const auto& file : files) {
     // Heuristic matching real tooling: PEM if the marker appears, else DER.
+    // Both decode through the directory's pool, so a root repeated across
+    // files (c_rehash symlinks) decodes once, and parse_cert_dir counts
+    // each file once.
     if (file.content.find("-----BEGIN") != std::string::npos) {
-      auto parsed = parse_pem_bundle(file.content, policy);
+      auto parsed = detail::parse_pem_bundle_impl(file.content, policy, pool);
       if (!parsed) {
         out.warnings.push_back(file.name + ": " + parsed.error());
         continue;

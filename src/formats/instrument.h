@@ -9,9 +9,11 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 
 #include "src/formats/cert_pool.h"
 #include "src/formats/certdata.h"
+#include "src/formats/pem_bundle.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/util/result.h"
@@ -36,5 +38,11 @@ inline void note_parse(rs::obs::Span& span, std::size_t bytes,
   span.set_items(result.value().entries.size());
   reg.counter("formats.parse_warnings").add(result.value().warnings.size());
 }
+
+/// parse_pem_bundle's body, through a caller's pool and with no span or
+/// counters of its own: parse_cert_dir decodes every PEM file through the
+/// directory's pool and counts the directory once.
+rs::util::Result<ParsedStore> parse_pem_bundle_impl(
+    std::string_view text, const BundleTrustPolicy& policy, CertPool& pool);
 
 }  // namespace rs::formats::detail

@@ -19,11 +19,8 @@ BundleTrustPolicy BundleTrustPolicy::tls_only() {
   return BundleTrustPolicy{{TrustPurpose::kServerAuth}};
 }
 
-namespace {
-
-Result<ParsedStore> parse_pem_bundle_impl(std::string_view text,
-                                          const BundleTrustPolicy& policy,
-                                          CertPool& pool) {
+Result<ParsedStore> detail::parse_pem_bundle_impl(
+    std::string_view text, const BundleTrustPolicy& policy, CertPool& pool) {
   const auto pem = rs::encoding::pem_parse_all(text);
   ParsedStore out;
   out.warnings = pem.errors;
@@ -49,13 +46,11 @@ Result<ParsedStore> parse_pem_bundle_impl(std::string_view text,
   return out;
 }
 
-}  // namespace
-
 Result<ParsedStore> parse_pem_bundle(std::string_view text,
                                      const BundleTrustPolicy& policy) {
   rs::obs::Span span("formats/pem_bundle");
   CertPool pool;
-  auto result = parse_pem_bundle_impl(text, policy, pool);
+  auto result = detail::parse_pem_bundle_impl(text, policy, pool);
   detail::note_parse(span, text.size(), result, pool);
   return result;
 }

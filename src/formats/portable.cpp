@@ -43,6 +43,19 @@ std::optional<TrustPurpose> parse_purpose(std::string_view token) {
   return std::nullopt;
 }
 
+// The subject CN with its control bytes (below 0x20, and 0x7F) dropped: a
+// CN holding a newline would otherwise write lines of its own, such as a
+// forged root block, into the document.  Every other byte is kept.
+std::string label_of(std::string_view cn) {
+  std::string out;
+  out.reserve(cn.size());
+  for (const char c : cn) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte != 0x7F) out.push_back(c);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string write_rsts(const std::vector<TrustEntry>& entries) {
@@ -52,7 +65,7 @@ std::string write_rsts(const std::vector<TrustEntry>& entries) {
     const auto& cert = *e.certificate;
     out += "root\n";
     const auto cn = cert.subject().common_name();
-    if (cn) out += "  label " + std::string(*cn) + "\n";
+    if (cn) out += "  label " + label_of(*cn) + "\n";
     out += "  sha256 " + rs::util::hex_encode(cert.sha256()) + "\n";
     out += "  cert " + rs::encoding::base64_encode(cert.der()) + "\n";
     for (TrustPurpose p : rs::store::kAllPurposes) {

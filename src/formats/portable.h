@@ -19,12 +19,14 @@
 //     trust code-signing distrusted
 //   end
 //
-// Rules: UTF-8; indentation is cosmetic; unknown keys inside a root block
-// are warnings (forward compatibility); `sha256` is a MANDATORY integrity
-// pin — an absent or mismatching pin rejects the entry, so no byte flip in
-// a document can smuggle an unpinned certificate through; omitted `trust`
-// lines default to must-verify; the format never implies trust that is not
-// spelled out (the opposite of the PEM-bundle failure mode).
+// Rules: UTF-8; indentation is cosmetic; `label` is the subject CN with its
+// control bytes dropped, so no CN can start a line of its own; unknown
+// keys inside a root block are warnings (forward compatibility); `sha256`
+// is a MANDATORY integrity pin — an absent or mismatching pin rejects the
+// entry, so no byte flip in a document can smuggle an unpinned certificate
+// through; omitted `trust` lines default to must-verify; the format never
+// implies trust that is not spelled out (the opposite of the PEM-bundle
+// failure mode).
 #pragma once
 
 #include <string>

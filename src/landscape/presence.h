@@ -76,7 +76,9 @@ std::vector<rs::store::IdSet> exclusive_sets(
 
 /// Full agreement summary over one presence vector.  `pool` parallelizes
 /// the pairwise popcounts; results are identical for any worker count
-/// (integer cardinalities, disjoint writes, fixed pair order).
+/// (integer cardinalities, disjoint writes, fixed pair order).  At tens
+/// of providers the serial loop is several times faster, so the study
+/// passes no pool; only a benchmark still does (docs/PARALLELISM.md).
 AgreementSummary agreement_summary(
     const std::vector<const rs::store::IdSet*>& sets,
     rs::exec::ThreadPool* pool = nullptr);

@@ -36,8 +36,9 @@ namespace rs::query {
 class QueryEngine {
  public:
   /// Compiles the index from `db` (interned via CertInterner::from_database)
-  /// and captures the attribution rows.  `build_pool` parallelizes the
-  /// index build only; queries never touch a pool.  `db` is not retained.
+  /// and captures the attribution rows.  `build_pool` builds the index's
+  /// membership lanes only; queries never touch a pool.  `db` is not
+  /// retained.
   QueryEngine(const rs::store::StoreDatabase& db,
               std::vector<rs::synth::UserAgentGroup> agents,
               rs::exec::ThreadPool* build_pool = nullptr);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/exec/thread_pool.h"
 #include "src/obs/span.h"
 
 namespace rs::query {
@@ -77,33 +76,24 @@ void TrustIndex::build_provider(const rs::store::ProviderHistory& history,
 TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
                              const rs::store::CertInterner& interner,
                              rs::exec::ThreadPool* pool) {
-  return build(db, rs::store::MembershipTable::build(db, interner, pool),
-               pool);
+  return build(db, rs::store::MembershipTable::build(db, interner, pool));
 }
 
 TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
-                             const rs::store::MembershipTable& table,
-                             rs::exec::ThreadPool* pool) {
+                             const rs::store::MembershipTable& table) {
   rs::obs::Span span("query/build_index");
   TrustIndex index;
   index.interner_ = table.interner();
 
-  // Lay out providers in name order (the histories() map order), then
-  // fill each lane independently — disjoint writes, so the parallel and
-  // serial builds are identical.
-  std::vector<const rs::store::ProviderHistory*> histories;
+  // Lay out providers in name order (the histories() map order).
+  const std::size_t universe = index.interner_.size();
   for (const auto& [name, history] : db.histories()) {
     if (history.empty()) continue;
     index.by_name_.emplace(name, index.providers_.size());
-    index.providers_.emplace_back();
-    index.providers_.back().name = name;
-    histories.push_back(&history);
+    auto& provider = index.providers_.emplace_back();
+    provider.name = name;
+    build_provider(history, table.lane(history), universe, provider);
   }
-  const std::size_t universe = index.interner_.size();
-  rs::exec::parallel_for(pool, index.providers_.size(), [&](std::size_t i) {
-    build_provider(*histories[i], table.lane(*histories[i]), universe,
-                   index.providers_[i]);
-  });
 
   std::size_t intervals = 0;
   for (const auto& p : index.providers_) {

@@ -92,14 +92,13 @@ class TrustIndex {
 
   /// Compiles the index from `table`'s rows (built over `db`): the last
   /// row per snapshot date becomes that date's set, and intervals are
-  /// derived from consecutive sets.  O(history) work, parallelized per
-  /// provider on `pool` when given (results are identical for any worker
-  /// count — each provider's lane is independent and deterministic).
+  /// derived from consecutive sets.  O(history) work.
   static TrustIndex build(const rs::store::StoreDatabase& db,
-                          const rs::store::MembershipTable& table,
-                          rs::exec::ThreadPool* pool = nullptr);
+                          const rs::store::MembershipTable& table);
   /// The same, over a membership table built here from `interner`, which
   /// must cover the database universe (CertInterner::from_database does).
+  /// `pool` builds the table's rows per provider (any worker count gives
+  /// the same index).
   static TrustIndex build(const rs::store::StoreDatabase& db,
                           const rs::store::CertInterner& interner,
                           rs::exec::ThreadPool* pool = nullptr);

@@ -2,9 +2,9 @@
 // the sorted-merge referee (tests/analysis/merge_referee.h) bit for bit —
 // Jaccard matrices, closest-version matches, staleness series, diff series,
 // exclusive roots, Table 2's store-state counts, churn and update cadence
-// — serially and on a 3-worker pool, on the paper scenario, on simulated
-// ecosystems, and on a database whose providers ship same-date
-// re-releases.  See docs/INTERNING.md.
+// — over a table built serially and on a 3-worker pool, on the paper
+// scenario, on simulated ecosystems, and on a database whose providers
+// ship same-date re-releases.  See docs/INTERNING.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,25 +56,23 @@ struct Input {
   JaccardOptions jaccard;
 };
 
-/// Runs `check(table, pool)` with a table built on a pool of each worker
-/// count (0 = inline serial, no pool).
+/// Runs `check(table)` with a table built on a pool of each worker count
+/// (0 = inline serial, no pool).
 template <typename Check>
 void for_each_pool(const Input& in, const Check& check) {
   for (const std::size_t workers : kWorkerCounts) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
     std::unique_ptr<rs::exec::ThreadPool> pool;
     if (workers > 0) pool = std::make_unique<rs::exec::ThreadPool>(workers);
-    const auto table = MembershipTable::build(*in.db, pool.get());
-    check(table, pool.get());
+    check(MembershipTable::build(*in.db, pool.get()));
   }
 }
 
 void check_jaccard(const Input& in, SetKind kind) {
   JaccardOptions opts = in.jaccard;
   opts.set_kind = kind;
-  for_each_pool(in, [&](const MembershipTable& table,
-                        rs::exec::ThreadPool* pool) {
-    const auto matrix = jaccard_matrix(*in.db, table, opts, pool);
+  for_each_pool(in, [&](const MembershipTable& table) {
+    const auto matrix = jaccard_matrix(*in.db, table, opts);
     ASSERT_GT(matrix.size(), 1u);
     EXPECT_TRUE(matrix.values ==
                 referee::jaccard_values(*in.db, matrix.labels, kind));
@@ -84,7 +82,7 @@ void check_jaccard(const Input& in, SetKind kind) {
 void check_closest_match(const Input& in) {
   const ProviderHistory& nss = *in.db->find(in.nss);
   const auto versions = referee::substantial_versions(nss);
-  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     const auto index = build_version_index(nss, table);
     ASSERT_EQ(index.size(), versions.size());
     for (const auto& name : in.derivatives) {
@@ -107,12 +105,11 @@ void check_closest_match(const Input& in) {
 void check_staleness(const Input& in) {
   const ProviderHistory& nss = *in.db->find(in.nss);
   const auto versions = referee::substantial_versions(nss);
-  for_each_pool(in, [&](const MembershipTable& table,
-                        rs::exec::ThreadPool* pool) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     const auto index = build_version_index(nss, table);
     for (const auto& name : in.derivatives) {
       const ProviderHistory& h = *in.db->find(name);
-      EXPECT_EQ(derivative_staleness(h, table, index, pool).points,
+      EXPECT_EQ(derivative_staleness(h, table, index).points,
                 referee::staleness_points(h, versions))
           << name;
     }
@@ -122,12 +119,11 @@ void check_staleness(const Input& in) {
 void check_diffs(const Input& in) {
   const ProviderHistory& nss = *in.db->find(in.nss);
   const auto versions = referee::substantial_versions(nss);
-  for_each_pool(in, [&](const MembershipTable& table,
-                        rs::exec::ThreadPool* pool) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     const auto index = build_version_index(nss, table);
     for (const auto& name : in.derivatives) {
       const ProviderHistory& h = *in.db->find(name);
-      const auto got = derivative_diffs(h, nss, table, index, pool);
+      const auto got = derivative_diffs(h, nss, table, index);
       const auto want = referee::diffs(h, nss, versions);
       EXPECT_EQ(got.points, want.points) << name;
       EXPECT_EQ(got.ever_deviates, want.ever_deviates) << name;
@@ -137,14 +133,14 @@ void check_diffs(const Input& in) {
 
 void check_exclusive(const Input& in) {
   const auto want = referee::exclusive_roots(*in.db, in.programs);
-  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     EXPECT_EQ(exclusive_roots(*in.db, table, in.programs), want);
   });
 }
 
 // Table 2's "# Uniq" is update_cadence's substantial-update count.
 void check_store_states(const Input& in) {
-  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     for (const auto& [name, history] : in.db->histories()) {
       EXPECT_EQ(update_cadence(history, table).substantial_updates,
                 referee::store_states(history))
@@ -154,7 +150,7 @@ void check_store_states(const Input& in) {
 }
 
 void check_churn(const Input& in) {
-  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     for (const auto& [name, history] : in.db->histories()) {
       EXPECT_TRUE(churn_series(history, table) ==
                   referee::churn_series(history))
@@ -164,7 +160,7 @@ void check_churn(const Input& in) {
 }
 
 void check_cadence(const Input& in) {
-  for_each_pool(in, [&](const MembershipTable& table, rs::exec::ThreadPool*) {
+  for_each_pool(in, [&](const MembershipTable& table) {
     for (const auto& [name, history] : in.db->histories()) {
       EXPECT_TRUE(update_cadence(history, table) ==
                   referee::update_cadence(history))

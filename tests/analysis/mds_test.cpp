@@ -86,15 +86,6 @@ TEST(Mds, SeparatedClustersStaySeparated) {
   EXPECT_LT(max_within * 4, min_between);
 }
 
-TEST(Mds, RandomInitConvergesToo) {
-  const auto m = matrix_from({{0, 1, 1}, {1, 0, 1}, {1, 1, 0}});
-  MdsOptions opts;
-  opts.random_init = true;
-  opts.max_iterations = 500;
-  const auto r = smacof_mds(m, opts);
-  EXPECT_LT(r.normalized_stress, 1e-4);
-}
-
 TEST(Mds, StressIsDeterministic) {
   const auto m = matrix_from({{0, 0.4, 0.9}, {0.4, 0, 0.6}, {0.9, 0.6, 0}});
   const auto a = smacof_mds(m);

@@ -8,7 +8,6 @@
 #include "src/analysis/jaccard.h"
 #include "src/analysis/mds.h"
 #include "src/analysis/staleness.h"
-#include "src/exec/thread_pool.h"
 #include "src/store/membership.h"
 #include "src/formats/certdata.h"
 #include "src/formats/jks.h"
@@ -95,53 +94,6 @@ TEST_P(SimulatedPipelineTest, DiffCountsAreConsistent) {
       std::size_t removes = 0;
       for (auto v : p.removes) removes += v;
       EXPECT_EQ(removes, p.removed_total());
-    }
-  }
-}
-
-TEST_P(SimulatedPipelineTest, ParallelAnalysesMatchSerialBitwise) {
-  // Randomized ecosystems hit snapshot counts and set sizes the curated
-  // scenario cannot, catching chunk-boundary bugs in the parallel paths.
-  const auto eco = make();
-  rs::analysis::JaccardOptions opts;
-  opts.max_per_provider = 13;  // odd count stresses uneven chunk edges
-
-  const auto table = rs::store::MembershipTable::build(eco.database);
-  const auto dist_serial =
-      rs::analysis::jaccard_matrix(eco.database, table, opts);
-  const auto mds_serial = rs::analysis::smacof_mds(dist_serial);
-  const auto* base = eco.database.find(eco.base_program);
-  ASSERT_NE(base, nullptr);
-  const auto index = rs::analysis::build_version_index(*base, table);
-
-  for (std::size_t workers : {std::size_t{2}, std::size_t{5}}) {
-    rs::exec::ThreadPool pool(workers);
-
-    const auto dist =
-        rs::analysis::jaccard_matrix(eco.database, table, opts, &pool);
-    ASSERT_EQ(dist.size(), dist_serial.size());
-    EXPECT_TRUE(dist.values == dist_serial.values) << workers << " workers";
-
-    const auto mds = rs::analysis::smacof_mds(dist_serial, {}, &pool);
-    EXPECT_EQ(mds.iterations, mds_serial.iterations);
-    EXPECT_EQ(mds.stress, mds_serial.stress);
-    ASSERT_EQ(mds.points.size(), mds_serial.points.size());
-    for (std::size_t i = 0; i < mds.points.size(); ++i) {
-      EXPECT_EQ(mds.points[i].x, mds_serial.points[i].x);
-      EXPECT_EQ(mds.points[i].y, mds_serial.points[i].y);
-    }
-
-    for (const auto& name : eco.derivative_names) {
-      const auto* deriv = eco.database.find(name);
-      ASSERT_NE(deriv, nullptr);
-      EXPECT_EQ(
-          rs::analysis::derivative_staleness(*deriv, table, index, &pool),
-          rs::analysis::derivative_staleness(*deriv, table, index))
-          << name;
-      EXPECT_EQ(
-          rs::analysis::derivative_diffs(*deriv, *base, table, index, &pool),
-          rs::analysis::derivative_diffs(*deriv, *base, table, index))
-          << name;
     }
   }
 }

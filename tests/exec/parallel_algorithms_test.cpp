@@ -1,12 +1,10 @@
-// Determinism contract of the chunked parallel algorithms: fixed chunk
-// plans, chunk-ordered reduction, and bitwise-stable floating-point results
-// across worker counts.
+// Determinism contract of the chunked parallel-for: fixed chunk plans
+// that tile the range the same way for any worker count.
 #include "src/exec/thread_pool.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace rs::exec {
@@ -59,61 +57,6 @@ TEST(ForEachChunk, ChunkBoundariesMatchPlanRegardlessOfPool) {
     ThreadPool pool(workers);
     EXPECT_EQ(collect(&pool), serial) << workers << " workers";
   }
-}
-
-TEST(ParallelReduce, CombinesInChunkOrder) {
-  // A deliberately non-commutative combine (string concatenation): the
-  // result encodes the combine order, so it only matches the serial result
-  // if partials are folded in ascending chunk order.
-  const std::size_t n = 100;
-  auto run = [&](ThreadPool* pool) {
-    return parallel_reduce(
-        pool, n, std::string(),
-        [](std::size_t begin, std::size_t end) {
-          return "[" + std::to_string(begin) + "," + std::to_string(end) + ")";
-        },
-        [](std::string acc, std::string part) { return acc + part; });
-  };
-  const std::string serial = run(nullptr);
-  for (std::size_t workers : {1u, 3u, 8u}) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(run(&pool), serial) << workers << " workers";
-  }
-}
-
-TEST(ParallelReduce, DoubleSumBitwiseStableAcrossWorkerCounts) {
-  // Values spanning many magnitudes make the sum association-sensitive:
-  // any change in combine order shows up in the low bits.
-  const std::size_t n = 10007;
-  std::vector<double> values(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = std::sin(static_cast<double>(i)) *
-                std::pow(10.0, static_cast<double>(i % 17) - 8.0);
-  }
-  auto run = [&](ThreadPool* pool) {
-    return parallel_reduce(
-        pool, n, 0.0,
-        [&](std::size_t begin, std::size_t end) {
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += values[i];
-          return acc;
-        },
-        [](double acc, double part) { return acc + part; });
-  };
-  const double serial = run(nullptr);
-  for (std::size_t workers : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(workers);
-    const double parallel = run(&pool);
-    EXPECT_EQ(parallel, serial) << workers << " workers";  // bitwise
-  }
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  ThreadPool pool(2);
-  const int result = parallel_reduce(
-      &pool, 0, 42, [](std::size_t, std::size_t) { return 7; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(result, 42);
 }
 
 }  // namespace

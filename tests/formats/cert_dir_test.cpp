@@ -6,12 +6,16 @@
 #include <filesystem>
 #include <fstream>
 
+#include "src/encoding/pem.h"
+#include "src/obs/clock.h"
+#include "src/obs/registry.h"
 #include "src/x509/builder.h"
 
 namespace rs::formats {
 namespace {
 
 using rs::store::TrustEntry;
+using rs::util::Result;
 
 std::shared_ptr<const rs::x509::Certificate> make_cert(std::uint64_t seed) {
   rs::x509::Name n;
@@ -55,6 +59,57 @@ TEST(CertDir, BadFilesWarnWithFileName) {
   EXPECT_TRUE(parsed.value().entries.empty());
   ASSERT_FALSE(parsed.value().warnings.empty());
   EXPECT_NE(parsed.value().warnings[0].find("broken.pem"), std::string::npos);
+}
+
+// Parses `files` with the rs_obs registry enabled and returns the result;
+// the caller reads the counters and resets the registry.
+Result<ParsedStore> parse_counted(const std::vector<CertDirFile>& files) {
+  auto& reg = rs::obs::Registry::global();
+  rs::obs::FakeClock clock;
+  reg.reset();
+  reg.enable(&clock);
+  auto parsed = parse_cert_dir(files, BundleTrustPolicy::tls_only());
+  reg.disable();
+  return parsed;
+}
+
+std::uint64_t counter(const char* name) {
+  return rs::obs::Registry::global().counter(name).value();
+}
+
+TEST(CertDir, CountsEachFileOnce) {
+  // Two roots plus one PEM file that holds no certificate.
+  auto files = write_cert_dir({rs::store::make_tls_anchor(make_cert(1)),
+                               rs::store::make_tls_anchor(make_cert(2))});
+  files.push_back(
+      {"key.pem", rs::encoding::pem_encode(
+                      "KEY", std::vector<std::uint8_t>{1, 2, 3})});
+  std::size_t bytes = 0;
+  for (const auto& file : files) bytes += file.content.size();
+  ASSERT_EQ(bytes, 2093u);
+
+  const auto parsed = parse_counted(files);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed.value().entries.size(), 2u);
+  EXPECT_EQ(parsed.value().warnings.size(), 1u);
+  EXPECT_EQ(counter("formats.bytes_decoded"), bytes);
+  EXPECT_EQ(counter("formats.parse_warnings"), 1u);
+  EXPECT_EQ(counter("formats.certs_decoded"), 2u);
+  rs::obs::Registry::global().reset();
+}
+
+TEST(CertDir, RootRepeatedAcrossFilesDecodesOnce) {
+  // c_rehash links a hashed name to the named file: one root, two files.
+  const auto files = write_cert_dir({rs::store::make_tls_anchor(make_cert(7))});
+  const auto parsed =
+      parse_counted({files[0], {"5ed36f99.0", files[0].content}});
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  ASSERT_EQ(parsed.value().entries.size(), 2u);
+  EXPECT_EQ(parsed.value().entries[0].certificate.get(),
+            parsed.value().entries[1].certificate.get());
+  EXPECT_EQ(counter("formats.certs_decoded"), 1u);
+  EXPECT_EQ(counter("formats.cert_pool_hits"), 1u);
+  rs::obs::Registry::global().reset();
 }
 
 TEST(CertDir, SanitizedFileNames) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/encoding/base64.h"
+#include "src/util/hex.h"
 #include "src/util/strings.h"
 #include "src/x509/builder.h"
 
@@ -194,6 +195,40 @@ TEST(Rsts, DoubleRoundTripIsStable) {
   auto parsed = parse_rsts(once);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(write_rsts(parsed.value().entries), once);
+}
+
+TEST(Rsts, LabelCannotInjectLines) {
+  // A distrusted root whose CN spells out a second, trusted root block
+  // (with a valid pin and cert of another certificate).  Written verbatim,
+  // the label's newlines would end the block early and the document would
+  // read back as two entries, a TLS anchor the store never held and the
+  // original root, with a warning for the certless block left in front.
+  const auto other = make_cert(21);
+  rs::x509::Name n;
+  n.add_common_name("Innocent\nend\nroot\n  sha256 " +
+                    rs::util::hex_encode(other->sha256()) + "\n  cert " +
+                    rs::encoding::base64_encode(other->der()) +
+                    "\n  trust server-auth trusted-delegator\nend\nroot");
+  TrustEntry evil;
+  evil.certificate = std::make_shared<const rs::x509::Certificate>(
+      rs::x509::CertificateBuilder().subject(n).key_seed(20).build());
+  for (TrustPurpose p : rs::store::kAllPurposes) {
+    evil.trust_for(p).level = TrustLevel::kDistrusted;
+  }
+
+  const std::string text = write_rsts({evil});
+  auto parsed = parse_rsts(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_TRUE(parsed.value().warnings.empty())
+      << parsed.value().warnings.front();
+  ASSERT_EQ(parsed.value().entries.size(), 1u);
+  const auto& back = parsed.value().entries[0];
+  EXPECT_EQ(back.certificate->der(), evil.certificate->der());
+  for (TrustPurpose p : rs::store::kAllPurposes) {
+    EXPECT_EQ(back.trust_for(p).level, TrustLevel::kDistrusted);
+  }
+  // The label keeps every byte but the control bytes.
+  EXPECT_NE(text.find("  label Innocentendroot  sha256 "), std::string::npos);
 }
 
 }  // namespace

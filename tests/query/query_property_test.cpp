@@ -134,9 +134,10 @@ TEST(QueryProperty, StoreAtMatchesSnapshotScan) {
   }
 }
 
-// The index build fans out per provider on the pool; the answers must be
-// identical for any worker count.  Compared at the engine layer so the
-// guarantee covers the full response bytes, not just the index internals.
+// The index build's membership lanes fan out per provider on the pool;
+// the answers must be identical for any worker count.  Compared at the
+// engine layer so the guarantee covers the full response bytes, not just
+// the index internals.
 TEST(QueryProperty, ThreadedBuildIsByteIdenticalToSerial) {
   const auto scenario = rs::synth::build_paper_scenario();
   const StoreDatabase& db = scenario.database();

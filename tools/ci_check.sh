@@ -7,7 +7,7 @@
 #                        test suite so memory bugs fail CI deterministically
 #   3. TSan build        ThreadSanitizer over the concurrency suite
 #                        (`ctest -L tsan`: thread-pool stress tests, the
-#                        parallel analysis pipeline under contention, the
+#                        pooled membership-lane build on a warm pool, the
 #                        table-vs-referee equivalence suite on the pool,
 #                        and the serve layer under concurrent socket clients)
 #   4. static concurrency gates (skip with ROOTSTORE_SKIP_STATIC=1)
@@ -23,7 +23,7 @@
 #                           (skipped with a notice when clang is missing)
 #   5. lint              clang-tidy via tools/run_lint.sh (skipped with a
 #                        notice when clang-tidy is not installed)
-#   6. benches           records the 1-vs-N worker scaling sweep into
+#   6. benches           records the lane build's 1-vs-N worker sweep into
 #                        BENCH_parallel.json, the observability-overhead
 #                        sweep into BENCH_obs.json,
 #                        the serve-layer connection/batch sweep into

@@ -75,9 +75,10 @@ int usage() {
       "         [--trace-out FILE] [--metrics-out FILE]\n"
       "                            table1..table7, fig1..fig4, agreement,\n"
       "                            exclusivity, ct_landscape; --threads N\n"
-      "                            (or env ROOTSTORE_THREADS) runs the\n"
-      "                            analysis hot paths on N worker threads\n"
-      "                            with bitwise-identical output (0 = serial);\n"
+      "                            (or env ROOTSTORE_THREADS) builds the\n"
+      "                            per-provider membership rows on N worker\n"
+      "                            threads with byte-identical output\n"
+      "                            (0 = serial; every analysis runs inline);\n"
       "                            --from DIR decodes the database from a\n"
       "                            `dataset export` directory through the\n"
       "                            real format parsers (same report bytes);\n"
