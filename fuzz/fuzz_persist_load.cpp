@@ -5,10 +5,14 @@
 // hostile allocation — for ANY byte string.
 //
 // Invariants checked on every accepted input:
+//   * every digest of the loaded universe looks up to its own ID (the
+//     interner's radix index agrees with its sorted array, whatever
+//     prefixes the digests share),
 //   * re-serializing the loaded index yields an image the loader accepts
 //     again (a load never produces an unserializable index), and
 //   * that second round trip is a byte-level fixed point (canonical
 //     encoding: the bytes do not drift across load/store cycles).
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -26,6 +30,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   auto loaded = rs::query::TrustIndexIO::deserialize({data, size});
   if (!loaded.ok()) return 0;
+
+  const auto& interner = loaded.value().interner();
+  for (std::uint32_t id = 0; id < interner.size(); ++id) {
+    RS_FUZZ_ASSERT(interner.id_of(interner.digest_of(id)) == id,
+                   "a universe digest does not look up to its own id");
+  }
 
   const std::string first =
       rs::query::TrustIndexIO::serialize(loaded.value());

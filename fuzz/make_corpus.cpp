@@ -340,6 +340,30 @@ int main(int argc, char** argv) {
     write_seed(dir, "version-skew.rsix", std::string_view(skew));
     write_seed(dir, "not-an-index.rsix",
                std::string_view("RSIX01 but not really\n"));
+
+    // The minimal index over a 64-digest universe whose digests share
+    // their first four bytes, so every one falls into the same bucket of
+    // the interner's radix index.  The sets and intervals still name IDs
+    // 0..2, which stay in range.
+    std::vector<rs::crypto::Sha256Digest> prefixed(64);
+    for (std::size_t i = 0; i < prefixed.size(); ++i) {
+      auto& d = prefixed[i];
+      d.fill(static_cast<std::uint8_t>(0xC3 ^ i));
+      d[0] = d[1] = d[2] = d[3] = 0x5A;
+      d[4] = static_cast<std::uint8_t>(i);
+    }
+    rs::store::persist::ByteWriter digests;
+    rs::store::persist::write_digests(digests, prefixed);
+    rs::store::persist::FileBuilder shared_prefix;
+    shared_prefix.add_section(rs::query::kSectionInterner,
+                              std::move(digests).take());
+    for (const auto& sec : view.value().sections()) {
+      if (sec.id == rs::query::kSectionInterner) continue;
+      shared_prefix.add_section(
+          sec.id, std::string(sec.payload.begin(), sec.payload.end()));
+    }
+    write_seed(dir, "shared-prefix.rsix",
+               std::string_view(shared_prefix.finish()));
   }
 
   // --- verify_chain: NDJSON verify requests over synthetic chains --------

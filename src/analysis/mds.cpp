@@ -1,6 +1,8 @@
 #include "src/analysis/mds.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
@@ -36,6 +38,38 @@ double pairwise_squared_sum(const DistanceMatrix& dist) {
   return total;
 }
 
+// out = m * v for the row-major n*n matrix `m`.  Four rows share each
+// pass over `v`, but every row still sums its products in column order,
+// so each entry equals a one-row dot product bit for bit.
+void multiply(const std::vector<double>& m, std::size_t n,
+              const std::vector<double>& v, std::vector<double>& out) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* r0 = m.data() + i * n;
+    const double* r1 = r0 + n;
+    const double* r2 = r1 + n;
+    const double* r3 = r2 + n;
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const double vj = v[j];
+      a0 += r0[j] * vj;
+      a1 += r1[j] * vj;
+      a2 += r2[j] * vj;
+      a3 += r3[j] * vj;
+    }
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
+  }
+  for (; i < n; ++i) {
+    const double* r = m.data() + i * n;
+    double acc = 0.0;
+    for (std::size_t j = 0; j < n; ++j) acc += r[j] * v[j];
+    out[i] = acc;
+  }
+}
+
 // Power iteration for the dominant eigenpair of a symmetric matrix `m`,
 // deflating `prior` eigenpairs (vectors stored column-wise in `evecs`).
 void power_iteration(const std::vector<double>& m, std::size_t n,
@@ -64,11 +98,7 @@ void power_iteration(const std::vector<double>& m, std::size_t n,
   eval = 0.0;
   for (int iter = 0; iter < 500; ++iter) {
     // next = M * evec, with deflation of prior eigenpairs.
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < n; ++j) acc += m[i * n + j] * evec[j];
-      next[i] = acc;
-    }
+    multiply(m, n, evec, next);
     for (std::size_t k = 0; k < prior_vecs.size(); ++k) {
       double dot = 0.0;
       for (std::size_t i = 0; i < n; ++i) dot += prior_vecs[k][i] * evec[i];
@@ -89,41 +119,17 @@ void power_iteration(const std::vector<double>& m, std::size_t n,
     eval = norm;
     if (delta < 1e-12) break;
   }
-  // Rayleigh quotient for a signed eigenvalue.
+  // Rayleigh quotient for a signed eigenvalue, over one more product.
+  multiply(m, n, evec, next);
   double rq = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) acc += m[i * n + j] * evec[j];
-    rq += evec[i] * acc;
-  }
+  for (std::size_t i = 0; i < n; ++i) rq += evec[i] * next[i];
   eval = rq;
 }
 
-}  // namespace
-
-double embedding_stress(const DistanceMatrix& dist,
-                        const std::vector<Point2>& points) {
+// Classical (Torgerson) coordinates: the two leading eigenpairs of the
+// double-centered squared-distance matrix.  Needs n >= 2.
+std::vector<Point2> classical_points(const DistanceMatrix& dist) {
   const std::size_t n = dist.size();
-  // Per-row partials folded in row order, as pairwise_squared_sum does.
-  double stress = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double row = 0.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = point_distance(points[i], points[j]);
-      const double delta = dist.at(i, j);
-      row += (d - delta) * (d - delta);
-    }
-    stress += row;
-  }
-  return stress;
-}
-
-MdsResult classical_mds(const DistanceMatrix& dist) {
-  const std::size_t n = dist.size();
-  MdsResult out;
-  out.points.assign(n, Point2{});
-  if (n < 2) return out;
-
   // B = -1/2 J D^2 J  (double centering).
   std::vector<double> b(n * n);
   std::vector<double> row_mean(n, 0.0);
@@ -154,10 +160,82 @@ MdsResult classical_mds(const DistanceMatrix& dist) {
     evecs.push_back(std::move(v));
     evals.push_back(lambda);
   }
+  std::vector<Point2> points(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.points[i].x = evals[0] > 0 ? evecs[0][i] * std::sqrt(evals[0]) : 0.0;
-    out.points[i].y = evals[1] > 0 ? evecs[1][i] * std::sqrt(evals[1]) : 0.0;
+    points[i].x = evals[0] > 0 ? evecs[0][i] * std::sqrt(evals[0]) : 0.0;
+    points[i].y = evals[1] > 0 ? evecs[1][i] * std::sqrt(evals[1]) : 0.0;
   }
+  return points;
+}
+
+// One SMACOF sweep over the upper triangle of `points` (P): returns
+// stress(P) and writes the Guttman transform with unit weights to `next`:
+//   next_i = (1/n) * sum_{j != i} w_ij * (x_i - x_j),  w_ij = delta_ij / d_ij
+// (row i of n^-1 B(X) X, where B(X)_ij = -w_ij off-diagonal and the
+// diagonal makes rows sum to zero).  Each pair's distance and weight are
+// computed once.  Row i's stress partial folds in column order, as
+// embedding_stress does.  Pair (i, j) adds w_ij * (x_i - x_j) to row i and
+// subtracts it from row j, so row j sums its i < j terms in ascending i
+// before its own j' > j terms: the column order of the row-at-a-time
+// transform.  Subtracting is exact: x_j - x_i is -(x_i - x_j), and an
+// accumulator that starts at +0 never holds -0, so the sign of a zero term
+// cannot show.  `dist` is symmetric, as every distance matrix is.
+double stress_and_transform(const DistanceMatrix& dist,
+                            const std::vector<Point2>& points,
+                            std::vector<Point2>& next) {
+  const std::size_t n = points.size();
+  std::fill(next.begin(), next.end(), Point2{});
+  double stress = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Point2 p = points[i];
+    const double* delta_row = dist.values.data() + i * n;
+    Point2 acc = next[i];
+    double row = 0.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double dx = p.x - points[j].x;
+      const double dy = p.y - points[j].y;
+      const double d = std::sqrt(dx * dx + dy * dy);
+      const double delta = delta_row[j];
+      row += (d - delta) * (d - delta);
+      const double w = d > 1e-12 ? delta / d : 0.0;
+      acc.x += w * dx;
+      acc.y += w * dy;
+      next[j].x -= w * dx;
+      next[j].y -= w * dy;
+    }
+    stress += row;
+    next[i].x = acc.x / static_cast<double>(n);
+    next[i].y = acc.y / static_cast<double>(n);
+  }
+  return stress;
+}
+
+}  // namespace
+
+double embedding_stress(const DistanceMatrix& dist,
+                        const std::vector<Point2>& points) {
+  const std::size_t n = dist.size();
+  // Per-row partials folded in row order, as pairwise_squared_sum does.
+  double stress = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d = point_distance(points[i], points[j]);
+      const double delta = dist.at(i, j);
+      row += (d - delta) * (d - delta);
+    }
+    stress += row;
+  }
+  return stress;
+}
+
+MdsResult classical_mds(const DistanceMatrix& dist) {
+  MdsResult out;
+  if (dist.size() < 2) {
+    out.points.assign(dist.size(), Point2{});
+    return out;
+  }
+  out.points = classical_points(dist);
   out.stress = embedding_stress(dist, out.points);
   const double denom = pairwise_squared_sum(dist);
   out.normalized_stress = denom > 0 ? out.stress / denom : 0.0;
@@ -174,30 +252,17 @@ MdsResult smacof_mds(const DistanceMatrix& dist) {
     return out;
   }
 
-  out.points = classical_mds(dist).points;
-  double prev_stress = embedding_stress(dist, out.points);
+  // Each sweep returns the stress of out.points and writes their
+  // transform to `next`: the first gives stress(P0) and P1, and the sweep
+  // of P(k+1) gives the stress the stopping test compares and P(k+2), which
+  // is dropped when the test stops the loop.
+  out.points = classical_points(dist);
   std::vector<Point2> next(n);
+  double prev_stress = stress_and_transform(dist, out.points, next);
   std::size_t iter = 0;
   for (; iter < kMaxIterations; ++iter) {
-    // Guttman transform with unit weights:
-    //   x_i' = (1/n) * sum_{j != i} (delta_ij / d_ij) * (x_i - x_j)
-    // (row i of n^-1 B(X) X, where B(X)_ij = -delta_ij/d_ij off-diagonal
-    // and the diagonal makes rows sum to zero).  Each row only reads the
-    // previous iterate and writes its own slot.
-    for (std::size_t i = 0; i < n; ++i) {
-      double sx = 0.0, sy = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const double d = point_distance(out.points[i], out.points[j]);
-        const double w = d > 1e-12 ? dist.at(i, j) / d : 0.0;
-        sx += w * (out.points[i].x - out.points[j].x);
-        sy += w * (out.points[i].y - out.points[j].y);
-      }
-      next[i].x = sx / static_cast<double>(n);
-      next[i].y = sy / static_cast<double>(n);
-    }
     std::swap(out.points, next);
-    const double stress = embedding_stress(dist, out.points);
+    const double stress = stress_and_transform(dist, out.points, next);
     if (prev_stress - stress < kTolerance * prev_stress) {
       prev_stress = std::min(stress, prev_stress);
       break;

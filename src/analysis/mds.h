@@ -6,6 +6,17 @@
 // iteration for a good initialization, then SMACOF iterations with the
 // Guttman transform until the stress improvement stalls.  Both run inline
 // (docs/PARALLELISM.md says why).
+//
+// Each SMACOF iteration is one sweep over the upper triangle of the
+// current embedding: it computes every pair's distance and weight once,
+// returns the embedding's stress and writes its Guttman transform.  Row j
+// receives its i < j terms in ascending i before its own j' > j terms,
+// which is the column order of a row-at-a-time transform, so the points,
+// the stress and the iteration count equal those of the row-at-a-time
+// kernel bit for bit (tests/referee/mds_reference.h holds it).  The power
+// iteration multiplies four matrix rows per pass over the vector, each
+// row still summed in column order.  The distance matrix is symmetric,
+// as every DistanceMatrix that jaccard_matrix builds is.
 #pragma once
 
 #include <cstddef>

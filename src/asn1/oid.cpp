@@ -97,36 +97,43 @@ namespace {
 Oid make(std::string_view dotted) { return *Oid::from_dotted(dotted); }
 }  // namespace
 
-Oid md5_with_rsa() { return make("1.2.840.113549.1.1.4"); }
-Oid sha1_with_rsa() { return make("1.2.840.113549.1.1.5"); }
-Oid sha256_with_rsa() { return make("1.2.840.113549.1.1.11"); }
-Oid sha384_with_rsa() { return make("1.2.840.113549.1.1.12"); }
-Oid ecdsa_with_sha256() { return make("1.2.840.10045.4.3.2"); }
-Oid ecdsa_with_sha384() { return make("1.2.840.10045.4.3.3"); }
+#define RS_WELL_KNOWN_OID(name, dotted)   \
+  const Oid& name() {                     \
+    static const Oid oid = make(dotted);  \
+    return oid;                           \
+  }
 
-Oid rsa_encryption() { return make("1.2.840.113549.1.1.1"); }
-Oid ec_public_key() { return make("1.2.840.10045.2.1"); }
-Oid curve_p256() { return make("1.2.840.10045.3.1.7"); }
-Oid curve_p384() { return make("1.3.132.0.34"); }
+RS_WELL_KNOWN_OID(md5_with_rsa, "1.2.840.113549.1.1.4")
+RS_WELL_KNOWN_OID(sha1_with_rsa, "1.2.840.113549.1.1.5")
+RS_WELL_KNOWN_OID(sha256_with_rsa, "1.2.840.113549.1.1.11")
+RS_WELL_KNOWN_OID(sha384_with_rsa, "1.2.840.113549.1.1.12")
+RS_WELL_KNOWN_OID(ecdsa_with_sha256, "1.2.840.10045.4.3.2")
+RS_WELL_KNOWN_OID(ecdsa_with_sha384, "1.2.840.10045.4.3.3")
 
-Oid common_name() { return make("2.5.4.3"); }
-Oid country() { return make("2.5.4.6"); }
-Oid organization() { return make("2.5.4.10"); }
-Oid organizational_unit() { return make("2.5.4.11"); }
+RS_WELL_KNOWN_OID(rsa_encryption, "1.2.840.113549.1.1.1")
+RS_WELL_KNOWN_OID(ec_public_key, "1.2.840.10045.2.1")
+RS_WELL_KNOWN_OID(curve_p256, "1.2.840.10045.3.1.7")
+RS_WELL_KNOWN_OID(curve_p384, "1.3.132.0.34")
 
-Oid basic_constraints() { return make("2.5.29.19"); }
-Oid key_usage() { return make("2.5.29.15"); }
-Oid ext_key_usage() { return make("2.5.29.37"); }
-Oid subject_key_id() { return make("2.5.29.14"); }
-Oid authority_key_id() { return make("2.5.29.35"); }
-Oid certificate_policies() { return make("2.5.29.32"); }
+RS_WELL_KNOWN_OID(common_name, "2.5.4.3")
+RS_WELL_KNOWN_OID(country, "2.5.4.6")
+RS_WELL_KNOWN_OID(organization, "2.5.4.10")
+RS_WELL_KNOWN_OID(organizational_unit, "2.5.4.11")
 
-Oid eku_server_auth() { return make("1.3.6.1.5.5.7.3.1"); }
-Oid eku_client_auth() { return make("1.3.6.1.5.5.7.3.2"); }
-Oid eku_code_signing() { return make("1.3.6.1.5.5.7.3.3"); }
-Oid eku_email_protection() { return make("1.3.6.1.5.5.7.3.4"); }
-Oid eku_time_stamping() { return make("1.3.6.1.5.5.7.3.8"); }
-Oid eku_any() { return make("2.5.29.37.0"); }
+RS_WELL_KNOWN_OID(basic_constraints, "2.5.29.19")
+RS_WELL_KNOWN_OID(key_usage, "2.5.29.15")
+RS_WELL_KNOWN_OID(ext_key_usage, "2.5.29.37")
+RS_WELL_KNOWN_OID(subject_key_id, "2.5.29.14")
+RS_WELL_KNOWN_OID(authority_key_id, "2.5.29.35")
+RS_WELL_KNOWN_OID(certificate_policies, "2.5.29.32")
+
+RS_WELL_KNOWN_OID(eku_server_auth, "1.3.6.1.5.5.7.3.1")
+RS_WELL_KNOWN_OID(eku_client_auth, "1.3.6.1.5.5.7.3.2")
+RS_WELL_KNOWN_OID(eku_code_signing, "1.3.6.1.5.5.7.3.3")
+RS_WELL_KNOWN_OID(eku_email_protection, "1.3.6.1.5.5.7.3.4")
+RS_WELL_KNOWN_OID(eku_time_stamping, "1.3.6.1.5.5.7.3.8")
+RS_WELL_KNOWN_OID(eku_any, "2.5.29.37.0")
+#undef RS_WELL_KNOWN_OID
 }  // namespace oids
 
 }  // namespace rs::asn1

@@ -45,43 +45,45 @@ class Oid {
 };
 
 /// Well-known OIDs used across x509/formats.  Functions (not globals) to
-/// avoid static-initialization-order concerns (Core Guidelines I.22).
+/// avoid static-initialization-order concerns (Core Guidelines I.22); each
+/// parses its dotted text once, into a function-local static (initialized
+/// thread-safely on first call), and returns a reference to it.
 namespace oids {
 // Signature algorithms.
-Oid md5_with_rsa();        // 1.2.840.113549.1.1.4
-Oid sha1_with_rsa();       // 1.2.840.113549.1.1.5
-Oid sha256_with_rsa();     // 1.2.840.113549.1.1.11
-Oid sha384_with_rsa();     // 1.2.840.113549.1.1.12
-Oid ecdsa_with_sha256();   // 1.2.840.10045.4.3.2
-Oid ecdsa_with_sha384();   // 1.2.840.10045.4.3.3
+const Oid& md5_with_rsa();        // 1.2.840.113549.1.1.4
+const Oid& sha1_with_rsa();       // 1.2.840.113549.1.1.5
+const Oid& sha256_with_rsa();     // 1.2.840.113549.1.1.11
+const Oid& sha384_with_rsa();     // 1.2.840.113549.1.1.12
+const Oid& ecdsa_with_sha256();   // 1.2.840.10045.4.3.2
+const Oid& ecdsa_with_sha384();   // 1.2.840.10045.4.3.3
 
 // Public key algorithms.
-Oid rsa_encryption();      // 1.2.840.113549.1.1.1
-Oid ec_public_key();       // 1.2.840.10045.2.1
-Oid curve_p256();          // 1.2.840.10045.3.1.7
-Oid curve_p384();          // 1.3.132.0.34
+const Oid& rsa_encryption();      // 1.2.840.113549.1.1.1
+const Oid& ec_public_key();       // 1.2.840.10045.2.1
+const Oid& curve_p256();          // 1.2.840.10045.3.1.7
+const Oid& curve_p384();          // 1.3.132.0.34
 
 // Name attribute types.
-Oid common_name();         // 2.5.4.3
-Oid country();             // 2.5.4.6
-Oid organization();        // 2.5.4.10
-Oid organizational_unit(); // 2.5.4.11
+const Oid& common_name();         // 2.5.4.3
+const Oid& country();             // 2.5.4.6
+const Oid& organization();        // 2.5.4.10
+const Oid& organizational_unit(); // 2.5.4.11
 
 // Extensions.
-Oid basic_constraints();   // 2.5.29.19
-Oid key_usage();           // 2.5.29.15
-Oid ext_key_usage();       // 2.5.29.37
-Oid subject_key_id();      // 2.5.29.14
-Oid authority_key_id();    // 2.5.29.35
-Oid certificate_policies();// 2.5.29.32
+const Oid& basic_constraints();   // 2.5.29.19
+const Oid& key_usage();           // 2.5.29.15
+const Oid& ext_key_usage();       // 2.5.29.37
+const Oid& subject_key_id();      // 2.5.29.14
+const Oid& authority_key_id();    // 2.5.29.35
+const Oid& certificate_policies();// 2.5.29.32
 
 // Extended key usage purposes.
-Oid eku_server_auth();     // 1.3.6.1.5.5.7.3.1
-Oid eku_client_auth();     // 1.3.6.1.5.5.7.3.2
-Oid eku_code_signing();    // 1.3.6.1.5.5.7.3.3
-Oid eku_email_protection();// 1.3.6.1.5.5.7.3.4
-Oid eku_time_stamping();   // 1.3.6.1.5.5.7.3.8
-Oid eku_any();             // 2.5.29.37.0
+const Oid& eku_server_auth();     // 1.3.6.1.5.5.7.3.1
+const Oid& eku_client_auth();     // 1.3.6.1.5.5.7.3.2
+const Oid& eku_code_signing();    // 1.3.6.1.5.5.7.3.3
+const Oid& eku_email_protection();// 1.3.6.1.5.5.7.3.4
+const Oid& eku_time_stamping();   // 1.3.6.1.5.5.7.3.8
+const Oid& eku_any();             // 2.5.29.37.0
 }  // namespace oids
 
 }  // namespace rs::asn1

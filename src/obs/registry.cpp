@@ -15,7 +15,9 @@ const SteadyClock& default_clock() {
 
 // Thread-index slot: pairs the assigned index with the epoch it was
 // assigned in, so Registry::reset() can restart numbering from zero
-// without touching other threads' storage.
+// without touching other threads' storage.  Epochs are unique across
+// registries (Registry::next_epoch), so a slot filled by one registry is
+// never mistaken for an index of another.
 struct ThreadSlot {
   std::uint64_t epoch = ~std::uint64_t{0};
   std::uint32_t index = 0;
@@ -100,7 +102,13 @@ void Registry::reset() {
   spans_.clear();
   next_span_id_.store(0, std::memory_order_relaxed);
   next_thread_index_.store(0, std::memory_order_relaxed);
-  thread_epoch_.fetch_add(1, std::memory_order_relaxed);
+  thread_epoch_.store(next_epoch(), std::memory_order_relaxed);
+}
+
+std::uint64_t Registry::next_epoch() noexcept {
+  // memory-order: relaxed — epochs only need uniqueness, not ordering.
+  static std::atomic<std::uint64_t> epochs{0};
+  return epochs.fetch_add(1, std::memory_order_relaxed);
 }
 
 Counter& Registry::counter(std::string_view name) {

@@ -156,8 +156,10 @@ class Registry {
     // memory-order: relaxed — ids only need uniqueness, not ordering.
     return next_span_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  /// Dense index for the calling thread, assigned on first use per epoch
-  /// (reset() starts a new epoch so tests see indices from 0 again).
+  /// Dense index for the calling thread, assigned on first use per epoch.
+  /// Epochs come from one process-wide counter, drawn at construction and
+  /// at reset(), so no two registries (nor two generations of one) share
+  /// an epoch, and reset() makes tests see indices from 0 again.
   std::uint32_t thread_index();
 
  private:
@@ -179,7 +181,9 @@ class Registry {
 
   std::atomic<std::uint64_t> next_span_id_{0};
   std::atomic<std::uint32_t> next_thread_index_{0};
-  std::atomic<std::uint64_t> thread_epoch_{0};
+  std::atomic<std::uint64_t> thread_epoch_{next_epoch()};
+
+  static std::uint64_t next_epoch() noexcept;
 };
 
 }  // namespace rs::obs

@@ -9,11 +9,38 @@
 
 namespace rs::store {
 
+namespace {
+
+// The radix index has at least two buckets per certificate, so most
+// buckets hold zero or one digest, and at most 2^16 (256 KiB of starts).
+constexpr unsigned kMaxPrefixBits = 16;
+
+}  // namespace
+
 CertInterner::CertInterner(std::vector<rs::crypto::Sha256Digest> digests)
     : digests_(std::move(digests)) {
   std::sort(digests_.begin(), digests_.end());
   digests_.erase(std::unique(digests_.begin(), digests_.end()),
                  digests_.end());
+  if (digests_.empty()) return;
+  prefix_bits_ = 1;
+  while (prefix_bits_ < kMaxPrefixBits &&
+         (std::size_t{1} << prefix_bits_) < 2 * digests_.size()) {
+    ++prefix_bits_;
+  }
+  // Count each bucket into the slot after it, then prefix-sum into starts.
+  const std::size_t buckets = std::size_t{1} << prefix_bits_;
+  starts_.assign(buckets + 1, 0);
+  for (const auto& d : digests_) ++starts_[bucket_of(d) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) starts_[b + 1] += starts_[b];
+}
+
+std::uint32_t CertInterner::bucket_of(
+    const rs::crypto::Sha256Digest& fp) const noexcept {
+  const std::uint32_t lead = (std::uint32_t{fp[0]} << 24) |
+                             (std::uint32_t{fp[1]} << 16) |
+                             (std::uint32_t{fp[2]} << 8) | std::uint32_t{fp[3]};
+  return lead >> (32 - prefix_bits_);
 }
 
 CertInterner CertInterner::from_database(const StoreDatabase& db) {
@@ -44,8 +71,14 @@ CertInterner CertInterner::from_database(const StoreDatabase& db) {
 
 std::optional<std::uint32_t> CertInterner::id_of(
     const rs::crypto::Sha256Digest& fp) const noexcept {
-  const auto it = std::lower_bound(digests_.begin(), digests_.end(), fp);
-  if (it == digests_.end() || *it != fp) return std::nullopt;
+  if (digests_.empty()) return std::nullopt;
+  // Digests sharing a prefix all land in one bucket, so a hostile universe
+  // costs one binary search over it: never more than the whole array.
+  const std::uint32_t b = bucket_of(fp);
+  const auto first = digests_.begin() + starts_[b];
+  const auto last = digests_.begin() + starts_[b + 1];
+  const auto it = std::lower_bound(first, last, fp);
+  if (it == last || *it != fp) return std::nullopt;
   return static_cast<std::uint32_t>(it - digests_.begin());
 }
 

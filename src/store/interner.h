@@ -39,7 +39,8 @@ class CertInterner {
   std::size_t size() const noexcept { return digests_.size(); }
   bool empty() const noexcept { return digests_.empty(); }
 
-  /// Dense ID for a digest, if it is in the universe.
+  /// Dense ID for a digest, if it is in the universe: a binary search
+  /// inside the one radix bucket that the digest's leading bits pick.
   std::optional<std::uint32_t> id_of(
       const rs::crypto::Sha256Digest& fp) const noexcept;
   const rs::crypto::Sha256Digest& digest_of(std::uint32_t id) const {
@@ -53,7 +54,15 @@ class CertInterner {
   }
 
  private:
+  std::uint32_t bucket_of(const rs::crypto::Sha256Digest& fp) const noexcept;
+
   std::vector<rs::crypto::Sha256Digest> digests_;  // sorted, unique
+  // Radix index over digests_, derived at construction and never
+  // persisted: bucket b holds the digests whose leading prefix_bits_ bits
+  // equal b, at digests_[starts_[b], starts_[b + 1]).  Empty while the
+  // universe is.
+  unsigned prefix_bits_ = 0;
+  std::vector<std::uint32_t> starts_;
 };
 
 }  // namespace rs::store

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+
+#include "src/core/study.h"
+#include "src/crypto/prng.h"
+#include "src/store/membership.h"
+#include "src/synth/paper_scenario.h"
+#include "src/synth/simulator.h"
+#include "tests/referee/mds_reference.h"
 
 namespace rs::analysis {
 namespace {
@@ -98,6 +108,116 @@ TEST(Mds, EmbeddingStressAgreesWithReportedStress) {
   const auto m = matrix_from({{0, 0.4, 0.9}, {0.4, 0, 0.6}, {0.9, 0.6, 0}});
   const auto r = smacof_mds(m);
   EXPECT_NEAR(embedding_stress(m, r.points), r.stress, 1e-9);
+}
+
+
+// --- the one-sweep kernel against the row-at-a-time referee -----------------
+
+namespace ref = rs::referee::mds;
+
+// Bit-identity: memcmp-equal points, and stress, normalized stress and
+// iteration count equal to the last bit.
+void expect_identical(const MdsResult& got, const MdsResult& want) {
+  ASSERT_EQ(got.points.size(), want.points.size());
+  EXPECT_EQ(std::memcmp(got.points.data(), want.points.data(),
+                        got.points.size() * sizeof(Point2)),
+            0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.stress),
+            std::bit_cast<std::uint64_t>(want.stress));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.normalized_stress),
+            std::bit_cast<std::uint64_t>(want.normalized_stress));
+  EXPECT_EQ(got.iterations, want.iterations);
+}
+
+// All three public functions against the referee on one matrix; returns
+// the library's SMACOF result for case-specific checks.
+MdsResult expect_matches_referee(const DistanceMatrix& m) {
+  const auto classical = classical_mds(m);
+  expect_identical(classical, ref::classical_mds(m));
+  const auto smacof = smacof_mds(m);
+  expect_identical(smacof, ref::smacof_mds(m));
+  for (const auto* points : {&classical.points, &smacof.points}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(embedding_stress(m, *points)),
+              std::bit_cast<std::uint64_t>(ref::embedding_stress(m, *points)));
+  }
+  return smacof;
+}
+
+DistanceMatrix figure1_matrix(const rs::store::StoreDatabase& db) {
+  JaccardOptions opts;
+  opts.min_date = rs::util::Date::ymd(2011, 1, 1);
+  opts.max_per_provider = rs::core::kFigure1MaxPerProvider;
+  return jaccard_matrix(db, rs::store::MembershipTable::build(db), opts);
+}
+
+// A seeded symmetric matrix with a zero diagonal and entries in [0.2, 1.2).
+DistanceMatrix random_matrix(std::size_t n, std::uint64_t seed) {
+  rs::crypto::Prng rng(seed);
+  std::vector<std::vector<double>> rows(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      rows[i][j] = rows[j][i] = 0.2 + rng.uniform01();
+    }
+  }
+  return matrix_from(rows);
+}
+
+TEST(MdsReferee, Figure1MatrixBitIdentical) {
+  const auto scenario = rs::synth::build_paper_scenario();
+  const auto m = figure1_matrix(scenario.database());
+  ASSERT_EQ(m.size(), 301u);
+  const auto r = expect_matches_referee(m);
+  EXPECT_EQ(r.iterations, 85u);
+}
+
+TEST(MdsReferee, Figure1OptionsOnSimulatedEcosystems) {
+  for (const std::uint64_t seed : {3u, 17u, 4242u}) {
+    rs::synth::SimulatorConfig cfg;
+    cfg.seed = seed;
+    cfg.ca_count = 80;
+    cfg.program_count = 3;
+    cfg.derivative_count = 3;
+    cfg.snapshot_interval_days = 90;
+    const auto eco = rs::synth::simulate_ecosystem(cfg);
+    const auto m = figure1_matrix(eco.database);
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", n " +
+                 std::to_string(m.size()));
+    ASSERT_GT(m.size(), 100u);
+    expect_matches_referee(m);
+  }
+}
+
+TEST(MdsReferee, SmallSizesCoverTheFourRowTails) {
+  for (std::size_t n = 2; n <= 9; ++n) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    expect_matches_referee(random_matrix(n, 1000 + n));
+  }
+}
+
+TEST(MdsReferee, DuplicateSnapshotsTakeTheZeroDistanceBranch) {
+  // Rows 0/1 and 3/4/5 are the same snapshot: their embedded points
+  // coincide, so the transform meets d <= 1e-12 and weights them 0.
+  const std::vector<std::size_t> of = {0, 0, 1, 2, 2, 2, 3};
+  std::vector<std::vector<double>> rows(of.size(),
+                                        std::vector<double>(of.size()));
+  const double d[4][4] = {{0.0, 0.3, 0.7, 0.5},
+                          {0.3, 0.0, 0.6, 0.9},
+                          {0.7, 0.6, 0.0, 0.4},
+                          {0.5, 0.9, 0.4, 0.0}};
+  for (std::size_t i = 0; i < of.size(); ++i) {
+    for (std::size_t j = 0; j < of.size(); ++j) rows[i][j] = d[of[i]][of[j]];
+  }
+  const auto m = matrix_from(rows);
+  const auto r = expect_matches_referee(m);
+  EXPECT_EQ(std::memcmp(&r.points[0], &r.points[1], sizeof(Point2)), 0);
+  EXPECT_EQ(std::memcmp(&r.points[3], &r.points[5], sizeof(Point2)), 0);
+}
+
+TEST(MdsReferee, IterationCapBitIdentical) {
+  const auto m = random_matrix(10, 13);
+  const auto r = expect_matches_referee(m);
+  // 300 transforms, reported as 301 iterations, as the reference does.
+  EXPECT_EQ(r.iterations, 301u);
 }
 
 }  // namespace

@@ -104,6 +104,22 @@ TEST(ObsSpan, SpansOnOtherThreadsStartTheirOwnChain) {
   EXPECT_NE(task->thread, outer->thread);
 }
 
+TEST(ObsSpan, ThreadIndicesAreFreshPerRegistry) {
+  // A thread that took an index in one registry takes a fresh one in the
+  // next: every registry numbers its own threads, so a new thread and an
+  // old one never share an index there.
+  {
+    Registry first;
+    EXPECT_EQ(first.thread_index(), 0u);
+  }
+  Registry second;
+  std::uint32_t other = ~0u;
+  std::thread t([&] { other = second.thread_index(); });
+  t.join();
+  EXPECT_EQ(other, 0u);
+  EXPECT_EQ(second.thread_index(), 1u);
+}
+
 TEST(ObsSpan, ItemsAccumulate) {
   FakeClock clock;
   Registry reg;

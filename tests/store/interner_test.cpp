@@ -15,6 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/crypto/prng.h"
 #include "src/store/database.h"
 #include "src/store/membership.h"
 #include "src/store/trust.h"
@@ -68,6 +69,101 @@ TEST(CertInterner, EmptyUniverseAndEmptySet) {
   EXPECT_TRUE(interner.empty());
   EXPECT_EQ(interner.id_of(digest_from(9)), std::nullopt);
   EXPECT_TRUE(IdSet{}.ids().empty());
+  const CertInterner built{std::vector<Sha256Digest>{}};
+  EXPECT_TRUE(built.empty());
+  Sha256Digest ones;
+  ones.fill(0xFF);
+  for (const auto& probe : {Sha256Digest{}, digest_from(9), ones}) {
+    EXPECT_EQ(interner.id_of(probe), std::nullopt);
+    EXPECT_EQ(built.id_of(probe), std::nullopt);
+  }
+}
+
+// --- id_of against a plain binary search over the sorted universe ----------
+
+// The referee: std::lower_bound over the whole sorted array.
+std::optional<std::uint32_t> searched_id(const CertInterner& interner,
+                                         const Sha256Digest& fp) {
+  const auto& all = interner.digests();
+  const auto it = std::lower_bound(all.begin(), all.end(), fp);
+  if (it == all.end() || *it != fp) return std::nullopt;
+  return static_cast<std::uint32_t>(it - all.begin());
+}
+
+Sha256Digest random_digest(rs::crypto::Prng& rng) {
+  Sha256Digest d;
+  for (auto& byte : d) byte = static_cast<std::uint8_t>(rng.next());
+  return d;
+}
+
+// Every member, plus probes below the first digest, between neighbours
+// (a member with its last byte moved by one) and above the last.
+void expect_lookups_match_search(const CertInterner& interner,
+                                 rs::crypto::Prng& rng) {
+  const auto& all = interner.digests();
+  for (std::uint32_t id = 0; id < all.size(); ++id) {
+    ASSERT_EQ(interner.id_of(all[id]), id);
+  }
+  std::vector<Sha256Digest> probes = {Sha256Digest{}};
+  Sha256Digest ones;
+  ones.fill(0xFF);
+  probes.push_back(ones);
+  for (const auto& d : all) {
+    for (const int step : {-1, 1}) {
+      Sha256Digest near = d;
+      near[31] = static_cast<std::uint8_t>(near[31] + step);
+      probes.push_back(near);
+    }
+  }
+  for (int i = 0; i < 256; ++i) probes.push_back(random_digest(rng));
+  if (!all.empty()) {
+    probes.push_back(all.front());
+    probes.back()[31] = 0;  // at or below the first digest
+  }
+  for (const auto& probe : probes) {
+    ASSERT_EQ(interner.id_of(probe), searched_id(interner, probe));
+  }
+}
+
+TEST(CertInterner, IdOfAgreesWithBinarySearchOnRandomUniverses) {
+  rs::crypto::Prng rng(20211102);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 100u, 1000u, 5000u}) {
+    SCOPED_TRACE("universe " + std::to_string(n));
+    std::vector<Sha256Digest> digests;
+    for (std::size_t i = 0; i < n; ++i) digests.push_back(random_digest(rng));
+    const CertInterner interner{std::move(digests)};
+    ASSERT_EQ(interner.size(), n);
+    expect_lookups_match_search(interner, rng);
+  }
+}
+
+TEST(CertInterner, IdOfAgreesWithBinarySearchOnSharedPrefixUniverses) {
+  // Universes whose digests share their first four bytes all fall into one
+  // radix bucket; the lookup must stay exact.  The 0x00.. and 0xFF..
+  // prefixes sit in the first and last bucket.
+  rs::crypto::Prng rng(4242);
+  for (const std::uint8_t lead : std::vector<std::uint8_t>{0x00, 0x5A, 0xFF}) {
+    for (const std::size_t n : {2u, 64u, 3000u}) {
+      SCOPED_TRACE("prefix " + std::to_string(lead) + ", universe " +
+                   std::to_string(n));
+      std::vector<Sha256Digest> digests;
+      for (std::size_t i = 0; i < n; ++i) {
+        auto d = random_digest(rng);
+        d[0] = d[1] = d[2] = d[3] = lead;
+        digests.push_back(d);
+      }
+      const CertInterner interner{std::move(digests)};
+      ASSERT_EQ(interner.size(), n);
+      expect_lookups_match_search(interner, rng);
+      // Neighbouring prefixes miss.
+      auto below = interner.digests().front();
+      below[3] = static_cast<std::uint8_t>(lead - 1);
+      auto above = interner.digests().back();
+      above[3] = static_cast<std::uint8_t>(lead + 1);
+      EXPECT_EQ(interner.id_of(below), searched_id(interner, below));
+      EXPECT_EQ(interner.id_of(above), searched_id(interner, above));
+    }
+  }
 }
 
 std::shared_ptr<const rs::x509::Certificate> make_cert(std::uint64_t seed) {
