@@ -8,7 +8,11 @@
 //      and errors must match the cold pass exactly;
 //   2. accepted entries, written with write_rsts and parsed again, give the
 //      same entries (DER, per-purpose trust, order), since RSTS is the
-//      full-fidelity format.
+//      full-fidelity format;
+//   3. the parse agrees with the reference parser of
+//      tests/referee/rsts_reference.h, cold and warm: the same verdict,
+//      error, warnings and entries, and CertPool counts (parses, hits) that
+//      match pass for pass.
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -17,6 +21,7 @@
 #include "fuzz/fuzz_harness.h"
 #include "src/formats/cert_pool.h"
 #include "src/formats/portable.h"
+#include "tests/referee/rsts_reference.h"
 
 namespace {
 
@@ -30,14 +35,38 @@ bool same_entries(const std::vector<rs::store::TrustEntry>& a,
   return true;
 }
 
+using Parsed = rs::util::Result<rs::formats::ParsedStore>;
+
+bool same_parse(const Parsed& a, const Parsed& b) {
+  if (a.ok() != b.ok()) return false;
+  if (!a.ok()) return a.error() == b.error();
+  return a.value().warnings == b.value().warnings &&
+         same_entries(a.value().entries, b.value().entries);
+}
+
+bool same_counts(const rs::formats::CertPool& a,
+                 const rs::formats::CertPool& b) {
+  return a.counts().parses == b.counts().parses &&
+         a.counts().hits == b.counts().hits && a.size() == b.size();
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data), size);
   rs::formats::CertPool pool;
+  rs::formats::CertPool ref_pool;
   const auto cold = rs::formats::parse_rsts(text, pool);
+  RS_FUZZ_ASSERT(same_parse(cold, rs::referee::rsts::parse(text, ref_pool)),
+                 "cold parse disagrees with the reference parser");
+  RS_FUZZ_ASSERT(same_counts(pool, ref_pool),
+                 "cold pool counts disagree with the reference parser");
   const auto warm = rs::formats::parse_rsts(text, pool);
+  RS_FUZZ_ASSERT(same_parse(warm, rs::referee::rsts::parse(text, ref_pool)),
+                 "warm parse disagrees with the reference parser");
+  RS_FUZZ_ASSERT(same_counts(pool, ref_pool),
+                 "warm pool counts disagree with the reference parser");
   RS_FUZZ_ASSERT(cold.ok() == warm.ok(), "warm pool changed the verdict");
   if (!cold.ok()) {
     RS_FUZZ_ASSERT(cold.error() == warm.error(), "warm pool changed the error");

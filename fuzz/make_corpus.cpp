@@ -291,6 +291,48 @@ int main(int argc, char** argv) {
     }
     write_seed(dir, "label-injection.rsts",
                rs::formats::write_rsts({distrusted}));
+    // Separators and line ends other than one space and "\n", pins in upper
+    // case, and `cert` lines the pool lookup must leave to the tokenizer:
+    // the parser looks a `cert` line up before it tokenizes it and compares
+    // pins without lowercasing them, and must still read these exactly as
+    // the reference parser (tests/referee/rsts_reference.h) does.
+    const auto replace_all = [](std::string doc, std::string_view from,
+                                std::string_view to) {
+      for (std::size_t at = doc.find(from); at != std::string::npos;
+           at = doc.find(from, at + to.size())) {
+        doc.replace(at, from.size(), to);
+      }
+      return doc;
+    };
+    write_seed(dir, "tab-separated-cert.rsts",
+               replace_all(store, "  cert ", "  cert\t"));
+    write_seed(dir, "crlf.rsts", replace_all(store, "\n", "\r\n"));
+    write_seed(dir, "vtab-separator.rsts",
+               replace_all(replace_all(store, "  cert ", "  cert\v"),
+                           "  sha256 ", "\v sha256\v"));
+    std::string upper_pin = store;
+    for (std::size_t at = upper_pin.find("  sha256 "); at != std::string::npos;
+         at = upper_pin.find("  sha256 ", at + 1)) {
+      const std::size_t end = upper_pin.find('\n', at);
+      std::transform(upper_pin.begin() + static_cast<std::ptrdiff_t>(at) + 9,
+                     upper_pin.begin() + static_cast<std::ptrdiff_t>(end),
+                     upper_pin.begin() + static_cast<std::ptrdiff_t>(at) + 9,
+                     [](char c) {
+                       return c >= 'a' && c <= 'f'
+                                  ? static_cast<char>(c - 'a' + 'A')
+                                  : c;
+                     });
+    }
+    write_seed(dir, "upper-case-pin.rsts", upper_pin);
+    write_seed(dir, "two-token-cert.rsts",
+               replace_all(store, text0, text0 + " " + text0));
+    // Root 0 twice: the second block's `cert` line is a pool hit even on
+    // a cold pool, and a bad-base64 line after it must still reject it.
+    std::string hit_then_bad = rs::formats::write_rsts({rich[0], rich[0]});
+    const std::size_t second = hit_then_bad.find(
+        "  cert ", hit_then_bad.find("  cert ") + 1);
+    hit_then_bad.insert(hit_then_bad.find('\n', second) + 1, "  cert !!!!\n");
+    write_seed(dir, "hit-then-bad-base64.rsts", hit_then_bad);
   }
 
   // --- persist_load: RSIX trust-index images -----------------------------

@@ -1,7 +1,8 @@
 #include "src/encoding/base64.h"
 
 #include <array>
-#include <cctype>
+
+#include "src/util/strings.h"
 
 namespace rs::encoding {
 
@@ -70,7 +71,7 @@ std::optional<std::vector<std::uint8_t>> base64_decode(
   std::string compact;
   compact.reserve(text.size());
   for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (rs::util::is_space(c)) {
       if (!opts.allow_whitespace) return std::nullopt;
       continue;
     }

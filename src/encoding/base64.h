@@ -24,7 +24,8 @@ std::string base64_encode_wrapped(std::span<const std::uint8_t> data,
 
 /// Decode options.
 struct Base64DecodeOptions {
-  /// Permit ASCII whitespace between groups (needed for PEM bodies).
+  /// Permit whitespace (rs::util::is_space) between groups (needed for
+  /// PEM bodies).
   bool allow_whitespace = false;
 };
 

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <string_view>
 
 #include "src/formats/cert_pool.h"
 #include "src/formats/instrument.h"
@@ -28,6 +29,21 @@ Result<std::monostate> write_file(const fs::path& path,
                                        path.string());
   }
   return std::monostate{};
+}
+
+// A MANIFEST is untrusted input, and its path field may only name a file
+// under the dataset directory: an empty path, a rooted one, or one with a
+// `..` component could open any file on the host.  A NUL byte is refused
+// too, since the open would stop at it.  Symlinks inside the directory are
+// followed as the operating system resolves them.
+bool stays_inside(std::string_view rel) {
+  if (rel.empty() || rel.find('\0') != std::string_view::npos) return false;
+  const fs::path path(rel);
+  if (path.has_root_path()) return false;
+  for (const auto& part : path) {
+    if (part == "..") return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -98,6 +114,11 @@ Result<rs::store::StoreDatabase> load_dataset(const std::string& dir) {
     if (!date) {
       return Out::err("dataset: bad date in MANIFEST line " +
                       std::to_string(i + 1));
+    }
+    if (!stays_inside(fields[3])) {
+      return Out::err("dataset: MANIFEST line " + std::to_string(i + 1) +
+                      ": snapshot path must be relative and stay inside " +
+                      dir);
     }
     const fs::path path = fs::path(dir) / std::string(fields[3]);
     std::ifstream in(path, std::ios::binary);

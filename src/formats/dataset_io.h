@@ -10,7 +10,8 @@
 // RSTS (formats/portable.h) is the on-disk format because it is the only
 // one that round-trips the full trust model.  Loading verifies the manifest
 // against the files; missing or unparseable snapshots fail the load (a
-// dataset is an artifact, not a best-effort feed).
+// dataset is an artifact, not a best-effort feed), and so does a MANIFEST
+// path that is empty, absolute or has a `..` component.
 #pragma once
 
 #include <string>

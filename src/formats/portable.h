@@ -53,9 +53,9 @@ inline constexpr int kRstsVersion = 1;
 
 /// parse_rsts through a caller's pool, so that documents parsed into one
 /// pool share their certificate objects (load_dataset's case).  A `cert`
-/// text the pool already holds is a hit and is not base64-decoded again;
-/// every entry's sha256 pin is still checked.  Entries and warnings are
-/// the same as parse_rsts(text) gives.
+/// text the pool already holds is a hit and is neither tokenized nor
+/// base64-decoded again; every entry's sha256 pin is still checked.
+/// Entries and warnings are the same as parse_rsts(text) gives.
 [[nodiscard]] rs::util::Result<ParsedStore> parse_rsts(std::string_view text,
                                                        CertPool& pool);
 

@@ -1,6 +1,6 @@
 #include "src/util/hex.h"
 
-#include <cctype>
+#include "src/util/strings.h"
 
 namespace rs::util {
 
@@ -43,7 +43,7 @@ std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view text) {
   out.reserve(text.size() / 2);
   int hi = -1;
   for (char c : text) {
-    if (c == ':' || std::isspace(static_cast<unsigned char>(c))) continue;
+    if (c == ':' || is_space(c)) continue;
     const int n = nibble(c);
     if (n < 0) return std::nullopt;
     if (hi < 0) {
@@ -55,6 +55,17 @@ std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view text) {
   }
   if (hi >= 0) return std::nullopt;  // dangling nibble
   return out;
+}
+
+bool hex_equals(std::string_view text, std::span<const std::uint8_t> bytes) {
+  if (text.size() != bytes.size() * 2) return false;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (nibble(text[2 * i]) != bytes[i] >> 4 ||
+        nibble(text[2 * i + 1]) != (bytes[i] & 0xF)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace rs::util

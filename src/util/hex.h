@@ -17,8 +17,14 @@ std::string hex_encode(std::span<const std::uint8_t> bytes);
 /// presentation used by most root-store tooling.
 std::string hex_encode_colon(std::span<const std::uint8_t> bytes);
 
-/// Decodes a hex string (case-insensitive, ':' and whitespace ignored).
-/// Returns nullopt on odd digit counts or non-hex characters.
+/// Decodes a hex string (case-insensitive; ':' and is_space bytes of
+/// util/strings.h ignored).  Returns nullopt on odd digit counts or
+/// non-hex characters.
 std::optional<std::vector<std::uint8_t>> hex_decode(std::string_view text);
+
+/// True when `text` is exactly the hex encoding of `bytes`: two digits per
+/// byte, in either case, and nothing else.  Compares nibble by nibble and
+/// builds no string.
+bool hex_equals(std::string_view text, std::span<const std::uint8_t> bytes);
 
 }  // namespace rs::util

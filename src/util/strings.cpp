@@ -1,17 +1,9 @@
 #include "src/util/strings.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstring>
 
 namespace rs::util {
-
-namespace {
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-char lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
-}  // namespace
 
 std::vector<std::string_view> split(std::string_view text, char delim) {
   std::vector<std::string_view> out;
@@ -49,6 +41,12 @@ std::string_view trim(std::string_view s) {
 
 std::vector<std::string_view> split_ws(std::string_view text) {
   std::vector<std::string_view> out;
+  split_ws(text, out);
+  return out;
+}
+
+void split_ws(std::string_view text, std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t i = 0;
   while (i < text.size()) {
     while (i < text.size() && is_space(text[i])) ++i;
@@ -56,7 +54,6 @@ std::vector<std::string_view> split_ws(std::string_view text) {
     while (i < text.size() && !is_space(text[i])) ++i;
     if (i > start) out.push_back(text.substr(start, i - start));
   }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {

@@ -7,6 +7,21 @@
 
 namespace rs::util {
 
+// One character class for every text format the library reads, fixed to
+// the C locale: <cctype>'s isspace/tolower consult the global locale, so a
+// host program's setlocale() could otherwise change what a parser accepts
+// (and each call costs a locale lookup, once per byte of a document).
+
+/// True for exactly ' ', '\t', '\n', '\v', '\f' and '\r'.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// Maps 'A'-'Z' to 'a'-'z'; every other byte is returned unchanged.
+constexpr char lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Splits on a single-character delimiter.  Adjacent delimiters yield empty
 /// fields; an empty input yields one empty field.
 std::vector<std::string_view> split(std::string_view text, char delim);
@@ -15,19 +30,23 @@ std::vector<std::string_view> split(std::string_view text, char delim);
 /// newline does not produce a final empty line.
 std::vector<std::string_view> split_lines(std::string_view text);
 
-/// Strips ASCII whitespace from both ends.
+/// Strips is_space bytes from both ends.
 std::string_view trim(std::string_view s);
 
-/// Tokenizes on runs of ASCII whitespace; never yields empty tokens.
+/// Tokenizes on runs of is_space bytes; never yields empty tokens.
 std::vector<std::string_view> split_ws(std::string_view text);
+
+/// split_ws into `out`, which is cleared first, so a caller tokenizing
+/// many lines reuses one vector instead of allocating one per line.
+void split_ws(std::string_view text, std::vector<std::string_view>& out);
 
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-/// ASCII lowercase copy.
+/// Copy with every byte mapped through lower.
 std::string to_lower(std::string_view s);
 
-/// Case-insensitive ASCII comparison.
+/// Equal after mapping both sides through lower.
 bool iequals(std::string_view a, std::string_view b);
 
 /// Joins `parts` with `sep`.

@@ -176,6 +176,44 @@ TEST_F(DatasetIoTest, SnapshotPathNamingADirectoryIsATypedError) {
   }
 }
 
+// The same fixture; its suite names the loader rather than the fixture.
+class DatasetIo : public DatasetIoTest {};
+
+TEST_F(DatasetIo, ManifestPathsStayInsideTheDirectory) {
+  // A MANIFEST is untrusted input: its path field must not reach a file
+  // outside the dataset directory, whether the file parses or not.
+  ASSERT_TRUE(write_dataset(small_db(), dir_.string()).ok());
+  const fs::path outside = dir_.string() + "_outside";
+  fs::create_directories(outside);
+  fs::copy_file(dir_ / "ProvB" / "2020-03-01.rsts", outside / "victim.rsts",
+                fs::copy_options::overwrite_existing);
+  const std::string escape =
+      "../" + outside.filename().string() + "/victim.rsts";
+  for (const std::string& rel :
+       {(outside / "victim.rsts").string(), escape, "ProvA/../" + escape,
+       std::string("/etc/hostname"), std::string("ProvA/..")}) {
+    std::ofstream(dir_ / "MANIFEST", std::ios::trunc)
+        << "RSDS 1\n# comment\nProvB\t2020-03-01\tr7\t" << rel << "\n";
+    auto loaded = load_dataset(dir_.string());
+    ASSERT_FALSE(loaded.ok()) << rel;
+    EXPECT_EQ(loaded.error(),
+              "dataset: MANIFEST line 3: snapshot path must be relative and "
+              "stay inside " + dir_.string())
+        << rel;
+  }
+  // Paths that stay inside still load, `.` components included.
+  for (const std::string rel :
+       {"ProvB/2020-03-01.rsts", "./ProvB/2020-03-01.rsts",
+        "ProvB/./2020-03-01.rsts"}) {
+    std::ofstream(dir_ / "MANIFEST", std::ios::trunc)
+        << "RSDS 1\nProvB\t2020-03-01\tr7\t" << rel << "\n";
+    auto loaded = load_dataset(dir_.string());
+    ASSERT_TRUE(loaded.ok()) << rel << ": " << loaded.error();
+    EXPECT_EQ(loaded.value().total_snapshots(), 1u);
+  }
+  fs::remove_all(outside);
+}
+
 TEST_F(DatasetIoTest, ManifestThatIsADirectoryIsATypedError) {
   fs::create_directories(dir_ / "MANIFEST");
   auto loaded = load_dataset(dir_.string());

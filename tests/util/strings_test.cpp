@@ -49,6 +49,16 @@ TEST(SplitWs, NeverYieldsEmpty) {
   EXPECT_TRUE(split_ws("   ").empty());
 }
 
+TEST(SplitWs, IntoAVectorReplacesItsContents) {
+  std::vector<std::string_view> tokens = {"stale", "tokens", "here"};
+  split_ws(" a\tb ", tokens);
+  ASSERT_EQ(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0], "a");
+  EXPECT_EQ(tokens[1], "b");
+  split_ws("  ", tokens);
+  EXPECT_TRUE(tokens.empty());
+}
+
 TEST(Affixes, StartsEndsWith) {
   EXPECT_TRUE(starts_with("certdata.txt", "certdata"));
   EXPECT_FALSE(starts_with("cert", "certdata"));

@@ -3,7 +3,9 @@
 # membership table's per-provider lanes (BM_MembershipBuildParallel at
 # 0/1/2/4 workers, on the paper scenario and on the sim_index point), into
 # BENCH_parallel.json at the repo root, then prints the serial-vs-N
-# real-time speedup per input.
+# real-time speedup per input.  Each configuration runs 5 repetitions and
+# the file keeps only their aggregates; the speedups compare medians, since
+# one repetition moves by more than the effect it would record.
 #
 # Usage: tools/record_parallel_bench.sh [build-dir] [out-file]
 #
@@ -29,14 +31,18 @@ fi
   --benchmark_filter='BM_MembershipBuildParallel' \
   --benchmark_out="$out_file" \
   --benchmark_out_format=json \
-  --benchmark_repetitions=1
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true
 
 # Summarize serial-vs-N speedups from the JSON (no jq dependency: the
-# google-benchmark JSON layout is stable enough for an awk pass).  Names
-# read BM_MembershipBuildParallel/<input>/<workers>/process_time/real_time.
+# google-benchmark JSON layout is stable enough for an awk pass).  Median
+# rows are named
+# BM_MembershipBuildParallel/<input>/<workers>/process_time/real_time_median;
+# the mean, stddev and cv rows are skipped.
 awk '
   /"name":/      { gsub(/[",]/, ""); name = $2 }
   /"real_time":/ {
+    if (name !~ /_median$/) next;
     gsub(/,/, "");
     split(name, parts, "/");
     input = parts[2] == "1" ? "sim_index" : "paper";
