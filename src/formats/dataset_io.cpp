@@ -46,10 +46,70 @@ bool stays_inside(std::string_view rel) {
   return true;
 }
 
+bool has_control(std::string_view text) {
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte == 0x7f) return true;
+  }
+  return false;
+}
+
+// Why load_dataset could not read `provider` back as written, or "" when
+// it can.  The loader trims each MANIFEST line, skips `#` lines, splits
+// the rest at tabs and opens `<provider>/<file>` under the directory, so a
+// provider is one plain path component (not the MANIFEST's own name) that
+// starts with neither a space nor `#`.  A control byte would split the
+// line (tab, newline) or cut the path short (NUL).
+std::string unreadable_provider(std::string_view provider) {
+  if (provider.empty()) return "is empty";
+  if (provider == "." || provider == ".." || provider == "MANIFEST" ||
+      provider.find('/') != std::string_view::npos) {
+    return "is not a plain directory name";
+  }
+  if (has_control(provider)) return "holds a control character";
+  if (provider.front() == ' ') return "starts with a space";
+  if (provider.front() == '#') return "starts with '#'";
+  return "";
+}
+
+// `text` quoted, with control bytes spelled as \xNN.
+std::string quote_name(std::string_view text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte < 0x20 || byte == 0x7f) {
+      static constexpr char kHex[] = "0123456789abcdef";
+      out += "\\x";
+      out += kHex[byte >> 4];
+      out += kHex[byte & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
 }  // namespace
 
 Result<std::monostate> write_dataset(const rs::store::StoreDatabase& db,
                                      const std::string& dir) {
+  // Refuse, before anything is created, every provider and version that
+  // the MANIFEST could not carry back to load_dataset unchanged.
+  for (const auto& [provider, history] : db.histories()) {
+    const std::string why = unreadable_provider(provider);
+    if (!why.empty()) {
+      return Result<std::monostate>::err("dataset: provider " +
+                                         quote_name(provider) + " " + why);
+    }
+    for (const auto& snap : history.snapshots()) {
+      if (has_control(snap.version)) {
+        return Result<std::monostate>::err(
+            "dataset: version " + quote_name(snap.version) + " of provider " +
+            quote_name(provider) + " holds a control character");
+      }
+    }
+  }
+
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {

@@ -23,7 +23,11 @@ namespace rs::formats {
 
 /// Writes `db` under `dir` (created if absent).  Returns an error on any
 /// filesystem failure; on success the directory contains a MANIFEST plus
-/// one RSTS file per snapshot.
+/// one RSTS file per snapshot.  A provider name must be a plain directory
+/// name (not empty, `.`, `..` or `MANIFEST`, no `/`, no leading space or
+/// `#`), and neither it nor any version may hold a control character:
+/// anything else is refused before the directory is created, since
+/// load_dataset could not read it back as written.
 [[nodiscard]] rs::util::Result<std::monostate> write_dataset(
     const rs::store::StoreDatabase& db, const std::string& dir);
 

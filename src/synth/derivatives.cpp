@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <string_view>
 
 #include "src/crypto/prng.h"
 
@@ -56,48 +58,51 @@ const RootSpec* find_spec(const std::string& id, const Timeline& nss,
 rs::store::ProviderHistory generate_derivative(
     const DerivativePolicy& policy, const Timeline& nss, CertFactory& factory,
     const std::map<std::string, RootSpec>& extra_specs) {
-  rs::store::ProviderHistory history(policy.name);
-
   std::vector<Date> dates = policy.snapshot_dates;
   std::sort(dates.begin(), dates.end());
   dates.erase(std::unique(dates.begin(), dates.end()), dates.end());
 
+  // Each snapshot copies NSS as of its effective date.  Lag jitter and the
+  // freeze move those dates backwards between some snapshots, so the one
+  // replay of NSS visits the snapshots in effective-date order.
+  std::vector<Date> effective;
+  effective.reserve(dates.size());
   for (const Date snapshot_date : dates) {
-    Date effective = snapshot_date - derivative_lag_days(policy, snapshot_date);
-    if (policy.freeze_effective_after && effective > *policy.freeze_effective_after) {
-      effective = *policy.freeze_effective_after;
+    Date e = snapshot_date - derivative_lag_days(policy, snapshot_date);
+    if (policy.freeze_effective_after && e > *policy.freeze_effective_after) {
+      e = *policy.freeze_effective_after;
     }
+    effective.push_back(e);
+  }
+  std::vector<std::size_t> by_effective(dates.size());
+  std::iota(by_effective.begin(), by_effective.end(), std::size_t{0});
+  std::stable_sort(by_effective.begin(), by_effective.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return effective[a] < effective[b];
+                   });
+
+  std::vector<rs::store::Snapshot> snapshots(dates.size());
+  TimelineCursor replay(nss, factory);
+  for (const std::size_t i : by_effective) {
+    const Date snapshot_date = dates[i];
+    replay.advance_to(effective[i]);
 
     std::vector<TrustEntry> entries;
-    std::vector<std::string> present_ids;  // parallel, for override matching
-    {
-      // Map certificates back to spec ids via the factory cache: rebuild the
-      // NSS state and record which spec produced each entry.
-      const auto nss_entries = nss.materialize(effective, factory);
-      // materialize() yields entries in inclusion order; recover ids by
-      // matching fingerprints against the specs.
-      std::map<const rs::x509::Certificate*, std::string> cert_to_id;
-      for (const auto& [id, spec] : nss.specs()) {
-        if (auto cert = factory.find(id)) cert_to_id[cert.get()] = id;
-        (void)spec;
-      }
-      for (const auto& e : nss_entries) {
-        auto copied = copy_entry(e, snapshot_date, policy);
-        if (!copied) continue;
-        entries.push_back(std::move(*copied));
-        const auto it = cert_to_id.find(e.certificate.get());
-        present_ids.push_back(it == cert_to_id.end() ? std::string{}
-                                                     : it->second);
-      }
-    }
+    std::vector<std::string_view> present_ids;  // parallel, for overrides
+    replay.for_each_root([&](std::string_view id, const TrustEntry& e) {
+      auto copied = copy_entry(e, snapshot_date, policy);
+      if (!copied) return;
+      entries.push_back(std::move(*copied));
+      present_ids.push_back(id);
+    });
 
     // Overrides: forced absences first (they win), then forced presences.
     auto remove_id = [&](const std::string& id) {
-      for (std::size_t i = 0; i < present_ids.size(); ++i) {
-        if (present_ids[i] == id) {
-          entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
+      for (std::size_t k = 0; k < present_ids.size(); ++k) {
+        if (present_ids[k] == id) {
+          entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(k));
           present_ids.erase(present_ids.begin() +
-                            static_cast<std::ptrdiff_t>(i));
+                            static_cast<std::ptrdiff_t>(k));
           return;
         }
       }
@@ -138,13 +143,15 @@ rs::store::ProviderHistory generate_derivative(
       if (absent_now(ov)) remove_id(ov.root_id);
     }
 
-    rs::store::Snapshot snap;
+    rs::store::Snapshot& snap = snapshots[i];
     snap.provider = policy.name;
     snap.date = snapshot_date;
-    snap.version = "sync-" + effective.to_string();
+    snap.version = "sync-" + effective[i].to_string();
     snap.entries = std::move(entries);
-    history.add(std::move(snap));
   }
+
+  rs::store::ProviderHistory history(policy.name);
+  for (auto& snap : snapshots) history.add(std::move(snap));
   return history;
 }
 

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/crypto/prng.h"
+#include "src/obs/span.h"
 #include "src/synth/paper_reference.h"
 #include "src/synth/user_agents.h"
 
@@ -661,12 +662,14 @@ rs::store::ProviderHistory materialize_program(
   // exists yet to intern against.
   std::vector<rs::crypto::Sha256Digest> previous;
   bool first = true;
+  TimelineCursor replay(t, factory);
   for (Date d : dates) {
     if (d < start || d > end) continue;
+    replay.advance_to(d);
     rs::store::Snapshot snap;
     snap.provider = name;
     snap.date = d;
-    snap.entries = t.materialize(d, factory);
+    snap.entries = replay.entries();
     std::vector<rs::crypto::Sha256Digest> current;
     current.reserve(snap.entries.size());
     for (const auto& e : snap.entries) {
@@ -726,6 +729,7 @@ void add_response_overrides(DerivativePolicy& policy,
 }  // namespace
 
 PaperScenario build_paper_scenario(std::uint64_t seed) {
+  rs::obs::Span span("synth/paper_scenario");
   auto factory = std::make_shared<CertFactory>(seed);
   const auto incidents = incident_catalog();
   const auto inc_specs = incident_root_specs();
@@ -1137,6 +1141,7 @@ PaperScenario build_paper_scenario(std::uint64_t seed) {
     overlays.emplace("Apple", std::move(apple_overlay));
   }
 
+  span.set_items(db.total_snapshots());
   return PaperScenario(std::move(factory), std::move(db), std::move(timelines),
                        std::move(extra_specs), std::move(exclusive_meta),
                        std::move(overlays));

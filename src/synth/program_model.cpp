@@ -50,96 +50,67 @@ void Timeline::distrust(Date d, const std::string& root_id,
       {d, root_id, TrustAction::Kind::kDistrustPurposes, std::move(purposes), {}});
 }
 
-std::vector<TrustEntry> Timeline::materialize(Date when,
-                                              CertFactory& factory) const {
-  // Replay in date order; equal dates replay in insertion order so a
-  // same-day remove-then-include behaves as written.
-  std::vector<const TrustAction*> ordered;
-  ordered.reserve(actions_.size());
-  for (const auto& a : actions_) {
-    if (a.date <= when) ordered.push_back(&a);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
+TimelineCursor::TimelineCursor(const Timeline& timeline, CertFactory& factory)
+    : timeline_(timeline), factory_(factory) {
+  actions_.reserve(timeline.actions().size());
+  for (const auto& a : timeline.actions()) actions_.push_back(&a);
+  std::stable_sort(actions_.begin(), actions_.end(),
                    [](const TrustAction* a, const TrustAction* b) {
                      return a->date < b->date;
                    });
+}
 
-  struct State {
-    TrustEntry entry;
-    std::size_t order;  // first-inclusion order for stable output
-  };
-  std::map<std::string, State> state;
-  std::size_t next_order = 0;
-
-  for (const TrustAction* a : ordered) {
-    switch (a->kind) {
+void TimelineCursor::advance_to(Date when) {
+  assert((applied_ == 0 || actions_[applied_ - 1]->date <= when) &&
+         "a cursor cannot move back past an applied action");
+  for (; applied_ < actions_.size() && actions_[applied_]->date <= when;
+       ++applied_) {
+    const TrustAction& a = *actions_[applied_];
+    const auto live = live_.find(a.root_id);
+    Slot* slot = live == live_.end() ? nullptr : &slots_[live->second];
+    switch (a.kind) {
       case TrustAction::Kind::kInclude: {
         TrustEntry entry;
-        entry.certificate = factory.get(spec(a->root_id));
-        for (TrustPurpose p : a->purposes) {
+        entry.certificate = factory_.get(timeline_.spec(a.root_id));
+        for (TrustPurpose p : a.purposes) {
           entry.trust_for(p).level = TrustLevel::kTrustedDelegator;
         }
-        const auto it = state.find(a->root_id);
-        if (it == state.end()) {
-          state.emplace(a->root_id, State{std::move(entry), next_order++});
+        if (slot != nullptr) {
+          slot->entry = std::move(entry);  // re-include resets trust
         } else {
-          it->second.entry = std::move(entry);  // re-include resets trust
+          live_.emplace(a.root_id, slots_.size());
+          slots_.push_back(Slot{&a.root_id, std::move(entry)});
         }
         break;
       }
       case TrustAction::Kind::kRemove:
-        state.erase(a->root_id);
-        break;
-      case TrustAction::Kind::kSetServerDistrustAfter: {
-        const auto it = state.find(a->root_id);
-        if (it != state.end()) {
-          it->second.entry.trust_for(TrustPurpose::kServerAuth).distrust_after =
-              a->cutoff;
+        if (slot != nullptr) {
+          slot->removed = true;
+          live_.erase(live);
         }
         break;
-      }
-      case TrustAction::Kind::kDistrustPurposes: {
-        const auto it = state.find(a->root_id);
-        if (it != state.end()) {
-          for (TrustPurpose p : a->purposes) {
-            it->second.entry.trust_for(p).level = TrustLevel::kDistrusted;
+      case TrustAction::Kind::kSetServerDistrustAfter:
+        if (slot != nullptr) {
+          slot->entry.trust_for(TrustPurpose::kServerAuth).distrust_after =
+              a.cutoff;
+        }
+        break;
+      case TrustAction::Kind::kDistrustPurposes:
+        if (slot != nullptr) {
+          for (TrustPurpose p : a.purposes) {
+            slot->entry.trust_for(p).level = TrustLevel::kDistrusted;
           }
         }
         break;
-      }
     }
   }
+}
 
-  std::vector<const State*> by_order;
-  by_order.reserve(state.size());
-  for (const auto& [_, s] : state) by_order.push_back(&s);
-  std::sort(by_order.begin(), by_order.end(),
-            [](const State* a, const State* b) { return a->order < b->order; });
-
+std::vector<TrustEntry> TimelineCursor::entries() const {
   std::vector<TrustEntry> out;
-  out.reserve(by_order.size());
-  for (const State* s : by_order) out.push_back(s->entry);
+  out.reserve(live_.size());
+  for_each_root([&](std::string_view, const TrustEntry& e) { out.push_back(e); });
   return out;
-}
-
-std::vector<Date> Timeline::change_dates() const {
-  std::vector<Date> dates;
-  dates.reserve(actions_.size());
-  for (const auto& a : actions_) dates.push_back(a.date);
-  std::sort(dates.begin(), dates.end());
-  dates.erase(std::unique(dates.begin(), dates.end()), dates.end());
-  return dates;
-}
-
-rs::store::Snapshot snapshot_at(const Timeline& timeline, CertFactory& factory,
-                                std::string provider, Date date,
-                                std::string version) {
-  rs::store::Snapshot snap;
-  snap.provider = std::move(provider);
-  snap.date = date;
-  snap.version = std::move(version);
-  snap.entries = timeline.materialize(date, factory);
-  return snap;
 }
 
 }  // namespace rs::synth

@@ -1,14 +1,18 @@
 // Event-sourced root-program timelines.
 //
 // A program's root store over time is a stream of TrustActions (include,
-// remove, set partial distrust, change level).  Timeline::materialize
-// replays the stream up to a date and yields the store state — the snapshot
-// generator for every provider in the scenario.
+// remove, set partial distrust, change level).  A TimelineCursor replays
+// the stream forward once, and the state it holds after each advance is
+// one snapshot — the snapshot generator for every provider in the
+// scenario.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/store/snapshot.h"
@@ -60,22 +64,54 @@ class Timeline {
 
   const std::vector<TrustAction>& actions() const { return actions_; }
 
-  /// Store state after replaying all actions dated <= `when`.
-  /// Entry order is stable (insertion order of surviving roots).
-  std::vector<rs::store::TrustEntry> materialize(rs::util::Date when,
-                                                 CertFactory& factory) const;
-
-  /// Dates at which replay output changes — candidate snapshot dates.
-  std::vector<rs::util::Date> change_dates() const;
-
  private:
   std::map<std::string, RootSpec> specs_;
   std::vector<TrustAction> actions_;
 };
 
-/// Materializes a Snapshot from a timeline.
-rs::store::Snapshot snapshot_at(const Timeline& timeline, CertFactory& factory,
-                                std::string provider, rs::util::Date date,
-                                std::string version);
+/// One forward replay of a timeline.  Each advance_to(date) applies the
+/// actions dated <= `date` that no earlier advance applied, in date order
+/// (equal dates in insertion order, so a same-day remove-then-include
+/// behaves as written), and has the factory build each included root's
+/// certificate as its include is applied.  A history of N snapshots is
+/// therefore one pass over the actions, not N.
+///
+/// The timeline must outlive the cursor and stay unchanged while it runs.
+class TimelineCursor {
+ public:
+  TimelineCursor(const Timeline& timeline, CertFactory& factory);
+
+  /// Applies the actions dated <= `when` not yet applied.  `when` must not
+  /// be earlier than the previous call's date (a debug build asserts that
+  /// no applied action is dated after it).
+  void advance_to(rs::util::Date when);
+
+  /// Calls `visit(root_id, entry)` for each root in the state, in
+  /// first-inclusion order: a re-include of a present root resets its
+  /// trust in place, while one after a removal goes to the back.
+  template <typename Visit>
+  void for_each_root(Visit&& visit) const {
+    for (const Slot& slot : slots_) {
+      if (!slot.removed) visit(std::string_view(*slot.root_id), slot.entry);
+    }
+  }
+
+  /// The state's entries, in for_each_root order.
+  std::vector<rs::store::TrustEntry> entries() const;
+
+ private:
+  struct Slot {
+    const std::string* root_id;  // owned by the timeline's actions
+    rs::store::TrustEntry entry;
+    bool removed = false;  // tombstone: a re-include takes a new slot
+  };
+
+  const Timeline& timeline_;
+  CertFactory& factory_;
+  std::vector<const TrustAction*> actions_;  // stable-sorted by date
+  std::size_t applied_ = 0;
+  std::vector<Slot> slots_;
+  std::unordered_map<std::string_view, std::size_t> live_;  // id -> slot
+};
 
 }  // namespace rs::synth

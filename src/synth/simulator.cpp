@@ -1,8 +1,10 @@
 #include "src/synth/simulator.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/crypto/prng.h"
+#include "src/obs/span.h"
 #include "src/synth/ct_log.h"
 
 namespace rs::synth {
@@ -50,9 +52,8 @@ std::vector<TrustPurpose> random_purposes(rs::crypto::Prng& rng) {
 
 }  // namespace
 
-SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
-  SimulatedEcosystem out;
-  auto factory = CertFactory(config.seed);
+SimulatedPrograms simulate_programs(const SimulatorConfig& config) {
+  SimulatedPrograms out;
   rs::crypto::Prng rng =
       rs::crypto::Prng::from_label(config.seed, "simulator");
 
@@ -64,8 +65,8 @@ SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
   }
 
   // Independent programs with random policies.
-  std::vector<Timeline> timelines(
-      static_cast<std::size_t>(std::max(1, config.program_count)));
+  std::vector<Timeline>& timelines = out.timelines;
+  timelines.resize(static_cast<std::size_t>(std::max(1, config.program_count)));
   for (std::size_t p = 0; p < timelines.size(); ++p) {
     Timeline& t = timelines[p];
     rs::crypto::Prng prng = rs::crypto::Prng::from_label(
@@ -110,19 +111,32 @@ SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
       out.incidents.push_back(SimIncident{id, removal});
     }
   }
+  return out;
+}
+
+SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
+  rs::obs::Span stage("synth/simulate");
+  SimulatedEcosystem out;
+  auto factory = std::make_shared<CertFactory>(config.seed);
+  out.factory = factory;
+  SimulatedPrograms programs = simulate_programs(config);
+  const std::vector<Timeline>& timelines = programs.timelines;
+  out.incidents = std::move(programs.incidents);
 
   // Materialize programs.
   for (std::size_t p = 0; p < timelines.size(); ++p) {
     const std::string name = "Prog" + std::to_string(p);
     rs::store::ProviderHistory history(name);
     int version = 0;
+    TimelineCursor replay(timelines[p], *factory);
     Date d = config.start;
     while (d <= config.end) {
+      replay.advance_to(d);
       rs::store::Snapshot snap;
       snap.provider = name;
       snap.date = d;
       snap.version = "v" + std::to_string(++version);
-      snap.entries = timelines[p].materialize(d, factory);
+      snap.entries = replay.entries();
       history.add(std::move(snap));
       d = d + config.snapshot_interval_days;
     }
@@ -155,7 +169,7 @@ SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
     }
     out.derivative_names.push_back(policy.name);
     out.database.add(
-        generate_derivative(policy, timelines[0], factory, no_extra));
+        generate_derivative(policy, timelines[0], *factory, no_extra));
   }
 
   // CT logs, generated over the finished store ecosystem (programs plus
@@ -189,7 +203,7 @@ SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config) {
   for (auto& log : generate_ct_logs(policies, out.database)) {
     out.database.add(std::move(log));
   }
-
+  stage.set_items(out.database.total_snapshots());
   return out;
 }
 

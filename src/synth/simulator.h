@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,15 +52,29 @@ struct SimIncident {
   rs::util::Date removal;
 };
 
+/// The program timelines of a simulation run, before any replay: the CA
+/// pool under each program's random policy, plus the incidents' removals.
+struct SimulatedPrograms {
+  std::vector<Timeline> timelines;  // "Prog0", "Prog1", ... in order
+  std::vector<SimIncident> incidents;
+};
+
 /// Output of a simulation run.
 struct SimulatedEcosystem {
   rs::store::StoreDatabase database;
+  /// The factory that built every certificate in `database`; find() looks
+  /// one up by root id (an incident's, say).
+  std::shared_ptr<const CertFactory> factory;
   std::vector<SimIncident> incidents;
   /// Name of the program that derivatives copy ("Prog0").
   std::string base_program;
   std::vector<std::string> derivative_names;
   std::vector<std::string> ct_log_names;
 };
+
+/// The timelines simulate_ecosystem replays.  Deterministic in
+/// `config.seed`.
+SimulatedPrograms simulate_programs(const SimulatorConfig& config);
 
 /// Runs the simulation.  Deterministic in `config.seed`.
 SimulatedEcosystem simulate_ecosystem(const SimulatorConfig& config);

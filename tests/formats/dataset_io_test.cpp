@@ -214,6 +214,70 @@ TEST_F(DatasetIo, ManifestPathsStayInsideTheDirectory) {
   fs::remove_all(outside);
 }
 
+TEST_F(DatasetIo, WriteRefusesNamesThatCannotRoundTrip) {
+  const auto one_snapshot = [](const std::string& provider,
+                               const std::string& version) {
+    Snapshot s;
+    s.provider = provider;
+    s.date = Date::ymd(2020, 1, 1);
+    s.version = version;
+    s.entries = small_db().find("ProvB")->snapshots()[0].entries;
+    ProviderHistory history(provider);
+    history.add(std::move(s));
+    StoreDatabase db;
+    db.add(std::move(history));
+    return db;
+  };
+  const fs::path outside = dir_.string() + "_escaped";
+  fs::remove_all(outside);
+  const std::string refused_providers[] = {
+      "../" + outside.filename().string(),  // would write beside the dataset
+      outside.string(),                     // absolute: would replace dir
+      "", ".", "..", "MANIFEST", "a/b",
+      "Tab\tName", "New\nline", "CR\r", std::string("N\0L", 3),
+      "#comment",  // the loader skips it
+      " leading space",  // the loader trims it
+  };
+  for (const std::string& provider : refused_providers) {
+    auto written = write_dataset(one_snapshot(provider, "v1"), dir_.string());
+    ASSERT_FALSE(written.ok()) << provider;
+    EXPECT_EQ(written.error().rfind("dataset: provider \"", 0), 0u)
+        << written.error();
+    EXPECT_FALSE(fs::exists(dir_)) << provider;
+    EXPECT_FALSE(fs::exists(outside)) << provider;
+  }
+  const std::pair<std::string, std::string> refused_versions[] = {
+      {"v\t1", "v\\x091"}, {"v\n1", "v\\x0a1"}, {"v1\r", "v1\\x0d"}};
+  for (const auto& [version, spelled] : refused_versions) {
+    auto written = write_dataset(one_snapshot("ProvA", version), dir_.string());
+    ASSERT_FALSE(written.ok()) << spelled;
+    EXPECT_EQ(written.error(), "dataset: version \"" + spelled +
+                                   "\" of provider \"ProvA\" holds a "
+                                   "control character");
+    EXPECT_FALSE(fs::exists(dir_)) << spelled;
+  }
+  // Awkward but readable names still round-trip.
+  const std::pair<std::string, std::string> kept[] = {
+      {"Ubuntu 20.04", "20.04 LTS"},
+      {"ca-certs (2021)", "# not a comment"},
+      {"trailing space ", " v1 "},
+      {"NSS#3", ""},
+  };
+  for (const auto& [provider, version] : kept) {
+    fs::remove_all(dir_);
+    auto written = write_dataset(one_snapshot(provider, version), dir_.string());
+    ASSERT_TRUE(written.ok()) << provider << ": " << written.error();
+    auto loaded = load_dataset(dir_.string());
+    ASSERT_TRUE(loaded.ok()) << provider << ": " << loaded.error();
+    const auto* history = loaded.value().find(provider);
+    ASSERT_NE(history, nullptr) << provider;
+    ASSERT_EQ(history->size(), 1u);
+    EXPECT_EQ(history->snapshots()[0].version, version) << provider;
+    EXPECT_EQ(history->snapshots()[0].entries.size(), 1u) << provider;
+  }
+  fs::remove_all(outside);
+}
+
 TEST_F(DatasetIoTest, ManifestThatIsADirectoryIsATypedError) {
   fs::create_directories(dir_ / "MANIFEST");
   auto loaded = load_dataset(dir_.string());

@@ -18,6 +18,12 @@ RootSpec spec(const std::string& id) {
   return s;
 }
 
+// The cursor's state after advancing to `when`.
+std::vector<rs::store::TrustEntry> state_at(TimelineCursor& cursor, Date when) {
+  cursor.advance_to(when);
+  return cursor.entries();
+}
+
 TEST(CertFactory, MemoizesAndIsDeterministic) {
   CertFactory f1(1), f2(1), f3(2);
   const auto s = spec("a");
@@ -38,10 +44,11 @@ TEST(Timeline, IncludeRemoveLifecycle) {
   t.include(Date::ymd(2010, 1, 1), "a");
   t.remove(Date::ymd(2015, 1, 1), "a");
 
-  EXPECT_TRUE(t.materialize(Date::ymd(2009, 12, 31), f).empty());
-  EXPECT_EQ(t.materialize(Date::ymd(2010, 1, 1), f).size(), 1u);
-  EXPECT_EQ(t.materialize(Date::ymd(2014, 12, 31), f).size(), 1u);
-  EXPECT_TRUE(t.materialize(Date::ymd(2015, 1, 1), f).empty());
+  TimelineCursor cursor(t, f);
+  EXPECT_TRUE(state_at(cursor, Date::ymd(2009, 12, 31)).empty());
+  EXPECT_EQ(state_at(cursor, Date::ymd(2010, 1, 1)).size(), 1u);
+  EXPECT_EQ(state_at(cursor, Date::ymd(2014, 12, 31)).size(), 1u);
+  EXPECT_TRUE(state_at(cursor, Date::ymd(2015, 1, 1)).empty());
 }
 
 TEST(Timeline, IncludePurposesRespected) {
@@ -49,7 +56,8 @@ TEST(Timeline, IncludePurposesRespected) {
   Timeline t;
   t.add_spec(spec("a"));
   t.include(Date::ymd(2010, 1, 1), "a", {TrustPurpose::kEmailProtection});
-  const auto entries = t.materialize(Date::ymd(2012, 1, 1), f);
+  TimelineCursor cursor(t, f);
+  const auto entries = state_at(cursor, Date::ymd(2012, 1, 1));
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_FALSE(entries[0].is_tls_anchor());
   EXPECT_TRUE(entries[0].is_anchor_for(TrustPurpose::kEmailProtection));
@@ -62,9 +70,10 @@ TEST(Timeline, DistrustAfterApplied) {
   t.include(Date::ymd(2010, 1, 1), "a");
   t.set_server_distrust_after(Date::ymd(2020, 4, 15), "a",
                               Date::ymd(2020, 1, 1));
-  const auto before = t.materialize(Date::ymd(2020, 4, 14), f);
+  TimelineCursor cursor(t, f);
+  const auto before = state_at(cursor, Date::ymd(2020, 4, 14));
   EXPECT_FALSE(before[0].is_partially_distrusted_tls());
-  const auto after = t.materialize(Date::ymd(2020, 4, 15), f);
+  const auto after = state_at(cursor, Date::ymd(2020, 4, 15));
   EXPECT_TRUE(after[0].is_partially_distrusted_tls());
   EXPECT_EQ(after[0].trust_for(TrustPurpose::kServerAuth).distrust_after,
             Date::ymd(2020, 1, 1));
@@ -77,7 +86,8 @@ TEST(Timeline, DistrustPurposesKeepsEntryPresent) {
   t.include(Date::ymd(2010, 1, 1), "a",
             {TrustPurpose::kServerAuth, TrustPurpose::kEmailProtection});
   t.distrust(Date::ymd(2018, 1, 1), "a", {TrustPurpose::kServerAuth});
-  const auto entries = t.materialize(Date::ymd(2019, 1, 1), f);
+  TimelineCursor cursor(t, f);
+  const auto entries = state_at(cursor, Date::ymd(2019, 1, 1));
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_FALSE(entries[0].is_tls_anchor());
   EXPECT_EQ(entries[0].trust_for(TrustPurpose::kServerAuth).level,
@@ -93,7 +103,8 @@ TEST(Timeline, ReIncludeAfterRemoveResetsTrust) {
   t.set_server_distrust_after(Date::ymd(2012, 1, 1), "a", Date::ymd(2011, 1, 1));
   t.remove(Date::ymd(2014, 1, 1), "a");
   t.include(Date::ymd(2016, 1, 1), "a");
-  const auto entries = t.materialize(Date::ymd(2017, 1, 1), f);
+  TimelineCursor cursor(t, f);
+  const auto entries = state_at(cursor, Date::ymd(2017, 1, 1));
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_FALSE(entries[0].is_partially_distrusted_tls());
 }
@@ -104,7 +115,8 @@ TEST(Timeline, ActionsOnAbsentRootsAreNoOps) {
   t.add_spec(spec("a"));
   t.remove(Date::ymd(2010, 1, 1), "a");
   t.set_server_distrust_after(Date::ymd(2011, 1, 1), "a", Date::ymd(2011, 1, 1));
-  EXPECT_TRUE(t.materialize(Date::ymd(2012, 1, 1), f).empty());
+  TimelineCursor cursor(t, f);
+  EXPECT_TRUE(state_at(cursor, Date::ymd(2012, 1, 1)).empty());
 }
 
 TEST(Timeline, EntryOrderIsFirstInclusionOrder) {
@@ -116,35 +128,12 @@ TEST(Timeline, EntryOrderIsFirstInclusionOrder) {
   t.include(Date::ymd(2012, 1, 1), "b");
   t.include(Date::ymd(2010, 1, 1), "c");
   t.include(Date::ymd(2011, 1, 1), "a");
-  const auto entries = t.materialize(Date::ymd(2013, 1, 1), f);
+  TimelineCursor cursor(t, f);
+  const auto entries = state_at(cursor, Date::ymd(2013, 1, 1));
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].certificate->subject().common_name(), "c CN");
   EXPECT_EQ(entries[1].certificate->subject().common_name(), "a CN");
   EXPECT_EQ(entries[2].certificate->subject().common_name(), "b CN");
-}
-
-TEST(Timeline, ChangeDatesAreSortedUnique) {
-  Timeline t;
-  t.add_spec(spec("a"));
-  t.include(Date::ymd(2012, 1, 1), "a");
-  t.remove(Date::ymd(2010, 1, 1), "a");
-  t.include(Date::ymd(2012, 1, 1), "a");
-  const auto dates = t.change_dates();
-  ASSERT_EQ(dates.size(), 2u);
-  EXPECT_EQ(dates[0], Date::ymd(2010, 1, 1));
-  EXPECT_EQ(dates[1], Date::ymd(2012, 1, 1));
-}
-
-TEST(SnapshotAt, FillsMetadata) {
-  CertFactory f(1);
-  Timeline t;
-  t.add_spec(spec("a"));
-  t.include(Date::ymd(2010, 1, 1), "a");
-  const auto snap =
-      snapshot_at(t, f, "TestProv", Date::ymd(2011, 1, 1), "v7");
-  EXPECT_EQ(snap.provider, "TestProv");
-  EXPECT_EQ(snap.version, "v7");
-  EXPECT_EQ(snap.size(), 1u);
 }
 
 }  // namespace
