@@ -11,7 +11,11 @@
 //   * re-serializing the loaded index yields an image the loader accepts
 //     again (a load never produces an unserializable index), and
 //   * that second round trip is a byte-level fixed point (canonical
-//     encoding: the bytes do not drift across load/store cycles).
+//     encoding: the bytes do not drift across load/store cycles), and
+//   * deep verification judges the input and its re-serialized image
+//     alike, with equal stats when both pass: a load keeps every set and
+//     interval the deep check compares, including intervals that disagree
+//     with their sets.
 #include <cstdint>
 #include <span>
 #include <string>
@@ -39,10 +43,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   const std::string first =
       rs::query::TrustIndexIO::serialize(loaded.value());
-  auto again = rs::query::TrustIndexIO::deserialize(
-      {reinterpret_cast<const std::uint8_t*>(first.data()), first.size()});
+  const std::span<const std::uint8_t> first_bytes(
+      reinterpret_cast<const std::uint8_t*>(first.data()), first.size());
+  auto again = rs::query::TrustIndexIO::deserialize(first_bytes);
   RS_FUZZ_ASSERT(again.ok(), "re-serialized index rejected by the loader");
   RS_FUZZ_ASSERT(rs::query::TrustIndexIO::serialize(again.value()) == first,
                  "serialization is not a fixed point");
+
+  const auto verified = rs::query::TrustIndexIO::verify({data, size});
+  const auto reverified = rs::query::TrustIndexIO::verify(first_bytes);
+  RS_FUZZ_ASSERT(verified.ok() == reverified.ok(),
+                 "deep verify judges the input and its re-serialization "
+                 "differently");
+  RS_FUZZ_ASSERT(!verified.ok() || verified.value() == reverified.value(),
+                 "deep verify stats differ across a round trip");
   return 0;
 }

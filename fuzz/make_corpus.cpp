@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -394,18 +395,88 @@ int main(int argc, char** argv) {
       d[0] = d[1] = d[2] = d[3] = 0x5A;
       d[4] = static_cast<std::uint8_t>(i);
     }
+    // The minimal image with one section's payload replaced.  Checksums
+    // are fresh, so only the loader's semantic checks or deep verify can
+    // object to what the payload says.
+    const auto with_section = [&](std::uint32_t id,
+                                  const std::string& payload) {
+      rs::store::persist::FileBuilder b;
+      for (const auto& sec : view.value().sections()) {
+        b.add_section(sec.id, sec.id == id ? payload
+                                           : std::string(sec.payload.begin(),
+                                                         sec.payload.end()));
+      }
+      return b.finish();
+    };
     rs::store::persist::ByteWriter digests;
     rs::store::persist::write_digests(digests, prefixed);
-    rs::store::persist::FileBuilder shared_prefix;
-    shared_prefix.add_section(rs::query::kSectionInterner,
-                              std::move(digests).take());
-    for (const auto& sec : view.value().sections()) {
-      if (sec.id == rs::query::kSectionInterner) continue;
-      shared_prefix.add_section(
-          sec.id, std::string(sec.payload.begin(), sec.payload.end()));
-    }
     write_seed(dir, "shared-prefix.rsix",
-               std::string_view(shared_prefix.finish()));
+               std::string_view(with_section(rs::query::kSectionInterner,
+                                             digests.data())));
+
+    // Section 4 opens with the TLS table: a u64 run count (3 here), then
+    // 24-byte records {u32 id, u32 pad, i64 added, i64 removed}.
+    const auto runs = *view.value().section(rs::query::kSectionIntervals);
+    const std::string intervals(runs.begin(), runs.end());
+    const std::size_t email_count_at =
+        8 + 24 * rs::store::persist::read_le64(runs.data());
+
+    // A lying writer: the first TLS record's `added` one day early.  Every
+    // record still loads; only deep verify sees it disagree with the sets.
+    std::string lying = intervals;
+    auto* added = reinterpret_cast<std::uint8_t*>(lying.data()) + 16;
+    rs::store::persist::write_le64(added,
+                                   rs::store::persist::read_le64(added) - 1);
+    write_seed(dir, "lying-intervals.rsix",
+               std::string_view(
+                   with_section(rs::query::kSectionIntervals, lying)));
+
+    // A record in the email table, whose sets are all empty: it names a
+    // certificate in none of its (provider, scope)'s sets.
+    rs::store::persist::ByteWriter outside;
+    outside.bytes(intervals.data(), email_count_at);
+    outside.u64(1);
+    outside.u32(0);
+    outside.u32(0);
+    outside.i64(first_snap.date.days_since_epoch());
+    outside.i64(std::numeric_limits<std::int64_t>::min());  // still open
+    outside.bytes(intervals.data() + email_count_at + 8,
+                  intervals.size() - email_count_at - 8);
+    write_seed(dir, "interval-outside-sets.rsix",
+               std::string_view(with_section(rs::query::kSectionIntervals,
+                                             outside.data())));
+
+    // Sets that shrink in word count and grow back: 70 roots, then only
+    // those with IDs below 64 (a one-word set once trimmed), then all 70
+    // again, so runs close in the tail word that the middle set lacks.
+    rs::store::Snapshot wide;
+    wide.provider = "CorpusStore";
+    wide.date = rs::util::Date::ymd(2020, 1, 1);
+    wide.version = "1";
+    wide.entries = sample_entries(70);
+    rs::store::ProviderHistory wide_only("CorpusStore");
+    wide_only.add(wide);
+    rs::store::StoreDatabase wide_db;
+    wide_db.add(std::move(wide_only));
+    const auto universe = rs::store::CertInterner::from_database(wide_db);
+    rs::store::Snapshot narrow = wide;
+    narrow.date = rs::util::Date::ymd(2020, 7, 1);
+    narrow.version = "2";
+    std::erase_if(narrow.entries, [&](const rs::store::TrustEntry& e) {
+      return *universe.id_of(e.certificate->sha256()) >= 64;
+    });
+    rs::store::Snapshot regrown = wide;
+    regrown.date = rs::util::Date::ymd(2021, 1, 1);
+    regrown.version = "3";
+    rs::store::ProviderHistory shrinking("CorpusStore");
+    shrinking.add(wide);
+    shrinking.add(narrow);
+    shrinking.add(regrown);
+    rs::store::StoreDatabase shrinking_db;
+    shrinking_db.add(std::move(shrinking));
+    write_seed(dir, "shrinking-sets.rsix",
+               std::string_view(rs::query::TrustIndexIO::serialize(
+                   rs::query::TrustIndex::build(shrinking_db, universe))));
   }
 
   // --- verify_chain: NDJSON verify requests over synthetic chains --------

@@ -115,15 +115,24 @@ std::string TrustIndexIO::serialize(const TrustIndex& index) {
       const auto& table = p.intervals[s];
       std::uint64_t runs = 0;
       for (const auto& per_cert : table) runs += per_cert.size();
-      intervals.u64(runs);
       total_runs += runs;
+      // The count and every record of the table, written as one run.
+      std::uint8_t* out =
+          intervals.run(8 + static_cast<std::size_t>(runs) *
+                                kIntervalRecordBytes)
+              .data();
+      persist::write_le64(out, runs);
+      out += 8;
       for (std::uint32_t id = 0; id < table.size(); ++id) {
         for (const TrustInterval& run : table[id]) {
-          intervals.u32(id);
-          intervals.u32(0);
-          intervals.i64(run.added.days_since_epoch());
-          intervals.i64(run.removed ? run.removed->days_since_epoch()
-                                    : kOpenSentinel);
+          const std::int64_t removed =
+              run.removed ? run.removed->days_since_epoch() : kOpenSentinel;
+          persist::write_le32(out, id);
+          persist::write_le32(out + 4, 0);
+          persist::write_le64(
+              out + 8, static_cast<std::uint64_t>(run.added.days_since_epoch()));
+          persist::write_le64(out + 16, static_cast<std::uint64_t>(removed));
+          out += kIntervalRecordBytes;
         }
       }
     }
@@ -231,17 +240,30 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
     for (std::size_t s = 0; s < kScopeCount && r4.ok(); ++s) {
       const std::uint64_t run_count =
           r4.count(kMaxIntervalRecords, kIntervalRecordBytes, "interval");
+      const auto records = r4.run(static_cast<std::size_t>(run_count) *
+                                  kIntervalRecordBytes);
+      if (!r4.ok()) break;
+      // Every id with runs is a member of one of the (provider, scope)'s
+      // sets, so the table is sized by set words the file carries, never
+      // by a record alone.
+      IdSet members;
+      if (run_count > 0) {
+        for (const IdSet& set : p.sets[s]) members |= set;
+      }
       auto& table = p.intervals[s];
       bool have_prev = false;
       std::uint32_t prev_id = 0;
       std::optional<Date> prev_removed;
       bool prev_open = false;
-      for (std::uint64_t k = 0; k < run_count && r4.ok(); ++k) {
-        const std::uint32_t id = r4.u32();
-        const std::uint32_t reserved = r4.u32();
-        const std::int64_t added_days = r4.i64();
-        const std::int64_t removed_days = r4.i64();
-        if (!r4.ok()) break;
+      for (std::uint64_t k = 0; k < run_count; ++k) {
+        const std::uint8_t* record =
+            records.data() + static_cast<std::size_t>(k) * kIntervalRecordBytes;
+        const std::uint32_t id = persist::read_le32(record);
+        const std::uint32_t reserved = persist::read_le32(record + 4);
+        const auto added_days =
+            static_cast<std::int64_t>(persist::read_le64(record + 8));
+        const auto removed_days =
+            static_cast<std::int64_t>(persist::read_le64(record + 16));
         if (reserved != 0) {
           r4.fail(LoadError::kBadValue, "reserved interval field not zero");
           break;
@@ -276,6 +298,11 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
               break;
             }
           }
+        }
+        if (!members.contains(id)) {
+          r4.fail(LoadError::kBadValue,
+                  "interval certificate id in none of its membership sets");
+          break;
         }
         have_prev = true;
         prev_id = id;

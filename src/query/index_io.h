@@ -58,6 +58,9 @@ struct IndexFileStats {
   std::uint64_t resolution_points = 0;  // distinct dates over all providers
   std::uint64_t intervals = 0;
   std::uint64_t bytes = 0;
+
+  friend bool operator==(const IndexFileStats&,
+                         const IndexFileStats&) = default;
 };
 
 class TrustIndexIO {

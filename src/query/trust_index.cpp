@@ -1,6 +1,7 @@
 #include "src/query/trust_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "src/obs/span.h"
@@ -20,26 +21,41 @@ std::vector<std::vector<TrustInterval>> TrustIndex::derive_intervals(
     const std::vector<rs::util::Date>& dates,
     const std::vector<rs::store::IdSet>& sets, std::size_t universe) {
   std::vector<std::vector<TrustInterval>> intervals(universe);
-  // `open[id]` holds the start of the run the certificate is currently
-  // in, if any; closing a run appends one interval.
-  std::vector<std::optional<rs::util::Date>> open(universe);
+  // `opened[id]` is the start of the run the certificate is in, which is
+  // meaningful while the previous set holds it.
+  std::vector<rs::util::Date> opened(universe);
+  static const std::vector<std::uint64_t> kNoWords;
   for (std::size_t k = 0; k < sets.size(); ++k) {
-    const rs::store::IdSet& members = sets[k];
-    if (k == 0) {
-      for (const std::uint32_t id : members.ids()) open[id] = dates[k];
-    } else {
-      const rs::store::IdSet& prev = sets[k - 1];
-      for (const std::uint32_t id : members.difference(prev).ids()) {
-        open[id] = dates[k];
+    // Sets may differ in word count (a loaded set is trimmed to its last
+    // non-zero word), so a missing tail word reads as zero.
+    const auto& cur = sets[k].words();
+    const auto& prev = k == 0 ? kNoWords : sets[k - 1].words();
+    const std::size_t words = std::max(cur.size(), prev.size());
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t now = w < cur.size() ? cur[w] : 0;
+      const std::uint64_t before = w < prev.size() ? prev[w] : 0;
+      const std::size_t base = w * 64;
+      for (std::uint64_t gained = now & ~before; gained != 0;
+           gained &= gained - 1) {
+        opened[base + static_cast<std::size_t>(std::countr_zero(gained))] =
+            dates[k];
       }
-      for (const std::uint32_t id : prev.difference(members).ids()) {
-        intervals[id].push_back({*open[id], dates[k]});
-        open[id].reset();
+      for (std::uint64_t lost = before & ~now; lost != 0; lost &= lost - 1) {
+        const std::size_t id =
+            base + static_cast<std::size_t>(std::countr_zero(lost));
+        intervals[id].push_back({opened[id], dates[k]});
       }
     }
   }
-  for (std::uint32_t id = 0; id < universe; ++id) {
-    if (open[id]) intervals[id].push_back({*open[id], std::nullopt});
+  if (!sets.empty()) {
+    const auto& last = sets.back().words();
+    for (std::size_t w = 0; w < last.size(); ++w) {
+      for (std::uint64_t open = last[w]; open != 0; open &= open - 1) {
+        const std::size_t id =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(open));
+        intervals[id].push_back({opened[id], std::nullopt});
+      }
+    }
   }
   return intervals;
 }

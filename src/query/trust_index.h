@@ -148,6 +148,15 @@ class TrustIndex {
   std::vector<LineageSpan> lineage(const rs::crypto::Sha256Digest& fp,
                                    Scope scope) const;
 
+  /// Presence runs per certificate ID over one (provider, scope)'s
+  /// date-ordered sets: a run opens where a set gains the ID and closes
+  /// where the next set lacks it.  Sets may differ in word count.  build()
+  /// and TrustIndexIO::verify share this one derivation; the referee in
+  /// tests/referee/intervals_reference.h checks it.
+  static std::vector<std::vector<TrustInterval>> derive_intervals(
+      const std::vector<rs::util::Date>& dates,
+      const std::vector<rs::store::IdSet>& sets, std::size_t universe);
+
  private:
   // The persistence layer (serialize/load/append, docs/PERSISTENCE.md)
   // reads and reconstructs the private representation directly.
@@ -177,14 +186,6 @@ class TrustIndex {
   static void build_provider(const rs::store::ProviderHistory& history,
                              const std::vector<rs::store::ScopeSets>& rows,
                              std::size_t universe, ProviderData& out);
-  /// Presence runs per certificate ID over one (provider, scope)'s
-  /// date-ordered sets: a run opens where a set gains the ID and closes
-  /// where the next set lacks it.  build() and TrustIndexIO::verify share
-  /// this one derivation.
-  static std::vector<std::vector<TrustInterval>> derive_intervals(
-      const std::vector<rs::util::Date>& dates,
-      const std::vector<rs::store::IdSet>& sets, std::size_t universe);
-
   std::vector<ProviderData> providers_;  // name order
   std::map<std::string, std::size_t, std::less<>> by_name_;
   rs::store::CertInterner interner_;

@@ -22,16 +22,6 @@ IdSet::IdSet(std::size_t universe_size, const std::vector<std::uint32_t>& ids)
   for (const std::uint32_t id : ids) insert(id);
 }
 
-void IdSet::insert(std::uint32_t id) {
-  const std::size_t word = id / kWordBits;
-  if (word >= words_.size()) words_.resize(word + 1, 0);
-  const std::uint64_t bit = std::uint64_t{1} << (id % kWordBits);
-  if ((words_[word] & bit) == 0) {
-    words_[word] |= bit;
-    ++count_;
-  }
-}
-
 bool IdSet::contains(std::uint32_t id) const noexcept {
   const std::size_t word = id / kWordBits;
   if (word >= words_.size()) return false;

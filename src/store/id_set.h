@@ -29,7 +29,16 @@ class IdSet {
   /// Builds from any order of IDs (duplicates welcome).
   IdSet(std::size_t universe_size, const std::vector<std::uint32_t>& ids);
 
-  void insert(std::uint32_t id);
+  /// Inline: the membership lanes insert once per entry and scope.
+  void insert(std::uint32_t id) {
+    const std::size_t word = id / 64;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    if ((words_[word] & bit) == 0) {
+      words_[word] |= bit;
+      ++count_;
+    }
+  }
   bool contains(std::uint32_t id) const noexcept;
 
   /// Number of IDs present (maintained incrementally; O(1)).

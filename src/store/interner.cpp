@@ -1,11 +1,11 @@
 #include "src/store/interner.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/store/database.h"
+#include "src/store/object_ids.h"
 
 namespace rs::store {
 
@@ -49,7 +49,7 @@ CertInterner CertInterner::from_database(const StoreDatabase& db) {
   // its CertPool, the scenario and the simulator by construction), so only
   // the first entry per object contributes a digest.  Distinct objects
   // with equal DER still collapse in the constructor's sort and unique.
-  std::unordered_set<const rs::x509::Certificate*> seen;
+  ObjectIds seen;
   std::vector<rs::crypto::Sha256Digest> digests;
   for (const auto& [name, history] : db.histories()) {
     (void)name;

@@ -22,19 +22,6 @@ constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
 constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
 constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
 
-inline std::uint64_t read_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-inline std::uint32_t read_le32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 inline std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t input) noexcept {
   acc += input * kPrime2;
   acc = std::rotl(acc, 31);
@@ -140,21 +127,9 @@ std::string LoadFailure::message() const {
 
 // --- ByteWriter -------------------------------------------------------------
 
-void ByteWriter::u32(std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out_.append(buf, sizeof buf);
-}
+void ByteWriter::u32(std::uint32_t v) { write_le32(run(4).data(), v); }
 
-void ByteWriter::u64(std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  out_.append(buf, sizeof buf);
-}
+void ByteWriter::u64(std::uint64_t v) { write_le64(run(8).data(), v); }
 
 void ByteWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -165,6 +140,12 @@ void ByteWriter::bytes(const void* data, std::size_t n) {
 void ByteWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   out_.append(s.data(), s.size());
+}
+
+std::span<std::uint8_t> ByteWriter::run(std::size_t n) {
+  const std::size_t at = out_.size();
+  out_.resize(at + n);
+  return {reinterpret_cast<std::uint8_t*>(out_.data()) + at, n};
 }
 
 // --- ByteReader -------------------------------------------------------------
@@ -247,6 +228,17 @@ std::string ByteReader::str(std::uint64_t max_len, const char* what) {
   return out;
 }
 
+std::span<const std::uint8_t> ByteReader::run(std::size_t n) {
+  if (!ok()) return {};
+  if (remaining() < n) {
+    fail(LoadError::kTruncated, "record run past end of input");
+    return {};
+  }
+  const auto out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 // --- FileBuilder ------------------------------------------------------------
 
 void FileBuilder::add_section(std::uint32_t id, std::string payload) {
@@ -279,13 +271,11 @@ std::string FileBuilder::finish() const {
   }
 
   std::string out = std::move(header).take();
-  out += std::move(table).take();
+  out.reserve(static_cast<std::size_t>(total));
+  out += table.data();
   // The header checksum covers the header (with its own field zeroed, as
   // it is right now) plus the whole section table.
-  const std::uint64_t check = hash64(out);
-  for (int i = 0; i < 8; ++i) {
-    out[32 + i] = static_cast<char>((check >> (8 * i)) & 0xFF);
-  }
+  write_le64(reinterpret_cast<std::uint8_t*>(out.data()) + 32, hash64(out));
   for (const auto& s : sections_) out += s.payload;
   return out;
 }
@@ -521,17 +511,20 @@ void write_id_set(ByteWriter& w, const IdSet& set) {
   const auto& words = set.words();
   std::size_t n = words.size();
   while (n > 0 && words[n - 1] == 0) --n;
-  w.u64(n);
-  for (std::size_t i = 0; i < n; ++i) w.u64(words[i]);
+  std::uint8_t* out = w.run(8 * (n + 1)).data();
+  write_le64(out, n);
+  for (std::size_t i = 0; i < n; ++i) write_le64(out + 8 * (i + 1), words[i]);
 }
 
 IdSet read_id_set(ByteReader& r, std::size_t universe) {
   const std::uint64_t max_words = (universe + 63) / 64;
   const std::uint64_t n = r.count(max_words, 8, "id-set word");
-  std::vector<std::uint64_t> words;
-  words.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) words.push_back(r.u64());
+  const auto run = r.run(static_cast<std::size_t>(n) * 8);
   if (!r.ok()) return IdSet();
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = read_le64(run.data() + 8 * i);
+  }
   if (n > 0 && words.back() == 0) {
     r.fail(LoadError::kBadValue, "non-canonical id set (trailing zero word)");
     return IdSet();
@@ -546,25 +539,29 @@ IdSet read_id_set(ByteReader& r, std::size_t universe) {
   return IdSet::from_words(std::move(words));
 }
 
+// Digests are copied as one run of 32-byte arrays.
+static_assert(sizeof(rs::crypto::Sha256Digest) == 32);
+
 void write_digests(ByteWriter& w,
                    const std::vector<rs::crypto::Sha256Digest>& digests) {
   w.u64(digests.size());
-  for (const auto& d : digests) w.bytes(d.data(), d.size());
+  if (!digests.empty()) {
+    w.bytes(digests.data(), digests.size() * 32);
+  }
 }
 
 std::vector<rs::crypto::Sha256Digest> read_digests(ByteReader& r) {
   const std::uint64_t n = r.count(kMaxCerts, 32, "certificate digest");
-  std::vector<rs::crypto::Sha256Digest> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    rs::crypto::Sha256Digest d{};
-    if (!r.bytes(d.data(), d.size())) return {};
-    if (!out.empty() && !(out.back() < d)) {
+  const auto run = r.run(static_cast<std::size_t>(n) * 32);
+  if (!r.ok()) return {};
+  std::vector<rs::crypto::Sha256Digest> out(static_cast<std::size_t>(n));
+  if (n > 0) std::memcpy(out.data(), run.data(), run.size());
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    if (!(out[i - 1] < out[i])) {
       r.fail(LoadError::kBadValue,
              "certificate digests not strictly ascending");
       return {};
     }
-    out.push_back(d);
   }
   return out;
 }

@@ -36,20 +36,6 @@ const char* to_string(Scope scope) noexcept {
   return "?";
 }
 
-bool scope_matches(const TrustEntry& entry, Scope scope) noexcept {
-  switch (scope) {
-    case Scope::kTls:
-      return entry.is_anchor_for(TrustPurpose::kServerAuth);
-    case Scope::kEmail:
-      return entry.is_anchor_for(TrustPurpose::kEmailProtection);
-    case Scope::kCode:
-      return entry.is_anchor_for(TrustPurpose::kCodeSigning);
-    case Scope::kPresent:
-      return true;
-  }
-  return false;
-}
-
 TrustEntry make_tls_anchor(std::shared_ptr<const rs::x509::Certificate> cert) {
   return make_anchor_for(std::move(cert), {TrustPurpose::kServerAuth});
 }

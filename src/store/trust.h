@@ -106,8 +106,21 @@ inline constexpr std::size_t kScopeCount = 4;
 /// The scope's wire name: "tls", "email", "code" or "present".
 const char* to_string(Scope scope) noexcept;
 
-/// True when `entry` belongs to the membership set of `scope`.
-bool scope_matches(const TrustEntry& entry, Scope scope) noexcept;
+/// True when `entry` belongs to the membership set of `scope`.  Inline:
+/// the membership lanes ask once per entry and scope.
+inline bool scope_matches(const TrustEntry& entry, Scope scope) noexcept {
+  switch (scope) {
+    case Scope::kTls:
+      return entry.is_anchor_for(TrustPurpose::kServerAuth);
+    case Scope::kEmail:
+      return entry.is_anchor_for(TrustPurpose::kEmailProtection);
+    case Scope::kCode:
+      return entry.is_anchor_for(TrustPurpose::kCodeSigning);
+    case Scope::kPresent:
+      return true;
+  }
+  return false;
+}
 
 /// Convenience constructors for the common shapes.
 TrustEntry make_tls_anchor(std::shared_ptr<const rs::x509::Certificate> cert);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/crypto/sha256.h"
 #include "src/query/engine.h"
 #include "src/query/trust_index.h"
 #include "src/store/database.h"
@@ -95,6 +96,34 @@ TEST(IndexIoRoundTrip, SerializeIsAFixedPoint) {
   // Byte-for-byte, not just equivalent: canonical encoding means a load
   // never perturbs what a re-serialize emits.
   EXPECT_EQ(first, second);
+}
+
+// The exact bytes of two indexes, pinned: the paper scenario's (what
+// `rootstore index build` writes) and perfbench's default sim_index point
+// at seed 1.  Codec rewrites must leave every byte where it was.
+TEST(IndexIoGolden, ImagesAreUnchanged) {
+  const auto digest_of = [](const std::string& image) {
+    return rs::util::hex_encode(rs::crypto::Sha256::hash(as_span(image)));
+  };
+  const auto scenario = rs::synth::build_paper_scenario();
+  const std::string paper =
+      TrustIndexIO::serialize(build_index(scenario.database()));
+  EXPECT_EQ(paper.size(), 382341u);
+  EXPECT_EQ(digest_of(paper),
+            "f585363a3866ffada9d87159bbb63538d41849e036e01fd3e6c15fdce06e6309");
+
+  rs::synth::SimulatorConfig cfg;
+  cfg.seed = 1;
+  cfg.ca_count = 600;
+  cfg.program_count = 6;
+  cfg.derivative_count = 6;
+  cfg.snapshot_interval_days = 30;
+  cfg.ct_log_count = 2;
+  const auto eco = rs::synth::simulate_ecosystem(cfg);
+  const std::string sim = TrustIndexIO::serialize(build_index(eco.database));
+  EXPECT_EQ(sim.size(), 1383666u);
+  EXPECT_EQ(digest_of(sim),
+            "a620be3424936bebfe9f5421944fd139a932c63eeb2c0d3fc5feb718a213adbd");
 }
 
 TEST(IndexIoRoundTrip, LoadedIndexMatchesBruteForceEverywhere) {

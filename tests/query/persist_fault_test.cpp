@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/query/index_io.h"
 #include "src/query/trust_index.h"
+#include "src/store/id_set.h"
 #include "src/store/interner.h"
 #include "src/store/persist.h"
 #include "src/synth/simulator.h"
@@ -401,6 +403,66 @@ TEST(PersistFault, IntervalRecordInvariants) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.code(), LoadError::kBadValue);
   }
+}
+
+// Each (provider, scope) interval table is sized to its highest id with
+// runs, at 24 bytes per slot, and an interval record is 24 bytes of file:
+// a record naming the universe's last id in every table made the loader's
+// allocation grow with universe x tables, quadratic in the file size.  A
+// record must name a member of one of its (provider, scope)'s sets, which
+// bounds every table by set words the file carries.  No valid index has
+// any other record.
+TEST(PersistFault, IntervalIdOutsideItsSetsIsRejected) {
+  constexpr std::uint32_t kDigests = 1024;
+  constexpr std::uint32_t kLast = kDigests - 1;
+  constexpr std::int64_t kDay = 18262;  // 2020-01-01
+  const auto image = [&](bool last_is_member) {
+    std::vector<rs::crypto::Sha256Digest> digests(kDigests);
+    for (std::uint32_t i = 0; i < kDigests; ++i) {
+      digests[i][0] = static_cast<std::uint8_t>(i >> 8);
+      digests[i][1] = static_cast<std::uint8_t>(i);
+    }
+    persist::ByteWriter interner;
+    persist::write_digests(interner, digests);
+    persist::ByteWriter providers;
+    persist::ByteWriter sets;
+    persist::ByteWriter intervals;
+    providers.u64(4);
+    for (int p = 0; p < 4; ++p) {
+      providers.str("P" + std::to_string(p));
+      providers.u64(1);
+      providers.i64(kDay);
+      providers.str("v1");
+      for (std::size_t s = 0; s < kScopeCount; ++s) {
+        rs::store::IdSet members(kDigests);
+        if (last_is_member) members.insert(kLast);
+        persist::write_id_set(sets, members);
+        intervals.u64(1);
+        intervals.u32(kLast);
+        intervals.u32(0);
+        intervals.i64(kDay);
+        intervals.i64(std::numeric_limits<std::int64_t>::min());  // open
+      }
+    }
+    persist::FileBuilder b;
+    b.add_section(kSectionInterner, std::move(interner).take());
+    b.add_section(kSectionProviders, std::move(providers).take());
+    b.add_section(kSectionSets, std::move(sets).take());
+    b.add_section(kSectionIntervals, std::move(intervals).take());
+    return b.finish();
+  };
+
+  auto outside = TrustIndexIO::deserialize(as_span(image(false)));
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.code(), LoadError::kBadValue);
+
+  // The same records over sets that hold the id form a valid index.
+  const std::string member = image(true);
+  auto loaded = TrustIndexIO::deserialize(as_span(member));
+  ASSERT_TRUE(loaded.ok()) << loaded.message();
+  auto verified = TrustIndexIO::verify(as_span(member));
+  ASSERT_TRUE(verified.ok()) << verified.message();
+  EXPECT_EQ(verified.value().intervals, 16u);
 }
 
 TEST(PersistFault, LoadFileOnMissingOrDirectoryPath) {

@@ -6,15 +6,20 @@
 #include <string>
 #include <vector>
 
+#include "src/crypto/prng.h"
 #include "src/store/database.h"
 #include "src/store/interner.h"
+#include "src/store/membership.h"
 #include "src/store/trust.h"
+#include "src/synth/simulator.h"
 #include "src/x509/builder.h"
+#include "tests/referee/intervals_reference.h"
 
 namespace rs::query {
 namespace {
 
 using rs::store::CertInterner;
+using rs::store::IdSet;
 using rs::store::make_tls_anchor;
 using rs::store::ProviderHistory;
 using rs::store::Snapshot;
@@ -262,6 +267,142 @@ TEST(TrustIndex, StatsAccessors) {
   EXPECT_EQ(f.index.providers(),
             (std::vector<std::string>{"P", "Q"}));
   EXPECT_EQ(f.index.resolution_point_count(), 5u);  // 4 dates + 1 date
+}
+
+// --- derive_intervals against the referee -----------------------------------
+
+// `set` as deserialize returns it: trimmed to its last non-zero word.
+IdSet trimmed(const IdSet& set) {
+  std::vector<std::uint64_t> words = set.words();
+  while (!words.empty() && words.back() == 0) words.pop_back();
+  return IdSet::from_words(std::move(words));
+}
+
+IdSet ids_set(std::size_t universe, std::vector<std::uint32_t> ids) {
+  return IdSet(universe, ids);
+}
+
+std::vector<Date> dates_for(std::size_t n) {
+  std::vector<Date> dates;
+  for (std::size_t k = 0; k < n; ++k) {
+    dates.push_back(Date::ymd(2010, 1, 1) + static_cast<int>(30 * k + k % 7));
+  }
+  return dates;
+}
+
+void expect_matches_referee(const std::vector<IdSet>& sets,
+                            std::size_t universe, const std::string& what) {
+  const auto dates = dates_for(sets.size());
+  EXPECT_EQ(TrustIndex::derive_intervals(dates, sets, universe),
+            rs::referee::intervals::derive(dates, sets, universe))
+      << what;
+}
+
+TEST(DeriveIntervals, MatchesReferee) {
+  // Hand-picked sequences over a universe that is not a multiple of 64,
+  // each in both representations: pre-sized to the universe (as built)
+  // and trimmed (as loaded).
+  constexpr std::size_t kU = 130;
+  const std::vector<std::vector<IdSet>> picked = {
+      {},
+      {IdSet()},
+      {IdSet(kU), IdSet(), IdSet(kU)},
+      {ids_set(kU, {0, kU - 1}), ids_set(kU, {0}), ids_set(kU, {kU - 1})},
+      // A set shrinks by two words, then grows back: the removed tail ids
+      // must close even though the later set has no word for them.
+      {ids_set(kU, {3, 70, 129}), ids_set(kU, {3}), ids_set(kU, {70, 129})},
+      // Removal and re-add, twice, with equal consecutive sets between.
+      {ids_set(kU, {5, 64}), ids_set(kU, {5, 64}), ids_set(kU, {64}),
+       ids_set(kU, {5, 64}), ids_set(kU, {5}), ids_set(kU, {5, 64})},
+      {ids_set(kU, {kU - 1}), IdSet(), ids_set(kU, {kU - 1})},
+  };
+  for (std::size_t c = 0; c < picked.size(); ++c) {
+    expect_matches_referee(picked[c], kU, "picked case " + std::to_string(c));
+    std::vector<IdSet> loaded;
+    for (const IdSet& set : picked[c]) loaded.push_back(trimmed(set));
+    expect_matches_referee(loaded, kU,
+                           "picked case " + std::to_string(c) + ", trimmed");
+  }
+
+  // Random sequences: empty, equal-to-previous, toggled (re-adds after
+  // removals) and fresh random sets, the last id often among them, each
+  // set randomly trimmed.
+  rs::crypto::Prng rng(22);
+  for (const std::size_t universe : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 200u,
+                                     1000u}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      const std::size_t length = rng.uniform(14);
+      std::vector<IdSet> sets;
+      for (std::size_t k = 0; k < length; ++k) {
+        IdSet next(universe);
+        const std::uint64_t shape = rng.uniform(4);
+        if (shape == 1 && !sets.empty()) {
+          next = sets.back();
+        } else if (shape == 2 && !sets.empty()) {
+          next = IdSet(universe, sets.back().ids());
+          for (int flip = 0; flip < 3; ++flip) {
+            const auto id = static_cast<std::uint32_t>(rng.uniform(universe));
+            IdSet toggled(universe);
+            for (const std::uint32_t x : next.ids()) {
+              if (x != id) toggled.insert(x);
+            }
+            if (!next.contains(id)) toggled.insert(id);
+            next = std::move(toggled);
+          }
+        } else if (shape == 3) {
+          // Ids below a random limit, so trimmed sets differ in words.
+          const std::size_t limit = 1 + rng.uniform(universe);
+          const double density = rng.uniform01();
+          for (std::uint32_t id = 0; id < limit; ++id) {
+            if (rng.chance(density)) next.insert(id);
+          }
+          if (rng.chance(0.5)) {
+            next.insert(static_cast<std::uint32_t>(universe - 1));
+          }
+        }
+        sets.push_back(rng.chance(0.5) ? trimmed(next) : next);
+      }
+      expect_matches_referee(sets, universe,
+                             "universe " + std::to_string(universe) +
+                                 ", trial " + std::to_string(trial));
+    }
+  }
+
+  // Every lane and scope of perfbench's sim_index database, as built and
+  // as loaded.
+  rs::synth::SimulatorConfig cfg;
+  cfg.seed = 1;
+  cfg.ca_count = 600;
+  cfg.program_count = 6;
+  cfg.derivative_count = 6;
+  cfg.snapshot_interval_days = 30;
+  cfg.ct_log_count = 2;
+  const auto eco = rs::synth::simulate_ecosystem(cfg);
+  const auto table = rs::store::MembershipTable::build(eco.database);
+  const std::size_t universe = table.interner().size();
+  for (const auto& [name, history] : eco.database.histories()) {
+    std::vector<Date> dates;
+    for (const auto& snapshot : history.snapshots()) {
+      dates.push_back(snapshot.date);
+    }
+    const auto& lane = table.lane(history);
+    for (std::size_t s = 0; s < rs::store::kScopeCount; ++s) {
+      std::vector<IdSet> built;
+      std::vector<IdSet> loaded;
+      for (const auto& row : lane) {
+        built.push_back(row[s]);
+        loaded.push_back(trimmed(row[s]));
+      }
+      const auto expected =
+          rs::referee::intervals::derive(dates, built, universe);
+      EXPECT_EQ(TrustIndex::derive_intervals(dates, built, universe),
+                expected)
+          << name << " scope " << s;
+      EXPECT_EQ(TrustIndex::derive_intervals(dates, loaded, universe),
+                expected)
+          << name << " scope " << s << ", trimmed";
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/crypto/prng.h"
+#include "src/exec/thread_pool.h"
 #include "src/store/database.h"
 #include "src/store/membership.h"
 #include "src/store/trust.h"
@@ -270,6 +271,28 @@ TEST(CertInterner, FromDatabaseIgnoresObjectSharing) {
   EXPECT_EQ(from_shared.digests(), from_deep.digests());
   EXPECT_TRUE(std::is_sorted(from_shared.digests().begin(),
                              from_shared.digests().end()));
+
+  // The lanes look an ID up once per certificate object: the shared
+  // database has one object per root, the deep copy one per entry.  Both
+  // give the same rows, and every row is the single-snapshot rows_of.
+  const auto shared_table = MembershipTable::build(shared);
+  const auto deep_table = MembershipTable::build(deep);
+  for (const auto& [name, history] : shared.histories()) {
+    const auto& shared_lane = shared_table.lane(history);
+    const auto& deep_lane = deep_table.lane(*deep.find(name));
+    ASSERT_EQ(shared_lane.size(), history.size()) << name;
+    ASSERT_EQ(deep_lane.size(), history.size()) << name;
+    for (std::size_t k = 0; k < history.size(); ++k) {
+      const ScopeSets single =
+          MembershipTable::rows_of(history.snapshots()[k], from_shared);
+      for (std::size_t s = 0; s < kScopeCount; ++s) {
+        EXPECT_EQ(shared_lane[k][s], deep_lane[k][s])
+            << name << " row " << k << " scope " << s;
+        EXPECT_EQ(shared_lane[k][s], single[s])
+            << name << " row " << k << " scope " << s;
+      }
+    }
+  }
 }
 
 TEST(MembershipTable, OneRowPerSnapshotAndScope) {
@@ -300,6 +323,16 @@ TEST(MembershipTable, MismatchedHistoryOrUniverseThrows) {
   const auto outsider =
       snap("A", Date::ymd(2020, 1, 1), {make_tls_anchor(make_cert(99))});
   EXPECT_THROW((void)MembershipTable::rows_of(outsider, table.interner()),
+               std::logic_error);
+
+  // A lane build over a universe that misses one of the database's
+  // certificates throws too, inline and on a pool.
+  std::vector<Sha256Digest> partial = table.interner().digests();
+  partial.erase(partial.begin() + 1);
+  EXPECT_THROW((void)MembershipTable::build(db, CertInterner(partial)),
+               std::logic_error);
+  rs::exec::ThreadPool pool(2);
+  EXPECT_THROW((void)MembershipTable::build(db, CertInterner(partial), &pool),
                std::logic_error);
 }
 

@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "src/crypto/sha256.h"
 #include "src/store/id_set.h"
+#include "src/util/hex.h"
 
 namespace rs::store::persist {
 namespace {
@@ -25,6 +27,37 @@ std::span<const std::uint8_t> as_span(const std::string& s) {
 TEST(Hash64, MatchesXxh64EmptyStringVector) {
   // The canonical XXH64 test vector: the empty input under seed 0.
   EXPECT_EQ(hash64(std::string_view{}), 0xEF46DB3751D8E999ULL);
+}
+
+// Pinned values of the checksum every RSIX file carries: a change to the
+// hash's byte handling must not move a single one.  The inputs are
+// prefixes of one pattern, at an aligned and an unaligned start, of every
+// length 0..100 (the 32-byte stripe loop, then the 8-, 4- and 1-byte
+// tails) under seeds 0 and 1; the 202 x 2 values, written little-endian,
+// are pinned by their SHA-256.  A 1 MiB image is pinned value by value.
+TEST(Hash64, KnownAnswers) {
+  std::vector<std::uint8_t> pattern(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8) + (i >> 16));
+  }
+  rs::crypto::Sha256 table;
+  for (const std::size_t start : {0u, 1u}) {
+    for (std::size_t n = 0; n <= 100; ++n) {
+      for (const std::uint64_t seed : {0u, 1u}) {
+        const std::uint64_t h =
+            hash64(std::span(pattern).subspan(start, n), seed);
+        std::uint8_t le[8];
+        for (int i = 0; i < 8; ++i) {
+          le[i] = static_cast<std::uint8_t>(h >> (8 * i));
+        }
+        table.update(le);
+      }
+    }
+  }
+  EXPECT_EQ(rs::util::hex_encode(table.finish()),
+            "8ef093be7019fdf35675f241e4b90d0fe1609571a30b5e2ecfb8776e5c12194b");
+  EXPECT_EQ(hash64(pattern, 0), 0xFC99413E425BAE3CULL);
+  EXPECT_EQ(hash64(pattern, 1), 0x0BDC4C521DDCCC62ULL);
 }
 
 TEST(Hash64, DeterministicAndSensitive) {
