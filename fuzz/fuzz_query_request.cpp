@@ -3,7 +3,11 @@
 // `rootstore serve` and `rootstore query` (the only code that ever touches
 // untrusted bytes on the serving path).
 //
-// Invariants checked on every accepted single request:
+// Invariants checked on every single request:
+//   * the parser agrees with the reference parser of
+//     tests/referee/request_reference.h: the same accept or reject, the
+//     same error text, the same Request, and the same canonical bytes;
+// and on every accepted one:
 //   * canonical_request() of a parsed request reparses successfully
 //     (canonicalization never produces a line the parser rejects), and
 //   * canonicalizing the reparse is a fixed point (cache keys are stable).
@@ -21,13 +25,20 @@
 
 #include "fuzz/fuzz_harness.h"
 #include "src/query/request.h"
+#include "tests/referee/request_reference.h"
 
 namespace {
 
 void check_canonical_fixed_point(std::string_view line) {
   auto parsed = rs::query::parse_request(line);
+  const auto reference = rs::referee::request::parse_request(line);
+  RS_FUZZ_ASSERT(rs::referee::request::same_parse(parsed, reference),
+                 "parser disagrees with the reference parser");
   if (!parsed.ok()) return;
   const std::string canonical = rs::query::canonical_request(parsed.value());
+  RS_FUZZ_ASSERT(
+      canonical == rs::referee::request::canonical_request(reference.value()),
+      "canonical form differs from the reference canonicalizer");
   RS_FUZZ_ASSERT(
       canonical.size() <= rs::query::max_request_bytes(parsed.value().op),
       "canonical form exceeds the per-op request size cap");

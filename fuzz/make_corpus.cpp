@@ -154,6 +154,10 @@ int main(int argc, char** argv) {
     write_seed(dir, "bad-length.txt", std::string_view("SGVsbG8"));
     write_seed(dir, "misplaced-pad.txt", std::string_view("SG=sbG8="));
     write_seed(dir, "noncanonical.txt", std::string_view("SGVsbG9="));
+    write_seed(dir, "embedded-whitespace.txt",
+               std::string_view("SG Vs\tbG8g\r\nd29y\fbGQh\v"));
+    write_seed(dir, "pad-two.txt", std::string_view("SGVsbA=="));
+    write_seed(dir, "pad-mid-text.txt", std::string_view("SGk=SGVs"));
   }
 
   // --- pem ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "src/encoding/base64.h"
 
+#include <algorithm>
 #include <array>
 
 #include "src/util/strings.h"
@@ -23,34 +24,41 @@ constexpr auto kReverse = make_reverse();
 
 }  // namespace
 
-std::string base64_encode(std::span<const std::uint8_t> data) {
-  std::string out;
-  out.reserve((data.size() + 2) / 3 * 4);
+void base64_encode_to(std::string& out, std::span<const std::uint8_t> data) {
+  const std::size_t at = out.size();
+  out.resize(at + (data.size() + 2) / 3 * 4);
+  char* p = out.data() + at;
   std::size_t i = 0;
   for (; i + 3 <= data.size(); i += 3) {
     const std::uint32_t n = (static_cast<std::uint32_t>(data[i]) << 16) |
                             (static_cast<std::uint32_t>(data[i + 1]) << 8) |
                             data[i + 2];
-    out.push_back(kAlphabet[(n >> 18) & 63]);
-    out.push_back(kAlphabet[(n >> 12) & 63]);
-    out.push_back(kAlphabet[(n >> 6) & 63]);
-    out.push_back(kAlphabet[n & 63]);
+    p[0] = kAlphabet[(n >> 18) & 63];
+    p[1] = kAlphabet[(n >> 12) & 63];
+    p[2] = kAlphabet[(n >> 6) & 63];
+    p[3] = kAlphabet[n & 63];
+    p += 4;
   }
   const std::size_t rem = data.size() - i;
   if (rem == 1) {
     const std::uint32_t n = static_cast<std::uint32_t>(data[i]) << 16;
-    out.push_back(kAlphabet[(n >> 18) & 63]);
-    out.push_back(kAlphabet[(n >> 12) & 63]);
-    out.push_back('=');
-    out.push_back('=');
+    p[0] = kAlphabet[(n >> 18) & 63];
+    p[1] = kAlphabet[(n >> 12) & 63];
+    p[2] = '=';
+    p[3] = '=';
   } else if (rem == 2) {
     const std::uint32_t n = (static_cast<std::uint32_t>(data[i]) << 16) |
                             (static_cast<std::uint32_t>(data[i + 1]) << 8);
-    out.push_back(kAlphabet[(n >> 18) & 63]);
-    out.push_back(kAlphabet[(n >> 12) & 63]);
-    out.push_back(kAlphabet[(n >> 6) & 63]);
-    out.push_back('=');
+    p[0] = kAlphabet[(n >> 18) & 63];
+    p[1] = kAlphabet[(n >> 12) & 63];
+    p[2] = kAlphabet[(n >> 6) & 63];
+    p[3] = '=';
   }
+}
+
+std::string base64_encode(std::span<const std::uint8_t> data) {
+  std::string out;
+  base64_encode_to(out, data);
   return out;
 }
 
@@ -66,48 +74,65 @@ std::string base64_encode_wrapped(std::span<const std::uint8_t> data,
   return out;
 }
 
+namespace {
+
+/// Decodes text that holds no whitespace.  Every full group is four
+/// alphabet characters ('=' reads as invalid there); only the last group
+/// may end in "=" or "==", and its discarded bits must be zero.
+std::optional<std::vector<std::uint8_t>> decode_compact(std::string_view s) {
+  if (s.size() % 4 != 0) return std::nullopt;
+  if (s.empty()) return std::vector<std::uint8_t>{};
+  const std::size_t pad =
+      s.back() != '=' ? 0 : (s[s.size() - 2] == '=' ? 2 : 1);
+  std::vector<std::uint8_t> out(s.size() / 4 * 3 - pad);
+  std::uint8_t* o = out.data();
+  const auto value = [](char c) {
+    return static_cast<std::int32_t>(kReverse[static_cast<unsigned char>(c)]);
+  };
+  const std::size_t full = pad == 0 ? s.size() : s.size() - 4;
+  for (std::size_t i = 0; i < full; i += 4) {
+    const std::int32_t a = value(s[i]);
+    const std::int32_t b = value(s[i + 1]);
+    const std::int32_t c = value(s[i + 2]);
+    const std::int32_t d = value(s[i + 3]);
+    if ((a | b | c | d) < 0) return std::nullopt;
+    const auto n = static_cast<std::uint32_t>((a << 18) | (b << 12) |
+                                              (c << 6) | d);
+    o[0] = static_cast<std::uint8_t>(n >> 16);
+    o[1] = static_cast<std::uint8_t>(n >> 8);
+    o[2] = static_cast<std::uint8_t>(n);
+    o += 3;
+  }
+  if (pad == 0) return out;
+  // The padded last group: "xx==" or "xxx=".
+  const std::int32_t a = value(s[full]);
+  const std::int32_t b = value(s[full + 1]);
+  const std::int32_t c = pad == 1 ? value(s[full + 2]) : 0;
+  if ((a | b | c) < 0) return std::nullopt;
+  const auto n = static_cast<std::uint32_t>((a << 18) | (b << 12) | (c << 6));
+  // Reject non-canonical encodings whose discarded bits are non-zero.
+  if ((n & (pad == 1 ? 0xFFu : 0xFFFFu)) != 0) return std::nullopt;
+  o[0] = static_cast<std::uint8_t>(n >> 16);
+  if (pad == 1) o[1] = static_cast<std::uint8_t>(n >> 8);
+  return out;
+}
+
+}  // namespace
+
 std::optional<std::vector<std::uint8_t>> base64_decode(
     std::string_view text, const Base64DecodeOptions& opts) {
+  // Whitespace is not in the alphabet, so strict mode rejects it in
+  // decode_compact; only the tolerant mode needs a compacted copy.
+  if (!opts.allow_whitespace ||
+      std::none_of(text.begin(), text.end(), rs::util::is_space)) {
+    return decode_compact(text);
+  }
   std::string compact;
   compact.reserve(text.size());
-  for (char c : text) {
-    if (rs::util::is_space(c)) {
-      if (!opts.allow_whitespace) return std::nullopt;
-      continue;
-    }
-    compact.push_back(c);
+  for (const char c : text) {
+    if (!rs::util::is_space(c)) compact.push_back(c);
   }
-  if (compact.size() % 4 != 0) return std::nullopt;
-
-  std::vector<std::uint8_t> out;
-  out.reserve(compact.size() / 4 * 3);
-  for (std::size_t i = 0; i < compact.size(); i += 4) {
-    int pad = 0;
-    std::uint32_t n = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      const char c = compact[i + j];
-      if (c == '=') {
-        // '=' is legal only in the last group's final one or two slots.
-        if (i + 4 != compact.size() || j < 2) return std::nullopt;
-        if (j == 2 && compact[i + 3] != '=') return std::nullopt;
-        ++pad;
-        n <<= 6;
-        continue;
-      }
-      if (pad > 0) return std::nullopt;  // data after '='
-      const std::int8_t v = kReverse[static_cast<unsigned char>(c)];
-      if (v < 0) return std::nullopt;
-      n = (n << 6) | static_cast<std::uint32_t>(v);
-    }
-    // Reject non-canonical encodings whose discarded bits are non-zero.
-    if (pad == 1 && (n & 0xFF) != 0) return std::nullopt;
-    if (pad == 2 && (n & 0xFFFF) != 0) return std::nullopt;
-
-    out.push_back(static_cast<std::uint8_t>((n >> 16) & 0xFF));
-    if (pad < 2) out.push_back(static_cast<std::uint8_t>((n >> 8) & 0xFF));
-    if (pad < 1) out.push_back(static_cast<std::uint8_t>(n & 0xFF));
-  }
-  return out;
+  return decode_compact(compact);
 }
 
 }  // namespace rs::encoding

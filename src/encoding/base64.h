@@ -14,6 +14,12 @@
 
 namespace rs::encoding {
 
+/// Appends the standard Base64 encoding of `data` ('=' padding, no line
+/// wrapping) to `out`, written in place.  The one encoder: base64_encode
+/// and base64_encode_wrapped build on it, and the query layer writes
+/// certificates into canonical requests with it.
+void base64_encode_to(std::string& out, std::span<const std::uint8_t> data);
+
 /// Encodes to standard Base64 with '=' padding, no line wrapping.
 std::string base64_encode(std::span<const std::uint8_t> data);
 
@@ -32,6 +38,8 @@ struct Base64DecodeOptions {
 /// Decodes standard Base64.  Returns nullopt on: invalid characters, length
 /// not a multiple of 4 (after whitespace removal), misplaced '=', or
 /// non-zero discarded bits in the final group (non-canonical encodings).
+/// Decodes straight from `text` into an exactly sized buffer; a compacted
+/// copy is made only when whitespace is present and allowed.
 std::optional<std::vector<std::uint8_t>> base64_decode(
     std::string_view text, const Base64DecodeOptions& opts = {});
 

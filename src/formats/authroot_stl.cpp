@@ -47,11 +47,12 @@ AuthRootBlob write_authroot(const std::vector<TrustEntry>& entries) {
   Writer entry_list;
   for (const auto& e : entries) {
     const auto& cert = *e.certificate;
-    const std::string sha1_hex = rs::util::hex_encode(cert.sha1());
+    const auto sha1 = cert.sha1();
+    const std::string sha1_hex = rs::util::hex_encode(sha1);
     blob.certs.emplace(sha1_hex, cert.der());
 
     Writer subject;
-    subject.add_octet_string(cert.sha1());
+    subject.add_octet_string(sha1);
 
     Writer ekus;
     Writer disallowed;

@@ -1,6 +1,7 @@
 #include "src/query/engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -16,19 +17,57 @@
 namespace rs::query {
 namespace {
 
+/// Appends `value` in decimal.
+void append_uint(std::string& out, std::uint64_t value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  out.append(buf, end);
+}
+
+/// Appends a fingerprint as a quoted string of 64 lowercase hex digits,
+/// written in place (hex digits never need escaping).
+void append_fp(std::string& out, const rs::crypto::Sha256Digest& fp) {
+  out.push_back('"');
+  rs::util::append_hex(out, fp);
+  out.push_back('"');
+}
+
+/// Appends a date as a quoted "YYYY-MM-DD", written in place.
+void append_date(std::string& out, const rs::util::Date& d) {
+  out.push_back('"');
+  d.append_to(out);
+  out.push_back('"');
+}
+
 /// Incremental writer for the flat response objects.  Field order is the
-/// call order, so every response shape is fixed at its call site.
+/// call order, so every response shape is fixed at its call site.  Keys
+/// are literals of this file and are written as they are; free-text
+/// values go through append_json_string, dates and fingerprints are
+/// written in place.
 class ResponseWriter {
  public:
-  ResponseWriter() { out_.push_back('{'); }
+  /// Room for the common responses in one allocation; finish() hands the
+  /// buffer on, and the response cache stores an exact-size copy.
+  ResponseWriter() {
+    out_.reserve(256);
+    out_.push_back('{');
+  }
 
   void field(std::string_view key, std::string_view value) {
     key_only(key);
     append_json_string(out_, value);
   }
+  void field_date(std::string_view key, const rs::util::Date& value) {
+    key_only(key);
+    append_date(out_, value);
+  }
+  void field_fp(std::string_view key, const rs::crypto::Sha256Digest& value) {
+    key_only(key);
+    append_fp(out_, value);
+  }
   void field_uint(std::string_view key, std::uint64_t value) {
     key_only(key);
-    out_ += std::to_string(value);
+    append_uint(out_, value);
   }
   void field_bool(std::string_view key, bool value) {
     key_only(key);
@@ -51,8 +90,9 @@ class ResponseWriter {
   /// Opens a raw value position; the caller appends JSON via raw().
   void key_only(std::string_view key) {
     if (out_.size() > 1) out_.push_back(',');
-    append_json_string(out_, key);
-    out_.push_back(':');
+    out_.push_back('"');
+    out_ += key;
+    out_ += "\":";
   }
   std::string& raw() { return out_; }
 
@@ -65,24 +105,26 @@ class ResponseWriter {
   std::string out_;
 };
 
-std::string fp_hex(const rs::crypto::Sha256Digest& fp) {
-  return rs::util::hex_encode(fp);
-}
-
-/// Serializes an IdSet as a sorted array of hex fingerprints.
+/// Serializes an IdSet as a sorted array of hex fingerprints.  The array
+/// is sized once, 66 bytes per quoted fingerprint plus the commas and
+/// brackets, and every fingerprint's digits are written into it.
 void append_roots(ResponseWriter& w, std::string_view key,
                   const rs::store::IdSet& ids,
                   const rs::store::CertInterner& interner) {
   w.key_only(key);
   std::string& out = w.raw();
-  out.push_back('[');
-  bool first = true;
-  for (const std::uint32_t id : ids.ids()) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, fp_hex(interner.digest_of(id)));
+  const std::vector<std::uint32_t> members = ids.ids();
+  const std::size_t at = out.size();
+  out.resize(at + 2 + (members.empty() ? 0 : members.size() * 67 - 1));
+  char* p = out.data() + at;
+  *p++ = '[';
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (i > 0) *p++ = ',';
+    *p++ = '"';
+    p = rs::util::write_hex(p, interner.digest_of(members[i]));
+    *p++ = '"';
   }
-  out.push_back(']');
+  *p = ']';
 }
 
 /// Common echo prefix: op + status.
@@ -100,8 +142,8 @@ std::string not_covered(const Request& r, std::string_view provider,
   echo(w);
   w.field("provider", provider);
   if (coverage) {
-    w.field("coverage_begin", coverage->first.to_string());
-    w.field("coverage_end", coverage->last.to_string());
+    w.field_date("coverage_begin", coverage->first);
+    w.field_date("coverage_end", coverage->last);
   }
   return w.finish();
 }
@@ -133,8 +175,12 @@ QueryEngine::QueryEngine(TrustIndex index,
     : index_(std::move(index)), agents_(std::move(agents)) {}
 
 std::string batch_response(const std::vector<std::string>& responses) {
-  std::string out = "{\"op\":\"batch\",\"status\":\"ok\",\"count\":";
-  out += std::to_string(responses.size());
+  std::size_t total = 64;
+  for (const auto& response : responses) total += response.size() + 1;
+  std::string out;
+  out.reserve(total);
+  out += "{\"op\":\"batch\",\"status\":\"ok\",\"count\":";
+  append_uint(out, responses.size());
   out += ",\"responses\":[";
   for (std::size_t i = 0; i < responses.size(); ++i) {
     if (i > 0) out.push_back(',');
@@ -195,8 +241,8 @@ std::string QueryEngine::handle_is_trusted(const Request& r) const {
                           "no history for provider '" + *r.provider + "'");
   }
   const auto echo = [&](ResponseWriter& w) {
-    w.field("fp", fp_hex(*r.fp));
-    w.field("date", r.date->to_string());
+    w.field_fp("fp", *r.fp);
+    w.field_date("date", *r.date);
     w.field("scope", to_string(r.scope));
   };
   const TrustAnswer answer =
@@ -216,8 +262,8 @@ std::string QueryEngine::handle_providers_trusting(const Request& r) const {
   const auto trusting =
       index_.providers_trusting(*r.fp, *r.date, r.scope, &skipped);
   ResponseWriter w = begin(r, "ok");
-  w.field("fp", fp_hex(*r.fp));
-  w.field("date", r.date->to_string());
+  w.field_fp("fp", *r.fp);
+  w.field_date("date", *r.date);
   w.field("scope", to_string(r.scope));
   w.field_strings("providers", trusting);
   w.field_strings("not_covered", skipped);
@@ -230,7 +276,7 @@ std::string QueryEngine::handle_store_at(const Request& r) const {
                           "no history for provider '" + *r.provider + "'");
   }
   const auto echo = [&](ResponseWriter& w) {
-    w.field("date", r.date->to_string());
+    w.field_date("date", *r.date);
     w.field("scope", to_string(r.scope));
   };
   const auto view = index_.store_at(*r.provider, *r.date, r.scope);
@@ -240,7 +286,7 @@ std::string QueryEngine::handle_store_at(const Request& r) const {
   ResponseWriter w = begin(r, "ok");
   echo(w);
   w.field("provider", view->provider);
-  w.field("snapshot_date", view->snapshot_date.to_string());
+  w.field_date("snapshot_date", view->snapshot_date);
   w.field("version", view->version);
   w.field_uint("count", view->roots->size());
   append_roots(w, "roots", *view->roots, index_.interner());
@@ -253,8 +299,8 @@ std::string QueryEngine::handle_diff(const Request& r) const {
                           "no history for provider '" + *r.provider + "'");
   }
   const auto echo = [&](ResponseWriter& w) {
-    w.field("date_a", r.date_a->to_string());
-    w.field("date_b", r.date_b->to_string());
+    w.field_date("date_a", *r.date_a);
+    w.field_date("date_b", *r.date_b);
     w.field("scope", to_string(r.scope));
   };
   const auto delta = index_.diff(*r.provider, *r.date_a, *r.date_b, r.scope);
@@ -264,8 +310,8 @@ std::string QueryEngine::handle_diff(const Request& r) const {
   ResponseWriter w = begin(r, "ok");
   echo(w);
   w.field("provider", delta->from.provider);
-  w.field("snapshot_a", delta->from.snapshot_date.to_string());
-  w.field("snapshot_b", delta->to.snapshot_date.to_string());
+  w.field_date("snapshot_a", delta->from.snapshot_date);
+  w.field_date("snapshot_b", delta->to.snapshot_date);
   append_roots(w, "added", delta->added, index_.interner());
   append_roots(w, "removed", delta->removed, index_.interner());
   return w.finish();
@@ -315,7 +361,7 @@ std::string QueryEngine::handle_agent_store(const Request& r) const {
   const auto echo = [&](ResponseWriter& w) {
     w.field("user_agent", *r.user_agent);
     if (r.os) w.field("os", *r.os);
-    w.field("date", r.date->to_string());
+    w.field_date("date", *r.date);
     w.field("scope", to_string(r.scope));
   };
   if (!index_.has_provider(provider)) {
@@ -330,7 +376,7 @@ std::string QueryEngine::handle_agent_store(const Request& r) const {
   ResponseWriter w = begin(r, "ok");
   echo(w);
   w.field("provider", view->provider);
-  w.field("snapshot_date", view->snapshot_date.to_string());
+  w.field_date("snapshot_date", view->snapshot_date);
   w.field("version", view->version);
   w.field_uint("count", view->roots->size());
   append_roots(w, "roots", *view->roots, index_.interner());
@@ -340,7 +386,7 @@ std::string QueryEngine::handle_agent_store(const Request& r) const {
 std::string QueryEngine::handle_lineage(const Request& r) const {
   const auto spans = index_.lineage(*r.fp, r.scope);
   ResponseWriter w = begin(r, "ok");
-  w.field("fp", fp_hex(*r.fp));
+  w.field_fp("fp", *r.fp);
   w.field("scope", to_string(r.scope));
   w.key_only("spans");
   std::string& out = w.raw();
@@ -350,10 +396,10 @@ std::string QueryEngine::handle_lineage(const Request& r) const {
     out += "{\"provider\":";
     append_json_string(out, spans[i].provider);
     out += ",\"added\":";
-    append_json_string(out, spans[i].interval.added.to_string());
+    append_date(out, spans[i].interval.added);
     out += ",\"removed\":";
     if (spans[i].interval.removed) {
-      append_json_string(out, spans[i].interval.removed->to_string());
+      append_date(out, *spans[i].interval.removed);
     } else {
       out += "null";
     }
@@ -434,7 +480,7 @@ void append_cert_path(std::string& out,
   out.push_back('[');
   for (std::size_t i = 0; i < certs.size(); ++i) {
     if (i > 0) out.push_back(',');
-    append_json_string(out, fp_hex(certs[i]->sha256()));
+    append_fp(out, certs[i]->sha256());
   }
   out.push_back(']');
 }
@@ -449,8 +495,8 @@ std::string QueryEngine::handle_verify_chain(const Request& r) const {
   auto chain = parse_chain(r);
   if (!chain.ok()) return error_response("bad_certificate", chain.error());
   const auto echo = [&](ResponseWriter& w) {
-    w.field("fp", fp_hex(chain.value().leaf.sha256()));
-    w.field("date", r.date->to_string());
+    w.field_fp("fp", chain.value().leaf.sha256());
+    w.field_date("date", *r.date);
     w.field("scope", to_string(r.scope));
   };
   const auto cov = index_.coverage(*r.provider);
@@ -486,7 +532,7 @@ std::string QueryEngine::handle_verify_chain(const Request& r) const {
     out += ",\"status\":";
     append_json_string(out, rs::verify::to_string(result.candidates[i].status));
     out += ",\"fail_index\":";
-    out += std::to_string(result.candidates[i].fail_index);
+    append_uint(out, result.candidates[i].fail_index);
     out.push_back('}');
   }
   out.push_back(']');
@@ -503,7 +549,7 @@ std::string QueryEngine::handle_first_rejected_at(const Request& r) const {
   auto chain = parse_chain(r);
   if (!chain.ok()) return error_response("bad_certificate", chain.error());
   const auto echo = [&](ResponseWriter& w) {
-    w.field("fp", fp_hex(chain.value().leaf.sha256()));
+    w.field_fp("fp", chain.value().leaf.sha256());
     w.field("scope", to_string(r.scope));
   };
   const auto cov = index_.coverage(*r.provider);
@@ -530,20 +576,20 @@ std::string QueryEngine::handle_first_rejected_at(const Request& r) const {
   echo(w);
   w.field("provider", *r.provider);
   if (scan.accepted_from) {
-    w.field("accepted_from", scan.accepted_from->to_string());
+    w.field_date("accepted_from", *scan.accepted_from);
   } else {
     w.field_null("accepted_from");
   }
   if (scan.first_rejected) {
-    w.field("first_rejected", scan.first_rejected->to_string());
+    w.field_date("first_rejected", *scan.first_rejected);
     w.field("reason", rs::verify::to_string(scan.flip_reason));
   } else {
     w.field_null("first_rejected");
     w.field_null("reason");
   }
   w.field_uint("evaluated", scan.evaluated);
-  w.field("coverage_begin", cov->first.to_string());
-  w.field("coverage_end", cov->last.to_string());
+  w.field_date("coverage_begin", cov->first);
+  w.field_date("coverage_end", cov->last);
   return w.finish();
 }
 
@@ -554,7 +600,7 @@ std::string QueryEngine::handle_agreement_at(const Request& r) const {
   const auto view = rs::landscape::presence_at(index_, *r.date, r.scope);
   const auto summary = rs::landscape::agreement_summary(view.sets);
   ResponseWriter w = begin(r, "ok");
-  w.field("date", r.date->to_string());
+  w.field_date("date", *r.date);
   w.field("scope", to_string(r.scope));
   w.field_strings("providers", view.providers);
   w.key_only("sizes");
@@ -563,7 +609,7 @@ std::string QueryEngine::handle_agreement_at(const Request& r) const {
     out.push_back('[');
     for (std::size_t i = 0; i < summary.sizes.size(); ++i) {
       if (i > 0) out.push_back(',');
-      out += std::to_string(summary.sizes[i]);
+      append_uint(out, summary.sizes[i]);
     }
     out.push_back(']');
   }
@@ -573,7 +619,7 @@ std::string QueryEngine::handle_agreement_at(const Request& r) const {
     out.push_back('[');
     for (std::size_t i = 0; i < summary.exclusive_counts.size(); ++i) {
       if (i > 0) out.push_back(',');
-      out += std::to_string(summary.exclusive_counts[i]);
+      append_uint(out, summary.exclusive_counts[i]);
     }
     out.push_back(']');
   }
@@ -594,9 +640,9 @@ std::string QueryEngine::handle_agreement_at(const Request& r) const {
       out += ",\"b\":";
       append_json_string(out, view.providers[p.b]);
       out += ",\"intersection\":";
-      out += std::to_string(p.intersection);
+      append_uint(out, p.intersection);
       out += ",\"union\":";
-      out += std::to_string(p.union_size);
+      append_uint(out, p.union_size);
       out += ",\"agreement\":";
       append_json_string(
           out, rs::landscape::format_agreement(p.intersection, p.union_size));
@@ -619,7 +665,7 @@ std::string QueryEngine::handle_ct_coverage(const Request& r) const {
                           "no history for provider '" + *r.provider + "'");
   }
   const auto echo = [&](ResponseWriter& w) {
-    w.field("date", r.date->to_string());
+    w.field_date("date", *r.date);
     w.field("scope", to_string(r.scope));
   };
   const auto log_view = index_.store_at(*r.provider, *r.date, r.scope);
@@ -658,7 +704,7 @@ std::string QueryEngine::handle_ct_coverage(const Request& r) const {
   ResponseWriter w = begin(r, "ok");
   echo(w);
   w.field("provider", log_view->provider);
-  w.field("snapshot_date", log_view->snapshot_date.to_string());
+  w.field_date("snapshot_date", log_view->snapshot_date);
   w.field_uint("log_size", log_view->roots->size());
   w.field_uint("log_exclusive", exclusive);
   w.key_only("coverage");
@@ -676,16 +722,16 @@ std::string QueryEngine::handle_ct_coverage(const Request& r) const {
       out += "{\"provider\":";
       append_json_string(out, covered_names[i]);
       out += ",\"size\":";
-      out += std::to_string(rows[i].store_size);
+      append_uint(out, rows[i].store_size);
       out += ",\"covered\":";
-      out += std::to_string(rows[i].covered);
+      append_uint(out, rows[i].covered);
       out += ",\"fraction\":";
       append_json_string(
           out, rs::landscape::format_ratio(
                    static_cast<double>(rows[i].covered),
                    static_cast<double>(rows[i].store_size), 4));
       out += ",\"matched\":";
-      out += std::to_string(lag.matched);
+      append_uint(out, lag.matched);
       out += ",\"mean_lag_days\":";
       if (lag.matched == 0) {
         out += "null";
@@ -721,9 +767,9 @@ std::string QueryEngine::handle_stats() const {
     first = false;
     append_json_string(out, name);
     out += ":[";
-    append_json_string(out, cov->first.to_string());
+    append_date(out, cov->first);
     out.push_back(',');
-    append_json_string(out, cov->last.to_string());
+    append_date(out, cov->last);
     out.push_back(']');
   }
   out.push_back('}');

@@ -200,6 +200,10 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
     p.dates.reserve(date_count);
     for (std::uint64_t k = 0; k < date_count && r2.ok(); ++k) {
       const Date d = Date::from_days(r2.i64());
+      if (r2.ok() && !d.has_iso_year()) {
+        r2.fail(LoadError::kBadValue,
+                "snapshot date outside 0000-01-01..9999-12-31");
+      }
       if (r2.ok() && !p.dates.empty() && !(p.dates.back() < d)) {
         r2.fail(LoadError::kBadValue,
                 "snapshot dates not strictly ascending");
@@ -275,6 +279,13 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
         }
         TrustInterval run;
         run.added = Date::from_days(added_days);
+        if (!run.added.has_iso_year() ||
+            (removed_days != kOpenSentinel &&
+             !Date::from_days(removed_days).has_iso_year())) {
+          r4.fail(LoadError::kBadValue,
+                  "interval date outside 0000-01-01..9999-12-31");
+          break;
+        }
         if (removed_days != kOpenSentinel) {
           if (removed_days <= added_days) {
             r4.fail(LoadError::kBadValue, "interval removed before added");

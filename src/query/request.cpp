@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/encoding/base64.h"
+#include "src/util/hex.h"
 
 namespace rs::query {
 namespace {
@@ -35,67 +38,117 @@ struct Cursor {
   }
 };
 
-/// Parses a JSON string literal into `out`.  Accepts the simple escapes
+/// True for a byte a JSON string carries as itself: not '"', not '\\',
+/// not a control byte.
+bool is_plain(char c) noexcept {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
+
+/// Length of the longest prefix of the `n` bytes at `p` that are all
+/// plain.  Tests eight bytes at a time: a word needs a closer look when one
+/// of its bytes is '"', '\\' or below 0x20 (the zero-byte and less-than
+/// tests of "Bit Twiddling Hacks", exact about whether such a byte
+/// exists), and the byte loop finds which one.
+std::size_t plain_prefix(const char* p, std::size_t n) noexcept {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    const std::uint64_t quote = w ^ (kOnes * '"');
+    const std::uint64_t backslash = w ^ (kOnes * '\\');
+    const std::uint64_t stop = ((quote - kOnes) & ~quote) |
+                               ((backslash - kOnes) & ~backslash) |
+                               ((w - kOnes * 0x20) & ~w);
+    if ((stop & kHigh) != 0) break;
+  }
+  while (i < n && is_plain(p[i])) ++i;
+  return i;
+}
+
+/// Parses a JSON string literal.  Accepts the simple escapes
 /// (\" \\ \/ \b \f \n \r \t); rejects \uXXXX (the request vocabulary is
 /// ASCII) and raw control bytes.  `what` names the thing being parsed for
 /// error messages; `cap` bounds the decoded length.
-Result<std::string> parse_string(Cursor& in, const char* what,
-                                 std::size_t cap) {
+///
+/// A value with no escape is returned as a view of the request text.  One
+/// with escapes is decoded into `arena`, reserved to the text's size on
+/// first use: decoding never lengthens a string, so the arena never
+/// reallocates and the views into it stay valid while it lives.  The
+/// longest run of plain bytes that still fits under `cap` is taken in one
+/// step; the byte after it (a quote, an escape, a control byte, the end of
+/// the text, or a plain byte past the cap) goes through the per-byte
+/// checks, so the first error and its text are the same as a
+/// byte-at-a-time parse.
+Result<std::string_view> parse_string(Cursor& in, const char* what,
+                                      std::size_t cap, std::string& arena) {
+  using R = Result<std::string_view>;
   if (!in.consume('"')) {
-    return Result<std::string>::err(std::string("expected '\"' to open ") +
-                                    what);
+    return R::err(std::string("expected '\"' to open ") + what);
   }
-  std::string out;
+  const std::size_t start = in.pos;
+  const auto run = [&in](std::size_t room) {
+    return plain_prefix(in.text.data() + in.pos,
+                        std::min(room, in.text.size() - in.pos));
+  };
+  in.pos += run(cap);
+  if (!in.done() && in.peek() == '"') {
+    return in.text.substr(start, in.pos++ - start);
+  }
+  if (arena.capacity() < in.text.size()) arena.reserve(in.text.size());
+  const std::size_t begin = arena.size();
+  arena.append(in.text.data() + start, in.pos - start);
   while (true) {
-    if (in.done()) {
-      return Result<std::string>::err(std::string("unterminated ") + what);
-    }
+    if (in.done()) return R::err(std::string("unterminated ") + what);
     const char c = in.text[in.pos++];
     if (c == '"') break;
     if (static_cast<unsigned char>(c) < 0x20) {
-      return Result<std::string>::err(
-          std::string("raw control byte in ") + what);
+      return R::err(std::string("raw control byte in ") + what);
     }
     if (c == '\\') {
-      if (in.done()) {
-        return Result<std::string>::err(std::string("unterminated ") + what);
-      }
+      if (in.done()) return R::err(std::string("unterminated ") + what);
       const char esc = in.text[in.pos++];
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': arena.push_back('"'); break;
+        case '\\': arena.push_back('\\'); break;
+        case '/': arena.push_back('/'); break;
+        case 'b': arena.push_back('\b'); break;
+        case 'f': arena.push_back('\f'); break;
+        case 'n': arena.push_back('\n'); break;
+        case 'r': arena.push_back('\r'); break;
+        case 't': arena.push_back('\t'); break;
         default:
-          return Result<std::string>::err(
-              std::string("unsupported escape in ") + what);
+          return R::err(std::string("unsupported escape in ") + what);
       }
     } else {
-      out.push_back(c);
+      arena.push_back(c);
     }
-    if (out.size() > cap) {
-      return Result<std::string>::err(std::string(what) + " exceeds " +
-                                      std::to_string(cap) + " bytes");
+    const std::size_t length = arena.size() - begin;
+    if (length > cap) {
+      return R::err(std::string(what) + " exceeds " + std::to_string(cap) +
+                    " bytes");
     }
+    const std::size_t n = run(cap - length);
+    arena.append(in.text.data() + in.pos, n);
+    in.pos += n;
   }
-  return out;
+  return std::string_view(arena).substr(begin);
 }
 
-/// One raw key/value pair before per-op validation.  The only non-string
-/// value in the grammar is the "pool" array of strings; everything else
-/// stays flat.
+/// One raw key/value pair before per-op validation, as views of the
+/// request text or of parse_request's arena.  The only non-string value
+/// in the grammar is the "pool" array of strings; everything else stays
+/// flat.
 struct RawField {
-  std::string key;
-  std::string value;
-  std::vector<std::string> items;  // "pool" only
+  std::string_view key;
+  std::string_view value;
+  std::vector<std::string_view> items;  // "pool" only
   bool is_array = false;
 };
 
-Result<std::vector<RawField>> parse_object(std::string_view text) {
+Result<std::vector<RawField>> parse_object(std::string_view text,
+                                           std::string& arena) {
   using R = Result<std::vector<RawField>>;
   if (text.size() > kMaxVerifyRequestBytes) {
     // The widest per-op budget; parse_request re-checks the tighter cap
@@ -113,16 +166,17 @@ Result<std::vector<RawField>> parse_object(std::string_view text) {
     if (!in.done()) return R::err("trailing bytes after request object");
     return fields;
   }
+  fields.reserve(kMaxFields + 1);  // the most it holds before the cap check
   while (true) {
     in.skip_ws();
-    auto key = parse_string(in, "field name", kMaxKeyBytes);
+    auto key = parse_string(in, "field name", kMaxKeyBytes, arena);
     if (!key.ok()) return key.propagate<std::vector<RawField>>();
     in.skip_ws();
     if (!in.consume(':')) return R::err("expected ':' after field name");
     in.skip_ws();
     if (in.done()) return R::err("missing value");
     RawField field;
-    field.key = std::move(key).take();
+    field.key = key.value();
     if (in.peek() == '[' && field.key == "pool") {
       // The certificate pool: a bounded array of Base64 strings.  No other
       // key admits an array, keeping the attack surface flat.
@@ -132,9 +186,9 @@ Result<std::vector<RawField>> parse_object(std::string_view text) {
       if (!in.consume(']')) {
         while (true) {
           in.skip_ws();
-          auto item = parse_string(in, "pool entry", kMaxCertB64Bytes);
+          auto item = parse_string(in, "pool entry", kMaxCertB64Bytes, arena);
           if (!item.ok()) return item.propagate<std::vector<RawField>>();
-          field.items.push_back(std::move(item).take());
+          field.items.push_back(item.value());
           if (field.items.size() > kMaxPoolCerts) {
             return R::err("pool carries more than " +
                           std::to_string(kMaxPoolCerts) + " certificates");
@@ -150,18 +204,19 @@ Result<std::vector<RawField>> parse_object(std::string_view text) {
       // every other value keeps the tight one.
       const std::size_t cap =
           field.key == "leaf" ? kMaxCertB64Bytes : kMaxValueBytes;
-      auto value = parse_string(in, "field value", cap);
+      auto value = parse_string(in, "field value", cap, arena);
       if (!value.ok()) return value.propagate<std::vector<RawField>>();
-      field.value = std::move(value).take();
+      field.value = value.value();
     } else {
       // The remaining request vocabulary is strings; numbers, booleans, and
       // nested containers are rejected outright to keep the attack
       // surface flat.
-      return R::err("field '" + field.key + "' must be a JSON string");
+      return R::err("field '" + std::string(field.key) +
+                    "' must be a JSON string");
     }
     for (const auto& f : fields) {
       if (f.key == field.key) {
-        return R::err("duplicate field '" + field.key + "'");
+        return R::err("duplicate field '" + std::string(field.key) + "'");
       }
     }
     fields.push_back(std::move(field));
@@ -178,16 +233,18 @@ Result<std::vector<RawField>> parse_object(std::string_view text) {
   return fields;
 }
 
-Result<std::vector<std::uint8_t>> parse_cert_b64(const std::string& what,
-                                                 const std::string& value) {
-  using R = Result<std::vector<std::uint8_t>>;
-  auto der = rs::encoding::base64_decode(value);
-  if (!der) return R::err(what + " is not valid Base64");
-  if (der->empty()) return R::err(what + " decodes to zero bytes");
-  return *std::move(der);
+/// Decodes one Base64 certificate value into `der`; on failure returns the
+/// end of the error text (the caller names the field), else nullptr.
+const char* decode_cert(std::string_view value,
+                        std::vector<std::uint8_t>& der) {
+  auto decoded = rs::encoding::base64_decode(value);
+  if (!decoded) return " is not valid Base64";
+  if (decoded->empty()) return " decodes to zero bytes";
+  der = *std::move(decoded);
+  return nullptr;
 }
 
-Result<rs::crypto::Sha256Digest> parse_fp(const std::string& value) {
+Result<rs::crypto::Sha256Digest> parse_fp(std::string_view value) {
   using R = Result<rs::crypto::Sha256Digest>;
   if (value.size() != 64) {
     return R::err("fp must be 64 hex digits (SHA-256)");
@@ -206,11 +263,11 @@ Result<rs::crypto::Sha256Digest> parse_fp(const std::string& value) {
   return out;
 }
 
-Result<rs::util::Date> parse_date_field(const std::string& key,
-                                        const std::string& value) {
+Result<rs::util::Date> parse_date_field(std::string_view key,
+                                        std::string_view value) {
   auto date = rs::util::Date::parse(value);
   if (!date) {
-    return Result<rs::util::Date>::err("field '" + key +
+    return Result<rs::util::Date>::err("field '" + std::string(key) +
                                        "' is not a YYYY-MM-DD date");
   }
   return *date;
@@ -283,7 +340,13 @@ std::size_t max_request_bytes(Op op) noexcept {
 
 void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (const char c : s) {
+  std::size_t i = 0;
+  while (true) {
+    // Copy the clean run at once; stop at the next byte to escape.
+    const std::size_t j = i + plain_prefix(s.data() + i, s.size() - i);
+    out.append(s.data() + i, j - i);
+    if (j == s.size()) break;
+    const char c = s[j];
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -291,28 +354,28 @@ void append_json_string(std::string& out, std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out.push_back(kHexDigits[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-          out.push_back(kHexDigits[static_cast<unsigned char>(c) & 0xF]);
-        } else {
-          out.push_back(c);
-        }
+        out += "\\u00";
+        out.push_back(kHexDigits[(static_cast<unsigned char>(c) >> 4) & 0xF]);
+        out.push_back(kHexDigits[static_cast<unsigned char>(c) & 0xF]);
     }
+    i = j + 1;
   }
   out.push_back('"');
 }
 
 rs::util::Result<Request> parse_request(std::string_view text) {
   using R = Result<Request>;
-  auto fields = parse_object(text);
+  std::string arena;  // decoded values with escapes; see parse_string
+  auto fields = parse_object(text, arena);
   if (!fields.ok()) return fields.propagate<Request>();
 
   const OpSpec* spec = nullptr;
   for (const auto& f : fields.value()) {
     if (f.key != "op") continue;
     spec = spec_for(f.value);
-    if (spec == nullptr) return R::err("unknown op '" + f.value + "'");
+    if (spec == nullptr) {
+      return R::err("unknown op '" + std::string(f.value) + "'");
+    }
   }
   if (spec == nullptr) return R::err("missing required field 'op'");
   if (text.size() > max_request_bytes(spec->op)) {
@@ -335,7 +398,7 @@ rs::util::Result<Request> parse_request(std::string_view text) {
         (f.key == "os" && spec->os) || (f.key == "scope" && spec->scope) ||
         (f.key == "leaf" && spec->leaf) || (f.key == "pool" && spec->pool);
     if (!admissible) {
-      return R::err("unknown field '" + f.key + "' for op '" +
+      return R::err("unknown field '" + std::string(f.key) + "' for op '" +
                     std::string(spec->name) + "'");
     }
     if (f.is_array != (f.key == "pool")) {
@@ -349,7 +412,7 @@ rs::util::Result<Request> parse_request(std::string_view text) {
       request.fp = fp.value();
     } else if (f.key == "provider") {
       if (f.value.empty()) return R::err("field 'provider' is empty");
-      request.provider = f.value;
+      request.provider.emplace(f.value);
     } else if (f.key == "date" || f.key == "date_a" || f.key == "date_b") {
       auto date = parse_date_field(f.key, f.value);
       if (!date.ok()) return date.propagate<Request>();
@@ -358,21 +421,21 @@ rs::util::Result<Request> parse_request(std::string_view text) {
       else request.date_b = date.value();
     } else if (f.key == "user_agent") {
       if (f.value.empty()) return R::err("field 'user_agent' is empty");
-      request.user_agent = f.value;
+      request.user_agent.emplace(f.value);
     } else if (f.key == "os") {
       if (f.value.empty()) return R::err("field 'os' is empty");
-      request.os = f.value;
+      request.os.emplace(f.value);
     } else if (f.key == "leaf") {
-      auto der = parse_cert_b64("field 'leaf'", f.value);
-      if (!der.ok()) return der.propagate<Request>();
-      request.leaf = std::move(der).take();
+      if (const char* why = decode_cert(f.value, request.leaf.emplace())) {
+        return R::err(std::string("field 'leaf'") + why);
+      }
     } else if (f.key == "pool") {
       has_pool = true;
+      request.pool.resize(f.items.size());
       for (std::size_t i = 0; i < f.items.size(); ++i) {
-        auto der = parse_cert_b64("pool entry " + std::to_string(i),
-                                  f.items[i]);
-        if (!der.ok()) return der.propagate<Request>();
-        request.pool.push_back(std::move(der).take());
+        if (const char* why = decode_cert(f.items[i], request.pool[i])) {
+          return R::err("pool entry " + std::to_string(i) + why);
+        }
       }
       // Sort by DER bytes and deduplicate so pool order never leaks into
       // the canonical form (or the serve-cache key).
@@ -519,53 +582,86 @@ rs::util::Result<std::vector<std::string_view>> parse_batch_request(
   return items;
 }
 
-std::string canonical_request(const Request& request) {
+void append_canonical_request(std::string& out, const Request& request) {
   const OpSpec& spec = spec_of(request.op);
-  std::string out = "{\"op\":";
-  append_json_string(out, spec.name);
-  const auto field = [&out](const char* key, std::string_view value) {
-    out.push_back(',');
-    out.push_back('"');
-    out += key;
+  // Op names, scopes, dates, lowercase hex and Base64 never need escaping,
+  // so they are written straight into `out`; only the free-text values go
+  // through append_json_string.
+  const auto key = [&out](std::string_view name) {
+    out += ",\"";
+    out += name;
     out += "\":";
-    append_json_string(out, value);
   };
-  if (spec.date && request.date) field("date", request.date->to_string());
-  if (spec.date_a && request.date_a) {
-    field("date_a", request.date_a->to_string());
+  const auto date = [&](std::string_view name, const rs::util::Date& d) {
+    key(name);
+    out.push_back('"');
+    d.append_to(out);
+    out.push_back('"');
+  };
+  const auto base64 = [&out](const std::vector<std::uint8_t>& der) {
+    out.push_back('"');
+    rs::encoding::base64_encode_to(out, der);
+    out.push_back('"');
+  };
+  // One allocation for the whole form: fixed text plus the values.
+  std::size_t estimate = 192;
+  if (request.leaf) estimate += (request.leaf->size() + 2) / 3 * 4 + 3;
+  for (const auto& der : request.pool) estimate += (der.size() + 2) / 3 * 4 + 3;
+  for (const auto* text : {&request.provider, &request.os, &request.user_agent}) {
+    if (*text) estimate += (*text)->size();
   }
-  if (spec.date_b && request.date_b) {
-    field("date_b", request.date_b->to_string());
-  }
+  out.reserve(out.size() + estimate);
+  out += "{\"op\":\"";
+  out += spec.name;
+  out.push_back('"');
+  if (spec.date && request.date) date("date", *request.date);
+  if (spec.date_a && request.date_a) date("date_a", *request.date_a);
+  if (spec.date_b && request.date_b) date("date_b", *request.date_b);
   if (spec.fp && request.fp) {
-    std::string hex;
-    hex.reserve(64);
-    for (const std::uint8_t b : *request.fp) {
-      hex.push_back(kHexDigits[(b >> 4) & 0xF]);
-      hex.push_back(kHexDigits[b & 0xF]);
-    }
-    field("fp", hex);
+    key("fp");
+    out.push_back('"');
+    rs::util::append_hex(out, *request.fp);
+    out.push_back('"');
   }
   if (spec.leaf && request.leaf) {
-    field("leaf", rs::encoding::base64_encode(*request.leaf));
+    key("leaf");
+    base64(*request.leaf);
   }
-  if (spec.os && request.os) field("os", *request.os);
+  if (spec.os && request.os) {
+    key("os");
+    append_json_string(out, *request.os);
+  }
   if (spec.pool) {
     // Always explicit, even when empty; entries are already in sorted-DER
     // order (parse_request canonicalizes), so this is a fixed point.
-    out += ",\"pool\":[";
+    key("pool");
+    out.push_back('[');
     for (std::size_t i = 0; i < request.pool.size(); ++i) {
       if (i != 0) out.push_back(',');
-      append_json_string(out, rs::encoding::base64_encode(request.pool[i]));
+      base64(request.pool[i]);
     }
     out.push_back(']');
   }
-  if (spec.provider && request.provider) field("provider", *request.provider);
-  if (spec.scope) field("scope", to_string(request.scope));
+  if (spec.provider && request.provider) {
+    key("provider");
+    append_json_string(out, *request.provider);
+  }
+  if (spec.scope) {
+    key("scope");
+    out.push_back('"');
+    out += to_string(request.scope);
+    out.push_back('"');
+  }
   if (spec.user_agent && request.user_agent) {
-    field("user_agent", *request.user_agent);
+    key("user_agent");
+    append_json_string(out, *request.user_agent);
   }
   out.push_back('}');
+}
+
+std::string canonical_request(const Request& request) {
+  std::string out;
+  append_canonical_request(out, request);
   return out;
 }
 

@@ -108,6 +108,12 @@ struct Request {
 /// the result yields an equal Request (pinned by the fuzz harness).
 [[nodiscard]] std::string canonical_request(const Request& request);
 
+/// Appends canonical_request(request) to `out` — the one canonicalizer
+/// (canonical_request wraps it).  Dates, fingerprints and certificates
+/// are written in place; the serve layer appends the form straight after
+/// its epoch prefix to build a cache key in one buffer.
+void append_canonical_request(std::string& out, const Request& request);
+
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
 /// Shared by the canonicalizer and the response writers in engine.cpp.
 void append_json_string(std::string& out, std::string_view s);

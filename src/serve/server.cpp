@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
@@ -29,6 +30,35 @@ std::int64_t watch_stamp(const std::string& path) {
 
 std::size_t loop_count_for(std::size_t num_threads) noexcept {
   return num_threads == 0 ? 1 : num_threads;
+}
+
+/// The serve counters in the process-wide registry, looked up by name once
+/// per process: a lookup takes the registry mutex, and handles stay valid
+/// across Registry::reset().
+struct ServeCounters {
+  rs::obs::Counter& requests;
+  rs::obs::Counter& errors;
+  rs::obs::Counter& batch_items;
+  rs::obs::Counter& cache_hits;
+  rs::obs::Counter& cache_misses;
+  rs::obs::Counter& connections;
+  rs::obs::Counter& reloads;
+  rs::obs::Counter& reload_failures;
+};
+
+const ServeCounters& serve_counters() {
+  static const ServeCounters counters = [] {
+    auto& registry = rs::obs::Registry::global();
+    return ServeCounters{registry.counter("serve.requests"),
+                         registry.counter("serve.errors"),
+                         registry.counter("serve.batch_items"),
+                         registry.counter("serve.cache_hits"),
+                         registry.counter("serve.cache_misses"),
+                         registry.counter("serve.connections"),
+                         registry.counter("serve.reloads"),
+                         registry.counter("serve.reload_failures")};
+  }();
+  return counters;
 }
 
 }  // namespace
@@ -88,13 +118,13 @@ rs::util::Result<std::uint16_t> Server::start() {
                                  std::string_view message) {
     // memory-order: relaxed — monotonic counter read only by stats().
     errors_.fetch_add(1, std::memory_order_relaxed);
-    rs::obs::Registry::global().counter("serve.errors").increment();
+    serve_counters().errors.increment();
     return rs::query::error_response(code, message);
   };
   hooks.on_connection = [this] {
     // memory-order: relaxed — monotonic counter read only by stats().
     connections_.fetch_add(1, std::memory_order_relaxed);
-    rs::obs::Registry::global().counter("serve.connections").increment();
+    serve_counters().connections.increment();
   };
 
   const std::size_t n = loop_count_for(options_.num_threads);
@@ -158,10 +188,10 @@ void Server::stop() {
 
 std::string Server::respond_line(std::string_view line) {
   rs::obs::Span span("serve/request");
-  auto& registry = rs::obs::Registry::global();
+  const ServeCounters& counters = serve_counters();
   // memory-order: relaxed — monotonic counters read only by stats().
   requests_.fetch_add(1, std::memory_order_relaxed);
-  registry.counter("serve.requests").increment();
+  counters.requests.increment();
 
   // Pin the published engine+epoch once for the whole line: every item of
   // a batch is answered by the same engine even when a hot swap lands
@@ -174,19 +204,19 @@ std::string Server::respond_line(std::string_view line) {
     if (!items.ok()) {
       // memory-order: relaxed — monotonic counter read only by stats().
       errors_.fetch_add(1, std::memory_order_relaxed);
-      registry.counter("serve.errors").increment();
+      counters.errors.increment();
       return rs::query::error_response("bad_request", items.error());
     }
     // memory-order: relaxed — monotonic counter read only by stats().
     batch_items_.fetch_add(items.value().size(), std::memory_order_relaxed);
-    registry.counter("serve.batch_items").add(items.value().size());
+    counters.batch_items.add(items.value().size());
     std::vector<std::string> responses;
     responses.reserve(items.value().size());
     for (const std::string_view item : items.value()) {
       if (rs::query::looks_like_batch(item)) {
         // memory-order: relaxed — monotonic counter read only by stats().
         errors_.fetch_add(1, std::memory_order_relaxed);
-        registry.counter("serve.errors").increment();
+        counters.errors.increment();
         responses.push_back(rs::query::error_response(
             "bad_request", "batch requests may not nest"));
       } else {
@@ -201,12 +231,12 @@ std::string Server::respond_line(std::string_view line) {
 
 std::string Server::respond_single(const Published& pub,
                                    std::string_view line) {
-  auto& registry = rs::obs::Registry::global();
+  const ServeCounters& counters = serve_counters();
   auto parsed = rs::query::parse_request(line);
   if (!parsed.ok()) {
     // memory-order: relaxed — monotonic counter read only by stats().
     errors_.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("serve.errors").increment();
+    counters.errors.increment();
     return rs::query::error_response("bad_request", parsed.error());
   }
   if (parsed.value().op == rs::query::Op::kServerStats) {
@@ -218,20 +248,23 @@ std::string Server::respond_single(const Published& pub,
 
   // Epoch-prefixed key: an entry cached under a replaced engine can never
   // be served after a flip; dead-epoch keys age out of the LRU naturally.
-  std::string key = std::to_string(pub.epoch);
+  // The canonical form is appended after the prefix, in one buffer.
+  char epoch[24];
+  std::string key(epoch,
+                  std::to_chars(epoch, epoch + sizeof epoch, pub.epoch).ptr);
   key.push_back('|');
-  key += rs::query::canonical_request(parsed.value());
+  rs::query::append_canonical_request(key, parsed.value());
   if (auto cached = cache_.get(key)) {
-    registry.counter("serve.cache_hits").increment();
+    counters.cache_hits.increment();
     return *std::move(cached);
   }
-  registry.counter("serve.cache_misses").increment();
+  counters.cache_misses.increment();
 
   std::string response = pub.engine->handle(parsed.value());
   if (rs::query::QueryEngine::is_error_response(response)) {
     // memory-order: relaxed — monotonic counter read only by stats().
     errors_.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("serve.errors").increment();
+    counters.errors.increment();
   } else {
     cache_.put(key, response);
   }
@@ -266,11 +299,10 @@ std::string Server::server_stats_response() const {
 }
 
 std::string Server::reload_response(const Published& pub) {
-  auto& registry = rs::obs::Registry::global();
   if (!options_.reload_factory) {
     // memory-order: relaxed — monotonic counter read only by stats().
     errors_.fetch_add(1, std::memory_order_relaxed);
-    registry.counter("serve.errors").increment();
+    serve_counters().errors.increment();
     return rs::query::error_response(
         "reload_unavailable",
         "server was started without a reloadable index source");
@@ -324,13 +356,13 @@ void Server::run_reload() {
     // take down a healthy server.
     // memory-order: relaxed — monotonic counter read only by stats().
     reload_failures_.fetch_add(1, std::memory_order_relaxed);
-    rs::obs::Registry::global().counter("serve.reload_failures").increment();
+    serve_counters().reload_failures.increment();
     return;
   }
   swap_engine(std::move(made).take());
   // memory-order: relaxed — monotonic counter read only by stats().
   reloads_.fetch_add(1, std::memory_order_relaxed);
-  rs::obs::Registry::global().counter("serve.reloads").increment();
+  serve_counters().reloads.increment();
 }
 
 std::shared_ptr<const Server::Published> Server::published() const {

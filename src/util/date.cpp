@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cassert>
-#include <charconv>
 #include <cstdio>
 
 namespace rs::util {
@@ -67,17 +66,18 @@ Date Date::ymd(int year, int month, int day) {
 }
 
 std::optional<Date> Date::parse(std::string_view iso) {
-  // Exactly "YYYY-MM-DD": 4-2-2 digits with '-' separators.
+  // Exactly "YYYY-MM-DD": 4-2-2 ASCII digits with '-' separators.
   if (iso.size() != 10 || iso[4] != '-' || iso[7] != '-') return std::nullopt;
-  auto parse_int = [](std::string_view s, int& out) {
-    const auto* first = s.data();
-    const auto* last = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(first, last, out);
-    return ec == std::errc{} && ptr == last;
+  const auto number = [iso](std::size_t at, std::size_t len, int& out) {
+    out = 0;
+    for (std::size_t i = at; i < at + len; ++i) {
+      if (iso[i] < '0' || iso[i] > '9') return false;
+      out = out * 10 + (iso[i] - '0');
+    }
+    return true;
   };
   int y = 0, m = 0, d = 0;
-  if (!parse_int(iso.substr(0, 4), y) || !parse_int(iso.substr(5, 2), m) ||
-      !parse_int(iso.substr(8, 2), d)) {
+  if (!number(0, 4, y) || !number(5, 2, m) || !number(8, 2, d)) {
     return std::nullopt;
   }
   return from_civil(CivilDate{y, m, d});
@@ -85,11 +85,34 @@ std::optional<Date> Date::parse(std::string_view iso) {
 
 CivilDate Date::civil() const noexcept { return civil_from_days(days_); }
 
-std::string Date::to_string() const {
+void Date::append_to(std::string& out) const {
   const CivilDate c = civil();
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
-  return buf;
+  if (!has_iso_year()) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
+    out += buf;
+    return;
+  }
+  const std::size_t at = out.size();
+  out.resize(at + 10);
+  char* p = out.data() + at;
+  const auto digit = [](int v) { return static_cast<char>('0' + v); };
+  p[0] = digit(c.year / 1000);
+  p[1] = digit(c.year / 100 % 10);
+  p[2] = digit(c.year / 10 % 10);
+  p[3] = digit(c.year % 10);
+  p[4] = '-';
+  p[5] = digit(c.month / 10);
+  p[6] = digit(c.month % 10);
+  p[7] = '-';
+  p[8] = digit(c.day / 10);
+  p[9] = digit(c.day % 10);
+}
+
+std::string Date::to_string() const {
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 int Date::weekday() const noexcept {

@@ -54,7 +54,12 @@ class Date {
   /// Intended for literals in tests and curated scenario data.
   static Date ymd(int year, int month, int day);
 
-  /// Parses "YYYY-MM-DD"; returns nullopt on any deviation.
+  /// The days parse() can produce: 0000-01-01 .. 9999-12-31.
+  static constexpr std::int64_t kMinIsoDays = -719528;
+  static constexpr std::int64_t kMaxIsoDays = 2932896;
+
+  /// Parses "YYYY-MM-DD" (eight ASCII digits; no sign, no space); returns
+  /// nullopt on any deviation.
   static std::optional<Date> parse(std::string_view iso);
 
   constexpr std::int64_t days_since_epoch() const noexcept { return days_; }
@@ -65,6 +70,16 @@ class Date {
   int year() const noexcept { return civil().year; }
   int month() const noexcept { return civil().month; }
   int day() const noexcept { return civil().day; }
+
+  /// True for the days parse() can produce (kMinIsoDays..kMaxIsoDays).
+  constexpr bool has_iso_year() const noexcept {
+    return days_ >= kMinIsoDays && days_ <= kMaxIsoDays;
+  }
+
+  /// Appends to_string()'s text to `out` — the one date formatter.  Years
+  /// 0000-9999 are written in place; any other day keeps the printf form
+  /// "%04d-%02d-%02d".
+  void append_to(std::string& out) const;
 
   /// ISO-8601 "YYYY-MM-DD".
   std::string to_string() const;

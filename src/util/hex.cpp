@@ -1,5 +1,8 @@
 #include "src/util/hex.h"
 
+#include <array>
+#include <cstring>
+
 #include "src/util/strings.h"
 
 namespace rs::util {
@@ -7,6 +10,16 @@ namespace rs::util {
 namespace {
 constexpr char kLower[] = "0123456789abcdef";
 constexpr char kUpper[] = "0123456789ABCDEF";
+
+// The two lowercase digits of every byte value, side by side.
+constexpr std::array<char, 512> kLowerPairs = [] {
+  std::array<char, 512> pairs{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    pairs[2 * b] = kLower[b >> 4];
+    pairs[2 * b + 1] = kLower[b & 0xF];
+  }
+  return pairs;
+}();
 
 int nibble(char c) {
   if (c >= '0' && c <= '9') return c - '0';
@@ -16,13 +29,23 @@ int nibble(char c) {
 }
 }  // namespace
 
+char* write_hex(char* dst, std::span<const std::uint8_t> bytes) noexcept {
+  for (const std::uint8_t b : bytes) {
+    std::memcpy(dst, &kLowerPairs[2 * std::size_t{b}], 2);
+    dst += 2;
+  }
+  return dst;
+}
+
+void append_hex(std::string& out, std::span<const std::uint8_t> bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes.size() * 2);
+  write_hex(out.data() + at, bytes);
+}
+
 std::string hex_encode(std::span<const std::uint8_t> bytes) {
   std::string out;
-  out.reserve(bytes.size() * 2);
-  for (std::uint8_t b : bytes) {
-    out.push_back(kLower[b >> 4]);
-    out.push_back(kLower[b & 0xF]);
-  }
+  append_hex(out, bytes);
   return out;
 }
 

@@ -10,6 +10,16 @@
 
 namespace rs::util {
 
+/// Writes the lowercase hex encoding of `bytes` ("deadbeef"), two digits
+/// per byte, at `dst` and returns the end of what it wrote.  The one
+/// lowercase hex writer: append_hex and hex_encode wrap it, and a response
+/// writer that sizes a whole fingerprint list at once calls it directly.
+char* write_hex(char* dst, std::span<const std::uint8_t> bytes) noexcept;
+
+/// Appends the lowercase hex encoding of `bytes` to `out`, written in
+/// place; the query layer writes fingerprints into keys with it.
+void append_hex(std::string& out, std::span<const std::uint8_t> bytes);
+
 /// Lowercase hex encoding of `bytes` ("deadbeef").
 std::string hex_encode(std::span<const std::uint8_t> bytes);
 

@@ -14,8 +14,6 @@ Result<Certificate> Certificate::parse(std::span<const std::uint8_t> der) {
   Certificate cert;
   cert.der_.assign(der.begin(), der.end());
   cert.sha256_ = rs::crypto::Sha256::hash(der);
-  cert.sha1_ = rs::crypto::Sha1::hash(der);
-  cert.md5_ = rs::crypto::Md5::hash(der);
 
   Reader top(der);
   auto outer = top.read_sequence();
@@ -127,6 +125,14 @@ Result<Certificate> Certificate::parse(std::span<const std::uint8_t> der) {
     return Result<Certificate>::err("trailing data after signature");
   }
   return cert;
+}
+
+rs::crypto::Sha1Digest Certificate::sha1() const noexcept {
+  return rs::crypto::Sha1::hash(der_);
+}
+
+rs::crypto::Md5Digest Certificate::md5() const noexcept {
+  return rs::crypto::Md5::hash(der_);
 }
 
 std::string Certificate::short_id() const {

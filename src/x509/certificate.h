@@ -3,7 +3,9 @@
 // This is the study's unit of identity: every root-store entry is a parsed
 // Certificate, identified by its SHA-256 fingerprint.  Parsing is strict
 // DER and never throws; the original bytes are retained so fingerprints and
-// re-serialization are exact.
+// re-serialization are exact.  Only the SHA-256 fingerprint is stored: the
+// SHA-1 and MD5 ones, which only the certdata and authroot formats name a
+// certificate by, are hashed from the DER when asked for.
 #pragma once
 
 #include <compare>
@@ -36,14 +38,16 @@ struct Validity {
 class Certificate {
  public:
   /// Parses strict DER.  On success the returned certificate retains a copy
-  /// of `der` and precomputed MD5/SHA-1/SHA-256 fingerprints.
+  /// of `der` and its precomputed SHA-256 fingerprint.
   static rs::util::Result<Certificate> parse(std::span<const std::uint8_t> der);
 
   // --- identity -----------------------------------------------------------
   const std::vector<std::uint8_t>& der() const noexcept { return der_; }
   const rs::crypto::Sha256Digest& sha256() const noexcept { return sha256_; }
-  const rs::crypto::Sha1Digest& sha1() const noexcept { return sha1_; }
-  const rs::crypto::Md5Digest& md5() const noexcept { return md5_; }
+  /// SHA-1 and MD5 fingerprints, hashed from der() on every call: callers
+  /// that need one more than once keep the value.
+  rs::crypto::Sha1Digest sha1() const noexcept;
+  rs::crypto::Md5Digest md5() const noexcept;
 
   /// First 8 hex chars of the SHA-256 fingerprint — the short id style used
   /// in the paper's Table 6 ("beb00b30...").
@@ -97,8 +101,6 @@ class Certificate {
  private:
   std::vector<std::uint8_t> der_;
   rs::crypto::Sha256Digest sha256_{};
-  rs::crypto::Sha1Digest sha1_{};
-  rs::crypto::Md5Digest md5_{};
 
   int version_ = 1;
   std::vector<std::uint8_t> serial_;

@@ -465,6 +465,70 @@ TEST(PersistFault, IntervalIdOutsideItsSetsIsRejected) {
   EXPECT_EQ(verified.value().intervals, 16u);
 }
 
+// Dates are day counts, and a checksummed file may carry any int64 as one.
+// Formatting a date far outside the calendar overflowed int arithmetic in
+// Date::civil (the `stats` op reached it on load).  The loader takes the
+// days Date::parse can produce, 0000-01-01..9999-12-31, and no others.
+TEST(PersistFault, DateOutsideFourDigitYearsIsRejected) {
+  constexpr std::int64_t kDay = 18262;  // 2020-01-01
+  constexpr std::int64_t kOpen = std::numeric_limits<std::int64_t>::min();
+  // One provider with one snapshot holding the one certificate, whose
+  // interval record runs from `added` to `removed`.
+  const auto image = [](std::int64_t snapshot, std::int64_t added,
+                        std::int64_t removed) {
+    std::vector<rs::crypto::Sha256Digest> digests(1);
+    persist::ByteWriter interner;
+    persist::write_digests(interner, digests);
+    persist::ByteWriter providers;
+    providers.u64(1);
+    providers.str("P");
+    providers.u64(1);
+    providers.i64(snapshot);
+    providers.str("v1");
+    persist::ByteWriter sets;
+    persist::ByteWriter intervals;
+    for (std::size_t s = 0; s < kScopeCount; ++s) {
+      rs::store::IdSet members(1);
+      members.insert(0);
+      persist::write_id_set(sets, members);
+      intervals.u64(1);
+      intervals.u32(0);
+      intervals.u32(0);
+      intervals.i64(added);
+      intervals.i64(removed);
+    }
+    persist::FileBuilder b;
+    b.add_section(kSectionInterner, std::move(interner).take());
+    b.add_section(kSectionProviders, std::move(providers).take());
+    b.add_section(kSectionSets, std::move(sets).take());
+    b.add_section(kSectionIntervals, std::move(intervals).take());
+    return b.finish();
+  };
+  const auto expect_bad_value = [](const std::string& bytes,
+                                   const char* what) {
+    auto loaded = TrustIndexIO::deserialize(as_span(bytes));
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.code(), LoadError::kBadValue) << what;
+  };
+  constexpr std::int64_t kHuge = std::numeric_limits<std::int64_t>::max() - 5;
+  constexpr std::int64_t kMin = rs::util::Date::kMinIsoDays;
+  constexpr std::int64_t kMax = rs::util::Date::kMaxIsoDays;
+
+  expect_bad_value(image(kHuge, kDay, kOpen), "snapshot date near INT64_MAX");
+  expect_bad_value(image(kMin - 1, kDay, kOpen), "snapshot before 0000");
+  expect_bad_value(image(kMax + 1, kDay, kOpen), "snapshot after 9999");
+  expect_bad_value(image(kDay, kHuge, kOpen), "added near INT64_MAX");
+  expect_bad_value(image(kDay, kMin - 1, kOpen), "added before 0000");
+  expect_bad_value(image(kDay, kDay, kHuge), "removed near INT64_MAX");
+  expect_bad_value(image(kDay, kDay, kMax + 1), "removed after 9999");
+
+  // The edges themselves load.
+  auto first = TrustIndexIO::deserialize(as_span(image(kMin, kMin, kMax)));
+  ASSERT_TRUE(first.ok()) << first.message();
+  auto last = TrustIndexIO::deserialize(as_span(image(kMax, kMax, kOpen)));
+  ASSERT_TRUE(last.ok()) << last.message();
+}
+
 TEST(PersistFault, LoadFileOnMissingOrDirectoryPath) {
   auto missing = TrustIndexIO::load_file("/no-such-rs-index.rsix");
   ASSERT_FALSE(missing.ok());

@@ -174,6 +174,12 @@ TEST(ParseRequest, RejectsBadDate) {
                    .ok());
 }
 
+TEST(ParseRequest, RejectsSignedYear) {
+  const auto r = parse_request(R"({"op":"agreement_at","date":"-001-01-01"})");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "field 'date' is not a YYYY-MM-DD date");
+}
+
 TEST(ParseRequest, RejectsBadScope) {
   EXPECT_FALSE(
       parse_request(

@@ -399,6 +399,62 @@ TEST(Server, RespondLineMatchesSocketSemantics) {
   f.server->stop();
 }
 
+// The registry counters are resolved once per process and shared by every
+// event loop: with the registry on, pipelined requests spread over two
+// loops must move serve.requests, and the cache's hits plus misses, by
+// exactly one each per request.
+TEST(Server, RegistryCountsEveryPipelinedRequestAcrossLoops) {
+  auto& registry = rs::obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.enable();
+  ServerOptions options;
+  options.num_threads = 2;
+  ServerFixture f(options);
+  ASSERT_NE(f.port, 0);
+  // Every line but the garbage one reaches the cache exactly once.
+  std::vector<std::string> mix;
+  for (const auto& line : request_mix()) {
+    if (line.front() == '{') mix.push_back(line);
+  }
+  const auto lookups = [&registry] {
+    return registry.counter_value("serve.cache_hits") +
+           registry.counter_value("serve.cache_misses");
+  };
+  const std::uint64_t requests_before = registry.counter_value("serve.requests");
+  const std::uint64_t lookups_before = lookups();
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kLaps = 5;
+  std::vector<std::size_t> answered(kClients, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&f, &mix, &answered, c] {
+      Client client(f.port);
+      if (!client.connected()) return;
+      std::string burst;
+      for (std::size_t lap = 0; lap < kLaps; ++lap) {
+        for (const auto& line : mix) burst += line + "\n";
+      }
+      if (!client.send_raw(burst)) return;
+      for (std::size_t i = 0; i < kLaps * mix.size(); ++i) {
+        if (!client.read_line()) return;
+        ++answered[c];
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  f.server->stop();
+
+  const std::uint64_t n = kClients * kLaps * mix.size();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(answered[c], kLaps * mix.size()) << "client " << c;
+  }
+  EXPECT_EQ(registry.counter_value("serve.requests") - requests_before, n);
+  EXPECT_EQ(lookups() - lookups_before, n);
+  EXPECT_EQ(f.server->stats().requests, n);
+  if (!was_enabled) registry.disable();
+}
+
 // ---------------------------------------------------------------------------
 // Batch protocol
 

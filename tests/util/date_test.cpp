@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace rs::util {
 namespace {
 
@@ -63,8 +66,50 @@ TEST(Date, ParseAcceptsIsoOnly) {
   EXPECT_FALSE(Date::parse("2021-02-29").has_value());
 }
 
+// "YYYY-MM-DD" means eight ASCII digits: std::from_chars would take a
+// leading '-', so a signed year once parsed as a negative one.
+TEST(Date, ParseRejectsSigns) {
+  EXPECT_FALSE(Date::parse("-001-01-01").has_value());
+  EXPECT_FALSE(Date::parse("-999-12-31").has_value());
+  EXPECT_FALSE(Date::parse("+001-01-01").has_value());
+  EXPECT_FALSE(Date::parse("2020--1-01").has_value());
+  EXPECT_FALSE(Date::parse("2020-01--1").has_value());
+  EXPECT_FALSE(Date::parse(" 020-01-01").has_value());
+  EXPECT_EQ(Date::parse("0000-01-01"), Date::from_days(Date::kMinIsoDays));
+  EXPECT_EQ(Date::parse("9999-12-31"), Date::from_days(Date::kMaxIsoDays));
+}
+
 TEST(Date, ToStringPadsFields) {
   EXPECT_EQ(Date::ymd(2005, 5, 9).to_string(), "2005-05-09");
+}
+
+// Years 0000-9999 take the fixed-width path; every other day keeps the
+// printf form ("%04d-%02d-%02d"), so to_string is the same for any Date.
+TEST(Date, ToStringMatchesPrintfOnEveryYear) {
+  const auto printf_form = [](const Date& d) {
+    const CivilDate c = d.civil();
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", c.year, c.month, c.day);
+    return std::string(buf);
+  };
+  for (const std::int64_t days :
+       {Date::kMinIsoDays - 400, Date::kMinIsoDays - 1, Date::kMinIsoDays,
+        std::int64_t{-1}, std::int64_t{0}, std::int64_t{18262},
+        Date::kMaxIsoDays, Date::kMaxIsoDays + 1, Date::kMaxIsoDays + 4000,
+        std::int64_t{-800000}, std::int64_t{3000000}}) {
+    const Date d = Date::from_days(days);
+    EXPECT_EQ(d.to_string(), printf_form(d)) << days;
+  }
+  for (std::int64_t days = Date::kMinIsoDays - 2000;
+       days <= Date::kMaxIsoDays + 2000; days += 331) {
+    const Date d = Date::from_days(days);
+    ASSERT_EQ(d.to_string(), printf_form(d)) << days;
+    std::string out = "x";
+    d.append_to(out);
+    ASSERT_EQ(out, "x" + printf_form(d)) << days;
+  }
+  EXPECT_EQ(Date::from_days(Date::kMinIsoDays - 1).to_string(), "-001-12-31");
+  EXPECT_EQ(Date::from_days(Date::kMaxIsoDays + 1).to_string(), "10000-01-01");
 }
 
 TEST(Date, ParseToStringRoundTrip) {
