@@ -9,6 +9,8 @@
 #include <string>
 
 #include "src/analysis/incident_response.h"
+#include "src/query/trust_index.h"
+#include "src/store/interner.h"
 #include "src/synth/paper_scenario.h"
 #include "src/util/strings.h"
 #include "src/util/table.h"
@@ -40,25 +42,30 @@ int main(int argc, char** argv) {
               incident->nss_removal.to_string().c_str(),
               incident->root_ids.size());
 
-  // Per-root presence intervals across every provider.
+  // Per-root presence runs across every provider: `added .. removed`, the
+  // removal being the first snapshot without the root.
+  const auto& db = scenario.database();
+  const auto index = rs::query::TrustIndex::build(
+      db, rs::store::CertInterner::from_database(db));
   for (const auto& id : incident->root_ids) {
     auto cert = scenario.factory().find(id);
     if (cert == nullptr) continue;
     std::printf("root %s (%s...)\n",
                 std::string(cert->subject().common_name().value_or(id)).c_str(),
                 cert->short_id().c_str());
-    for (const auto& presence :
-         scenario.database().tls_presence(cert->sha256())) {
-      std::printf("  %-12s %s .. %s%s\n", presence.provider.c_str(),
-                  presence.first_seen.to_string().c_str(),
-                  presence.last_seen.to_string().c_str(),
-                  presence.in_latest ? "  [STILL TRUSTED]" : "");
+    for (const auto& span :
+         index.lineage(cert->sha256(), rs::query::Scope::kTls)) {
+      std::printf("  %-12s %s .. %s\n", span.provider.c_str(),
+                  span.interval.added.to_string().c_str(),
+                  span.interval.removed
+                      ? span.interval.removed->to_string().c_str()
+                      : "still trusted");
     }
   }
 
   // Aggregate lags.
-  const auto measured = rs::analysis::measure_incident(
-      scenario.database(), *incident, scenario.factory());
+  const auto measured =
+      rs::analysis::measure_incident(db, *incident, scenario.factory());
   std::printf("\nResponse lags vs NSS:\n");
   rs::util::TextTable t({"Provider", "# roots", "Trusted until", "Lag (days)"});
   t.set_align(1, rs::util::Align::kRight);

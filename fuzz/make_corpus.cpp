@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -344,8 +343,8 @@ int main(int argc, char** argv) {
   {
     const fs::path dir = root / "persist_load";
     // A minimal but fully populated index: one provider, two snapshots,
-    // three roots, one dropped at the second date so the interval section
-    // carries both closed and still-open runs.
+    // three roots, one dropped at the second date so the sets derive both
+    // closed and still-open runs.
     rs::store::Snapshot first_snap;
     first_snap.provider = "CorpusStore";
     first_snap.date = rs::util::Date::ymd(2020, 1, 1);
@@ -368,7 +367,7 @@ int main(int argc, char** argv) {
                std::string_view(
                    rs::query::TrustIndexIO::serialize(rs::query::TrustIndex())));
 
-    // One truncation at the end of each of the four sections, plus a
+    // One truncation at the end of each of the three sections, plus a
     // mid-header cut — the boundaries the loader's sweep must reject.
     const auto span = std::span(
         reinterpret_cast<const std::uint8_t*>(image.data()), image.size());
@@ -385,13 +384,18 @@ int main(int argc, char** argv) {
     std::string skew = image;
     skew[8] = 0x7F;  // version u32 -> unknown
     write_seed(dir, "version-skew.rsix", std::string_view(skew));
+    // Format version 1 (it stored intervals as a fourth section): rejected
+    // on its version field alone.
+    std::string version_one = image;
+    version_one[8] = 1;
+    write_seed(dir, "version-one.rsix", std::string_view(version_one));
     write_seed(dir, "not-an-index.rsix",
                std::string_view("RSIX01 but not really\n"));
 
     // The minimal index over a 64-digest universe whose digests share
     // their first four bytes, so every one falls into the same bucket of
-    // the interner's radix index.  The sets and intervals still name IDs
-    // 0..2, which stay in range.
+    // the interner's radix index.  The sets still name IDs 0..2, which
+    // stay in range.
     std::vector<rs::crypto::Sha256Digest> prefixed(64);
     for (std::size_t i = 0; i < prefixed.size(); ++i) {
       auto& d = prefixed[i];
@@ -400,8 +404,8 @@ int main(int argc, char** argv) {
       d[4] = static_cast<std::uint8_t>(i);
     }
     // The minimal image with one section's payload replaced.  Checksums
-    // are fresh, so only the loader's semantic checks or deep verify can
-    // object to what the payload says.
+    // are fresh, so only the loader's semantic checks can object to what
+    // the payload says.
     const auto with_section = [&](std::uint32_t id,
                                   const std::string& payload) {
       rs::store::persist::FileBuilder b;
@@ -417,38 +421,6 @@ int main(int argc, char** argv) {
     write_seed(dir, "shared-prefix.rsix",
                std::string_view(with_section(rs::query::kSectionInterner,
                                              digests.data())));
-
-    // Section 4 opens with the TLS table: a u64 run count (3 here), then
-    // 24-byte records {u32 id, u32 pad, i64 added, i64 removed}.
-    const auto runs = *view.value().section(rs::query::kSectionIntervals);
-    const std::string intervals(runs.begin(), runs.end());
-    const std::size_t email_count_at =
-        8 + 24 * rs::store::persist::read_le64(runs.data());
-
-    // A lying writer: the first TLS record's `added` one day early.  Every
-    // record still loads; only deep verify sees it disagree with the sets.
-    std::string lying = intervals;
-    auto* added = reinterpret_cast<std::uint8_t*>(lying.data()) + 16;
-    rs::store::persist::write_le64(added,
-                                   rs::store::persist::read_le64(added) - 1);
-    write_seed(dir, "lying-intervals.rsix",
-               std::string_view(
-                   with_section(rs::query::kSectionIntervals, lying)));
-
-    // A record in the email table, whose sets are all empty: it names a
-    // certificate in none of its (provider, scope)'s sets.
-    rs::store::persist::ByteWriter outside;
-    outside.bytes(intervals.data(), email_count_at);
-    outside.u64(1);
-    outside.u32(0);
-    outside.u32(0);
-    outside.i64(first_snap.date.days_since_epoch());
-    outside.i64(std::numeric_limits<std::int64_t>::min());  // still open
-    outside.bytes(intervals.data() + email_count_at + 8,
-                  intervals.size() - email_count_at - 8);
-    write_seed(dir, "interval-outside-sets.rsix",
-               std::string_view(with_section(rs::query::kSectionIntervals,
-                                             outside.data())));
 
     // Sets that shrink in word count and grow back: 70 roots, then only
     // those with IDs below 64 (a one-word set once trimmed), then all 70
@@ -481,6 +453,31 @@ int main(int argc, char** argv) {
     write_seed(dir, "shrinking-sets.rsix",
                std::string_view(rs::query::TrustIndexIO::serialize(
                    rs::query::TrustIndex::build(shrinking_db, universe))));
+
+    // Roots that arrive after the first snapshot and stay, and one that
+    // leaves and comes back: {0}, {0,1}, {1,2}, {0,1,2}.  A root's
+    // first-seen date is then neither the first date nor its last run's.
+    const auto late = sample_entries(3);
+    rs::store::ProviderHistory arrivals("CorpusStore");
+    const std::vector<std::vector<int>> members = {
+        {0}, {0, 1}, {1, 2}, {0, 1, 2}};
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      rs::store::Snapshot snap;
+      snap.provider = "CorpusStore";
+      snap.date = rs::util::Date::ymd(2020, 1, 1) + static_cast<int>(90 * k);
+      snap.version = std::to_string(k + 1);
+      for (const int i : members[k]) {
+        snap.entries.push_back(late[static_cast<std::size_t>(i)]);
+      }
+      arrivals.add(std::move(snap));
+    }
+    rs::store::StoreDatabase arrivals_db;
+    arrivals_db.add(std::move(arrivals));
+    write_seed(dir, "late-arrivals.rsix",
+               std::string_view(rs::query::TrustIndexIO::serialize(
+                   rs::query::TrustIndex::build(
+                       arrivals_db,
+                       rs::store::CertInterner::from_database(arrivals_db)))));
   }
 
   // --- verify_chain: NDJSON verify requests over synthetic chains --------

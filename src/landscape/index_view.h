@@ -10,6 +10,9 @@
 // lifetime.
 #pragma once
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,24 +52,30 @@ inline PresenceView presence_at(const rs::query::TrustIndex& index,
 
 /// Per-provider first-seen tables over the whole history: for each
 /// provider (index provider-name order) and each dense certificate ID, the
-/// `added` date of the certificate's earliest presence interval in that
-/// provider's history, or nullopt if it never appears under `scope`.
-/// Built from one lineage sweep over the interner universe.
+/// date of the first snapshot whose `scope` set holds the certificate (the
+/// `added` date of its earliest presence interval), or nullopt if it never
+/// appears.  One word walk over each provider's date-ordered sets: a bit's
+/// first appearance gives its first-seen date.
 inline std::vector<FirstSeen> first_seen_tables(
     const rs::query::TrustIndex& index, rs::query::Scope scope) {
   const auto names = index.providers();
   const std::size_t universe = index.interner().size();
   std::vector<FirstSeen> tables(names.size(), FirstSeen(universe));
-  for (std::uint32_t id = 0; id < universe; ++id) {
-    const auto spans = index.lineage(index.interner().digest_of(id), scope);
-    for (const auto& s : spans) {
-      for (std::size_t p = 0; p < names.size(); ++p) {
-        if (names[p] != s.provider) continue;
-        auto& slot = tables[p][id];
-        // lineage() yields ascending `added` per provider, so the first
-        // span seen for a provider is its earliest — but don't rely on it.
-        if (!slot || s.interval.added < *slot) slot = s.interval.added;
-        break;
+  std::vector<std::uint64_t> seen;
+  for (std::size_t p = 0; p < names.size(); ++p) {
+    const auto dates = index.snapshot_dates(names[p]);
+    const auto sets = index.history_sets(names[p], scope);
+    seen.clear();
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      const auto& words = sets[k].words();
+      if (seen.size() < words.size()) seen.resize(words.size(), 0);
+      for (std::size_t w = 0; w < words.size(); ++w) {
+        for (std::uint64_t fresh = words[w] & ~seen[w]; fresh != 0;
+             fresh &= fresh - 1) {
+          tables[p][w * 64 + static_cast<std::size_t>(
+                                 std::countr_zero(fresh))] = dates[k];
+        }
+        seen[w] |= words[w];
       }
     }
   }

@@ -1,7 +1,7 @@
 #include "src/query/index_io.h"
 
 #include <algorithm>
-#include <limits>
+#include <bit>
 #include <optional>
 #include <utility>
 
@@ -21,27 +21,21 @@ using persist::LoadError;
 using rs::store::IdSet;
 using rs::util::Date;
 
-/// Sentinel for an open interval's `removed` date in interval records.
-constexpr std::int64_t kOpenSentinel = std::numeric_limits<std::int64_t>::min();
-/// Cap on interval records per (provider, scope); the byte-availability
-/// check in ByteReader::count is always the binding one, this just keeps
-/// the arithmetic obviously safe.
-constexpr std::uint64_t kMaxIntervalRecords = std::uint64_t{1} << 36;
-/// Fixed-width size of one interval record: id + pad + added + removed.
-constexpr std::size_t kIntervalRecordBytes = 4 + 4 + 8 + 8;
-
-using IntervalTable = std::vector<std::vector<TrustInterval>>;
-
-/// Runs for `id`, growing the (possibly trimmed) table as needed.
-std::vector<TrustInterval>& runs_grow(IntervalTable& table, std::uint32_t id) {
-  if (id >= table.size()) table.resize(static_cast<std::size_t>(id) + 1);
-  return table[id];
-}
-
-/// Runs for `id` without growing; nullptr when the trimmed table has none.
-std::vector<TrustInterval>* runs_at(IntervalTable& table, std::uint32_t id) {
-  if (id >= table.size()) return nullptr;
-  return &table[id];
+/// Presence runs over one (provider, scope)'s date-ordered sets: the IDs
+/// each set gains over the previous one (the first set gains all of its
+/// own).  Sets may differ in word count; a missing tail word reads as zero.
+std::uint64_t run_count(const std::vector<IdSet>& sets) {
+  static const std::vector<std::uint64_t> kNoWords;
+  std::uint64_t runs = 0;
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    const auto& cur = sets[k].words();
+    const auto& prev = k == 0 ? kNoWords : sets[k - 1].words();
+    for (std::size_t w = 0; w < cur.size(); ++w) {
+      const std::uint64_t before = w < prev.size() ? prev[w] : 0;
+      runs += static_cast<std::uint64_t>(std::popcount(cur[w] & ~before));
+    }
+  }
+  return runs;
 }
 
 }  // namespace
@@ -67,18 +61,6 @@ void TrustIndexIO::grow_interner(
         for (const std::uint32_t id : set.ids()) mapped.insert(remap[id]);
         set = std::move(mapped);
       }
-      auto& table = p.intervals[s];
-      std::size_t new_size = 0;
-      for (std::size_t id = 0; id < table.size(); ++id) {
-        if (!table[id].empty()) new_size = remap[id] + std::size_t{1};
-      }
-      IntervalTable mapped_table(new_size);
-      for (std::size_t id = 0; id < table.size(); ++id) {
-        if (!table[id].empty()) {
-          mapped_table[remap[id]] = std::move(table[id]);
-        }
-      }
-      table = std::move(mapped_table);
     }
   }
   index.interner_ = std::move(next);
@@ -108,44 +90,12 @@ std::string TrustIndexIO::serialize(const TrustIndex& index) {
     }
   }
 
-  ByteWriter intervals;
-  std::uint64_t total_runs = 0;
-  for (const auto& p : index.providers_) {
-    for (std::size_t s = 0; s < kScopeCount; ++s) {
-      const auto& table = p.intervals[s];
-      std::uint64_t runs = 0;
-      for (const auto& per_cert : table) runs += per_cert.size();
-      total_runs += runs;
-      // The count and every record of the table, written as one run.
-      std::uint8_t* out =
-          intervals.run(8 + static_cast<std::size_t>(runs) *
-                                kIntervalRecordBytes)
-              .data();
-      persist::write_le64(out, runs);
-      out += 8;
-      for (std::uint32_t id = 0; id < table.size(); ++id) {
-        for (const TrustInterval& run : table[id]) {
-          const std::int64_t removed =
-              run.removed ? run.removed->days_since_epoch() : kOpenSentinel;
-          persist::write_le32(out, id);
-          persist::write_le32(out + 4, 0);
-          persist::write_le64(
-              out + 8, static_cast<std::uint64_t>(run.added.days_since_epoch()));
-          persist::write_le64(out + 16, static_cast<std::uint64_t>(removed));
-          out += kIntervalRecordBytes;
-        }
-      }
-    }
-  }
-
   persist::FileBuilder builder;
   builder.add_section(kSectionInterner, std::move(interner).take());
   builder.add_section(kSectionProviders, std::move(providers).take());
   builder.add_section(kSectionSets, std::move(sets).take());
-  builder.add_section(kSectionIntervals, std::move(intervals).take());
-  std::string image = builder.finish();
-  span.set_items(total_runs);
-  return image;
+  span.set_items(index.resolutions_);
+  return builder.finish();
 }
 
 // --- deserialize ------------------------------------------------------------
@@ -158,11 +108,11 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
   auto parsed = persist::FileView::parse(bytes);
   if (!parsed.ok()) return parsed.propagate<TrustIndex>();
   const persist::FileView& file = parsed.value();
-  if (file.sections().size() != 4 ||
+  if (file.sections().size() != 3 ||
       !file.section(kSectionInterner) || !file.section(kSectionProviders) ||
-      !file.section(kSectionSets) || !file.section(kSectionIntervals)) {
+      !file.section(kSectionSets)) {
     return L::fail(LoadError::kBadSectionTable,
-                   "index file must carry exactly sections 1..4");
+                   "index file must carry exactly sections 1..3");
   }
 
   TrustIndex index;
@@ -236,104 +186,11 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
     return L::fail(LoadError::kTrailingBytes, "membership section");
   }
 
-  // Section 4: flattened interval records, grouped by (provider, scope),
-  // sorted by (cert id, added date).
-  ByteReader r4(*file.section(kSectionIntervals));
-  std::uint64_t total_runs = 0;
-  for (auto& p : index.providers_) {
-    for (std::size_t s = 0; s < kScopeCount && r4.ok(); ++s) {
-      const std::uint64_t run_count =
-          r4.count(kMaxIntervalRecords, kIntervalRecordBytes, "interval");
-      const auto records = r4.run(static_cast<std::size_t>(run_count) *
-                                  kIntervalRecordBytes);
-      if (!r4.ok()) break;
-      // Every id with runs is a member of one of the (provider, scope)'s
-      // sets, so the table is sized by set words the file carries, never
-      // by a record alone.
-      IdSet members;
-      if (run_count > 0) {
-        for (const IdSet& set : p.sets[s]) members |= set;
-      }
-      auto& table = p.intervals[s];
-      bool have_prev = false;
-      std::uint32_t prev_id = 0;
-      std::optional<Date> prev_removed;
-      bool prev_open = false;
-      for (std::uint64_t k = 0; k < run_count; ++k) {
-        const std::uint8_t* record =
-            records.data() + static_cast<std::size_t>(k) * kIntervalRecordBytes;
-        const std::uint32_t id = persist::read_le32(record);
-        const std::uint32_t reserved = persist::read_le32(record + 4);
-        const auto added_days =
-            static_cast<std::int64_t>(persist::read_le64(record + 8));
-        const auto removed_days =
-            static_cast<std::int64_t>(persist::read_le64(record + 16));
-        if (reserved != 0) {
-          r4.fail(LoadError::kBadValue, "reserved interval field not zero");
-          break;
-        }
-        if (id >= universe) {
-          r4.fail(LoadError::kBadValue,
-                  "interval certificate id beyond the universe");
-          break;
-        }
-        TrustInterval run;
-        run.added = Date::from_days(added_days);
-        if (!run.added.has_iso_year() ||
-            (removed_days != kOpenSentinel &&
-             !Date::from_days(removed_days).has_iso_year())) {
-          r4.fail(LoadError::kBadValue,
-                  "interval date outside 0000-01-01..9999-12-31");
-          break;
-        }
-        if (removed_days != kOpenSentinel) {
-          if (removed_days <= added_days) {
-            r4.fail(LoadError::kBadValue, "interval removed before added");
-            break;
-          }
-          run.removed = Date::from_days(removed_days);
-        }
-        if (have_prev) {
-          if (id < prev_id) {
-            r4.fail(LoadError::kBadValue,
-                    "interval records not sorted by certificate id");
-            break;
-          }
-          if (id == prev_id) {
-            // Same certificate: runs must be disjoint and date-ordered,
-            // and only the last run of a certificate may be open.
-            if (prev_open || !prev_removed || !(*prev_removed < run.added)) {
-              r4.fail(LoadError::kBadValue,
-                      "overlapping or unordered intervals for one "
-                      "certificate");
-              break;
-            }
-          }
-        }
-        if (!members.contains(id)) {
-          r4.fail(LoadError::kBadValue,
-                  "interval certificate id in none of its membership sets");
-          break;
-        }
-        have_prev = true;
-        prev_id = id;
-        prev_removed = run.removed;
-        prev_open = !run.removed.has_value();
-        runs_grow(table, id).push_back(run);
-        ++total_runs;
-      }
-    }
-  }
-  if (!r4.ok()) return L::fail(r4.failure());
-  if (!r4.finished()) {
-    return L::fail(LoadError::kTrailingBytes, "interval section");
-  }
-
   for (std::size_t i = 0; i < index.providers_.size(); ++i) {
     index.by_name_.emplace(index.providers_[i].name, i);
     index.resolutions_ += index.providers_[i].dates.size();
   }
-  span.set_items(total_runs);
+  span.set_items(index.resolutions_);
   auto& reg = rs::obs::Registry::global();
   if (reg.enabled()) {
     reg.counter("persist.bytes_loaded").add(bytes.size());
@@ -365,39 +222,21 @@ persist::Loaded<TrustIndex> TrustIndexIO::load_file(const std::string& path) {
   return deserialize(mapped.value().bytes());
 }
 
-// --- deep verification ------------------------------------------------------
+// --- verification -----------------------------------------------------------
 
 persist::Loaded<IndexFileStats> TrustIndexIO::verify(
     std::span<const std::uint8_t> bytes) {
-  using L = Loaded<IndexFileStats>;
   auto loaded = deserialize(bytes);
   if (!loaded.ok()) return loaded.propagate<IndexFileStats>();
   const TrustIndex& index = loaded.value();
-  const std::size_t universe = index.interner_.size();
 
   IndexFileStats stats;
   stats.bytes = bytes.size();
-  stats.certificates = universe;
+  stats.certificates = index.interner_.size();
   stats.providers = index.providers_.size();
   stats.resolution_points = index.resolutions_;
-
-  static const std::vector<TrustInterval> kNoRuns;
   for (const auto& p : index.providers_) {
-    for (std::size_t s = 0; s < kScopeCount; ++s) {
-      const IntervalTable expected =
-          TrustIndex::derive_intervals(p.dates, p.sets[s], universe);
-      const auto& table = p.intervals[s];
-      for (std::size_t id = 0; id < universe; ++id) {
-        const auto& got = id < table.size() ? table[id] : kNoRuns;
-        if (got != expected[id]) {
-          return L::fail(LoadError::kBadValue,
-                         "interval table for provider '" + p.name +
-                             "' disagrees with its membership sets "
-                             "(internally inconsistent file)");
-        }
-        stats.intervals += got.size();
-      }
-    }
+    for (const auto& sets : p.sets) stats.intervals += run_count(sets);
   }
   return stats;
 }
@@ -420,7 +259,7 @@ rs::util::Result<bool> TrustIndexIO::append_snapshot(
   }
 
   // Grow the universe first so every entry interns.  The dense-ID remap
-  // is monotonic, so existing sets and intervals stay canonically ordered.
+  // is monotonic, so existing sets stay canonically ordered.
   std::vector<rs::crypto::Sha256Digest> fresh;
   for (const auto& entry : snapshot.entries) {
     const auto fp = entry.certificate->sha256();
@@ -459,43 +298,11 @@ rs::util::Result<bool> TrustIndexIO::append_snapshot(
                   p.dates.back().to_string() +
                   "; incremental append must be chronological");
   }
-  const bool replace = !p.dates.empty() && snapshot.date == p.dates.back();
-
-  const auto inconsistent = [&]() {
-    return R::err("index intervals disagree with membership sets for " +
-                  snapshot.provider +
-                  " (corrupt index; run `rootstore index verify`)");
-  };
-
-  if (replace) {
+  if (!p.dates.empty() && snapshot.date == p.dates.back()) {
     // Equal-dated snapshots collapse to the later one (the full build's
-    // ProviderHistory::at semantics): un-apply the provider's newest
-    // snapshot before appending the replacement.
-    const Date d = p.dates.back();
-    for (std::size_t s = 0; s < kScopeCount; ++s) {
-      auto& sets = p.sets[s];
-      auto& table = p.intervals[s];
-      const IdSet prev =
-          sets.size() >= 2 ? sets[sets.size() - 2] : IdSet();
-      const IdSet& cur = sets.back();
-      for (const std::uint32_t id : cur.difference(prev).ids()) {
-        auto* runs = runs_at(table, id);
-        if (runs == nullptr || runs->empty() || runs->back().added != d ||
-            runs->back().removed.has_value()) {
-          return inconsistent();
-        }
-        runs->pop_back();
-      }
-      for (const std::uint32_t id : prev.difference(cur).ids()) {
-        auto* runs = runs_at(table, id);
-        if (runs == nullptr || runs->empty() ||
-            runs->back().removed != std::optional<Date>(d)) {
-          return inconsistent();
-        }
-        runs->back().removed.reset();
-      }
-      sets.pop_back();
-    }
+    // ProviderHistory::at semantics): drop the provider's newest snapshot
+    // before appending the replacement.
+    for (auto& sets : p.sets) sets.pop_back();
     p.dates.pop_back();
     p.versions.pop_back();
     index.resolutions_ -= 1;
@@ -503,22 +310,7 @@ rs::util::Result<bool> TrustIndexIO::append_snapshot(
 
   auto rows = rs::store::MembershipTable::rows_of(snapshot, index.interner_);
   for (std::size_t s = 0; s < kScopeCount; ++s) {
-    IdSet& members = rows[s];
-    auto& sets = p.sets[s];
-    auto& table = p.intervals[s];
-    const IdSet prev = sets.empty() ? IdSet() : sets.back();
-    for (const std::uint32_t id : members.difference(prev).ids()) {
-      runs_grow(table, id).push_back({snapshot.date, std::nullopt});
-    }
-    for (const std::uint32_t id : prev.difference(members).ids()) {
-      auto* runs = runs_at(table, id);
-      if (runs == nullptr || runs->empty() ||
-          runs->back().removed.has_value()) {
-        return inconsistent();
-      }
-      runs->back().removed = snapshot.date;
-    }
-    sets.push_back(std::move(members));
+    p.sets[s].push_back(std::move(rows[s]));
   }
   p.dates.push_back(snapshot.date);
   p.versions.push_back(snapshot.version);

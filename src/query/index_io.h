@@ -2,12 +2,12 @@
 //
 // `rootstore serve` answers queries from an immutable TrustIndex that is
 // expensive to compile: decode snapshots, intern the certificate universe,
-// derive per-(provider,scope,cert) presence intervals.  TrustIndexIO
+// build per-(provider,scope,date) membership sets.  TrustIndexIO
 // round-trips the compiled index through the RSIX container defined in
 // src/store/persist.h so a serve process cold-starts by loading flat
 // arrays instead of rebuilding, and a new weekly snapshot is absorbed by
-// touching only that provider's membership tables and intervals —
-// O(delta), not O(history).
+// touching only that provider's membership sets — O(delta), not
+// O(history).
 //
 // Guarantees (enforced by tests/query/index_io_test.cpp and
 // index_append_test.cpp):
@@ -20,13 +20,12 @@
 //     a typed persist::LoadError for every way a file can lie (the
 //     `persist_fault` ctest label sweeps truncations, bit flips, version
 //     skew, and oversized counts).
-//   * verify() additionally proves the redundant structures agree: the
-//     interval tables are recomputed from the membership sets and
-//     compared, so a checksummed-but-inconsistent file is still rejected.
+//   * The file holds each piece of data once: presence intervals are not
+//     stored but derived from the sets, so no two structures can disagree.
 //
-// File layout (docs/PERSISTENCE.md has the diagram): four sections —
-// interner digests, provider timelines, per-date membership IdSets,
-// flattened interval records — all fixed-width little-endian flat arrays.
+// File layout (docs/PERSISTENCE.md has the diagram): format version 2,
+// three sections — interner digests, provider timelines, per-date
+// membership IdSets — all fixed-width little-endian flat arrays.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +47,15 @@ namespace rs::query {
 inline constexpr std::uint32_t kSectionInterner = 1;
 inline constexpr std::uint32_t kSectionProviders = 2;
 inline constexpr std::uint32_t kSectionSets = 3;
-inline constexpr std::uint32_t kSectionIntervals = 4;
 
-/// Summary returned by verify(): what a structurally valid, internally
-/// consistent index file contains.
+/// Summary returned by verify(): what a structurally valid index file
+/// contains.
 struct IndexFileStats {
   std::uint64_t providers = 0;
   std::uint64_t certificates = 0;
   std::uint64_t resolution_points = 0;  // distinct dates over all providers
+  // Presence runs over every (provider, scope): the sum over k of
+  // |S_k \ S_{k-1}|, with S_{-1} empty.
   std::uint64_t intervals = 0;
   std::uint64_t bytes = 0;
 
@@ -82,10 +82,8 @@ class TrustIndexIO {
   static rs::store::persist::Loaded<TrustIndex> load_file(
       const std::string& path);
 
-  /// Deep verification: a full deserialize plus recomputation of every
-  /// interval table from the membership sets.  Rejects files whose
-  /// redundant structures disagree (checksums cannot catch a writer that
-  /// lied consistently).
+  /// A full deserialize plus the file's stats.  Fails exactly when
+  /// deserialize() does.
   static rs::store::persist::Loaded<IndexFileStats> verify(
       std::span<const std::uint8_t> bytes);
   static rs::store::persist::Loaded<IndexFileStats> verify_file(
@@ -93,10 +91,10 @@ class TrustIndexIO {
 
   /// Absorbs one snapshot into the index incrementally: grows the interner
   /// if the snapshot carries unseen certificates (a monotonic dense-ID
-  /// remap), then touches only `snapshot.provider`'s membership tables and
-  /// intervals.  Snapshots must arrive in date order per provider; a
-  /// snapshot dated equal to the provider's newest replaces it (the
-  /// equal-dated-snapshot collapse the full build applies).  The result is
+  /// remap), then touches only `snapshot.provider`'s membership sets.
+  /// Snapshots must arrive in date order per provider; a snapshot dated
+  /// equal to the provider's newest replaces it (the equal-dated-snapshot
+  /// collapse the full build applies).  The result is
   /// indistinguishable — byte-for-byte under serialize() — from a full
   /// rebuild over the same snapshots.
   static rs::util::Result<bool> append_snapshot(

@@ -1,7 +1,6 @@
 #include "src/query/trust_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "src/obs/span.h"
@@ -17,52 +16,23 @@ const char* to_string(TrustAnswer a) noexcept {
   return "?";
 }
 
-std::vector<std::vector<TrustInterval>> TrustIndex::derive_intervals(
-    const std::vector<rs::util::Date>& dates,
-    const std::vector<rs::store::IdSet>& sets, std::size_t universe) {
-  std::vector<std::vector<TrustInterval>> intervals(universe);
-  // `opened[id]` is the start of the run the certificate is in, which is
-  // meaningful while the previous set holds it.
-  std::vector<rs::util::Date> opened(universe);
-  static const std::vector<std::uint64_t> kNoWords;
+std::vector<TrustInterval> TrustIndex::intervals_of(
+    std::span<const rs::util::Date> dates,
+    std::span<const rs::store::IdSet> sets, std::uint32_t id) {
+  std::vector<TrustInterval> runs;
+  bool open = false;
   for (std::size_t k = 0; k < sets.size(); ++k) {
-    // Sets may differ in word count (a loaded set is trimmed to its last
-    // non-zero word), so a missing tail word reads as zero.
-    const auto& cur = sets[k].words();
-    const auto& prev = k == 0 ? kNoWords : sets[k - 1].words();
-    const std::size_t words = std::max(cur.size(), prev.size());
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t now = w < cur.size() ? cur[w] : 0;
-      const std::uint64_t before = w < prev.size() ? prev[w] : 0;
-      const std::size_t base = w * 64;
-      for (std::uint64_t gained = now & ~before; gained != 0;
-           gained &= gained - 1) {
-        opened[base + static_cast<std::size_t>(std::countr_zero(gained))] =
-            dates[k];
-      }
-      for (std::uint64_t lost = before & ~now; lost != 0; lost &= lost - 1) {
-        const std::size_t id =
-            base + static_cast<std::size_t>(std::countr_zero(lost));
-        intervals[id].push_back({opened[id], dates[k]});
-      }
-    }
+    const bool held = sets[k].contains(id);
+    if (held && !open) runs.push_back({dates[k], std::nullopt});
+    if (!held && open) runs.back().removed = dates[k];
+    open = held;
   }
-  if (!sets.empty()) {
-    const auto& last = sets.back().words();
-    for (std::size_t w = 0; w < last.size(); ++w) {
-      for (std::uint64_t open = last[w]; open != 0; open &= open - 1) {
-        const std::size_t id =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(open));
-        intervals[id].push_back({opened[id], std::nullopt});
-      }
-    }
-  }
-  return intervals;
+  return runs;
 }
 
 void TrustIndex::build_provider(const rs::store::ProviderHistory& history,
                                 const std::vector<rs::store::ScopeSets>& rows,
-                                std::size_t universe, ProviderData& out) {
+                                ProviderData& out) {
   // Collapse to distinct dates: for equal dates the later snapshot wins,
   // mirroring ProviderHistory::at (upper_bound resolution).
   const auto& snapshots = history.snapshots();
@@ -85,7 +55,6 @@ void TrustIndex::build_provider(const rs::store::ProviderHistory& history,
   for (std::size_t s = 0; s < kScopeCount; ++s) {
     out.sets[s].reserve(resolved.size());
     for (const std::size_t k : resolved) out.sets[s].push_back(rows[k][s]);
-    out.intervals[s] = derive_intervals(out.dates, out.sets[s], universe);
   }
 }
 
@@ -102,23 +71,15 @@ TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
   index.interner_ = table.interner();
 
   // Lay out providers in name order (the histories() map order).
-  const std::size_t universe = index.interner_.size();
   for (const auto& [name, history] : db.histories()) {
     if (history.empty()) continue;
     index.by_name_.emplace(name, index.providers_.size());
     auto& provider = index.providers_.emplace_back();
     provider.name = name;
-    build_provider(history, table.lane(history), universe, provider);
+    build_provider(history, table.lane(history), provider);
+    index.resolutions_ += provider.dates.size();
   }
-
-  std::size_t intervals = 0;
-  for (const auto& p : index.providers_) {
-    index.resolutions_ += p.dates.size();
-    for (const auto& per_scope : p.intervals) {
-      for (const auto& runs : per_scope) intervals += runs.size();
-    }
-  }
-  span.set_items(intervals);
+  span.set_items(index.resolutions_);
   return index;
 }
 
@@ -163,26 +124,27 @@ std::vector<rs::util::Date> TrustIndex::snapshot_dates(
   return p->dates;
 }
 
+std::span<const rs::store::IdSet> TrustIndex::history_sets(
+    std::string_view provider, Scope scope) const {
+  const ProviderData* p = find(provider);
+  if (p == nullptr) return {};
+  return p->sets[static_cast<std::size_t>(scope)];
+}
+
 TrustAnswer TrustIndex::is_trusted(const rs::crypto::Sha256Digest& fp,
                                    std::string_view provider,
                                    rs::util::Date date, Scope scope) const {
   const ProviderData* p = find(provider);
   if (p == nullptr) return TrustAnswer::kNotCovered;
-  if (!resolve(*p, date)) return TrustAnswer::kNotCovered;
+  const auto k = resolve(*p, date);
+  if (!k) return TrustAnswer::kNotCovered;
   const auto id = interner_.id_of(fp);
   if (!id) return TrustAnswer::kUntrusted;
-  // Loaded indexes size interval tables to the highest ID with runs.
-  const auto& table = p->intervals[static_cast<std::size_t>(scope)];
-  if (*id >= table.size()) return TrustAnswer::kUntrusted;
-  const auto& runs = table[*id];
-  // Last interval starting on or before `date`.
-  const auto it = std::upper_bound(
-      runs.begin(), runs.end(), date,
-      [](rs::util::Date d, const TrustInterval& iv) { return d < iv.added; });
-  if (it == runs.begin()) return TrustAnswer::kUntrusted;
-  const TrustInterval& run = *(it - 1);
-  const bool inside = !run.removed.has_value() || date < *run.removed;
-  return inside ? TrustAnswer::kTrusted : TrustAnswer::kUntrusted;
+  // The resolved snapshot holds the certificate exactly when `date` lies
+  // inside one of its presence runs.
+  return p->sets[static_cast<std::size_t>(scope)][*k].contains(*id)
+             ? TrustAnswer::kTrusted
+             : TrustAnswer::kUntrusted;
 }
 
 std::vector<std::string> TrustIndex::providers_trusting(
@@ -240,9 +202,8 @@ std::vector<LineageSpan> TrustIndex::lineage(
   const auto id = interner_.id_of(fp);
   if (!id) return spans;
   for (const auto& p : providers_) {
-    const auto& table = p.intervals[static_cast<std::size_t>(scope)];
-    if (*id >= table.size()) continue;
-    for (const auto& run : table[*id]) {
+    for (const TrustInterval& run :
+         intervals_of(p.dates, p.sets[static_cast<std::size_t>(scope)], *id)) {
       spans.push_back({p.name, run});
     }
   }

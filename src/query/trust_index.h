@@ -2,15 +2,15 @@
 //
 // The batch pipeline answers "who trusts root R on date D" by rerunning
 // whole-table analyses.  TrustIndex compiles the StoreDatabase once into
-// two read-only structures and then answers each query in O(log n):
+// one read-only structure: per provider, the distinct snapshot dates plus
+// the membership-table IdSet per scope per date.  A query date resolves to
+// the latest snapshot on or before it (ProviderHistory::at semantics) in
+// O(log dates), and a point lookup is then one bit of that date's set.
 //
-//   * Per (provider, scope, certificate): a date-ordered list of half-open
-//     presence intervals [added, removed) derived from consecutive
-//     snapshots.  A root removed and later re-added yields two disjoint
-//     intervals — never one merged span.
-//   * Per provider: the distinct snapshot dates plus the membership-table
-//     IdSet per scope per date, resolving any query date to the latest
-//     snapshot on or before it (ProviderHistory::at semantics).
+// Presence intervals are derived from the sets when asked, never stored:
+// per (provider, scope, certificate), a date-ordered list of half-open
+// runs [added, removed) over consecutive sets.  A root removed and later
+// re-added yields two disjoint intervals — never one merged span.
 //
 // Coverage is explicit: a provider only answers for dates inside
 // [first snapshot, last snapshot]; anything earlier or later is a typed
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,8 +92,7 @@ class TrustIndex {
   TrustIndex() = default;
 
   /// Compiles the index from `table`'s rows (built over `db`): the last
-  /// row per snapshot date becomes that date's set, and intervals are
-  /// derived from consecutive sets.  O(history) work.
+  /// row per snapshot date becomes that date's set.  O(history) work.
   static TrustIndex build(const rs::store::StoreDatabase& db,
                           const rs::store::MembershipTable& table);
   /// The same, over a membership table built here from `interner`, which
@@ -118,8 +118,13 @@ class TrustIndex {
   /// as verdict breakpoints — between consecutive snapshots the resolved
   /// store, and thus the anchor set, cannot change.
   std::vector<rs::util::Date> snapshot_dates(std::string_view provider) const;
+  /// The provider's per-date sets under `scope`, parallel to
+  /// snapshot_dates(); empty for unknown providers.  Views borrow from the
+  /// index.  Sets may differ in word count (a loaded set is trimmed).
+  std::span<const rs::store::IdSet> history_sets(std::string_view provider,
+                                                 Scope scope) const;
 
-  /// Point lookup, O(log intervals).  Unknown providers answer kNotCovered
+  /// Point lookup, O(log dates).  Unknown providers answer kNotCovered
   /// (the engine layer distinguishes them via has_provider for a typed
   /// error); unknown certificates inside coverage answer kUntrusted.
   TrustAnswer is_trusted(const rs::crypto::Sha256Digest& fp,
@@ -145,17 +150,19 @@ class TrustIndex {
 
   /// Every presence interval of `fp` across all providers, provider-name
   /// order then ascending `added`.  Unknown certificates yield no spans.
+  /// Derived from each provider's sets: O(dates) over all providers.
   std::vector<LineageSpan> lineage(const rs::crypto::Sha256Digest& fp,
                                    Scope scope) const;
 
-  /// Presence runs per certificate ID over one (provider, scope)'s
-  /// date-ordered sets: a run opens where a set gains the ID and closes
-  /// where the next set lacks it.  Sets may differ in word count.  build()
-  /// and TrustIndexIO::verify share this one derivation; the referee in
+  /// Presence runs of certificate `id` over one (provider, scope)'s
+  /// date-ordered sets: a run opens at the first set that holds the ID and
+  /// closes at the first later set that lacks it; a run still open after
+  /// the last set has no `removed`.  Sets may differ in word count.
+  /// lineage() derives its spans with this; the referee in
   /// tests/referee/intervals_reference.h checks it.
-  static std::vector<std::vector<TrustInterval>> derive_intervals(
-      const std::vector<rs::util::Date>& dates,
-      const std::vector<rs::store::IdSet>& sets, std::size_t universe);
+  static std::vector<TrustInterval> intervals_of(
+      std::span<const rs::util::Date> dates,
+      std::span<const rs::store::IdSet> sets, std::uint32_t id);
 
  private:
   // The persistence layer (serialize/load/append, docs/PERSISTENCE.md)
@@ -171,12 +178,6 @@ class TrustIndex {
     std::vector<std::string> versions;  // parallel to `dates`
     // Per scope, per distinct date: interned membership set.
     std::array<std::vector<rs::store::IdSet>, kScopeCount> sets;
-    // Per scope, per certificate ID: date-ordered presence intervals.
-    // May be shorter than the universe (indexes past the end mean "no
-    // runs"): the loader sizes each table to the highest ID that actually
-    // has runs, so a file's memory cost is bounded by its contents.
-    std::array<std::vector<std::vector<TrustInterval>>, kScopeCount>
-        intervals;
   };
 
   const ProviderData* find(std::string_view provider) const;
@@ -185,7 +186,7 @@ class TrustIndex {
                                             rs::util::Date date);
   static void build_provider(const rs::store::ProviderHistory& history,
                              const std::vector<rs::store::ScopeSets>& rows,
-                             std::size_t universe, ProviderData& out);
+                             ProviderData& out);
   std::vector<ProviderData> providers_;  // name order
   std::map<std::string, std::size_t, std::less<>> by_name_;
   rs::store::CertInterner interner_;

@@ -31,30 +31,4 @@ std::size_t StoreDatabase::total_snapshots() const {
   return n;
 }
 
-std::vector<PresenceInterval> StoreDatabase::tls_presence(
-    const rs::crypto::Sha256Digest& fp) const {
-  std::vector<PresenceInterval> out;
-  for (const auto& [name, h] : histories_) {
-    std::optional<PresenceInterval> interval;
-    for (const auto& s : h.snapshots()) {
-      const TrustEntry* e = s.find(fp);
-      const bool anchored = e != nullptr && e->is_tls_anchor();
-      if (!anchored) continue;
-      if (!interval) {
-        interval = PresenceInterval{name, s.date, s.date, false};
-      } else {
-        interval->last_seen = s.date;
-      }
-    }
-    if (interval) {
-      if (!h.empty()) {
-        const TrustEntry* latest = h.back().find(fp);
-        interval->in_latest = latest != nullptr && latest->is_tls_anchor();
-      }
-      out.push_back(*interval);
-    }
-  }
-  return out;
-}
-
 }  // namespace rs::store

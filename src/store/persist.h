@@ -243,7 +243,7 @@ class ByteReader {
 /// catch text-mode mangling (the PNG trick).
 inline constexpr std::array<std::uint8_t, 8> kMagic = {
     'R', 'S', 'I', 'X', '0', '1', '\r', '\n'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Size of the fixed header preceding the section table.
 inline constexpr std::size_t kHeaderBytes = 40;
 /// Size of one section-table entry.

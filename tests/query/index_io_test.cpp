@@ -18,6 +18,7 @@
 #include "src/query/trust_index.h"
 #include "src/store/database.h"
 #include "src/store/interner.h"
+#include "src/store/persist.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
 #include "src/synth/user_agents.h"
@@ -98,32 +99,108 @@ TEST(IndexIoRoundTrip, SerializeIsAFixedPoint) {
   EXPECT_EQ(first, second);
 }
 
-// The exact bytes of two indexes, pinned: the paper scenario's (what
-// `rootstore index build` writes) and perfbench's default sim_index point
-// at seed 1.  Codec rewrites must leave every byte where it was.
-TEST(IndexIoGolden, ImagesAreUnchanged) {
-  const auto digest_of = [](const std::string& image) {
-    return rs::util::hex_encode(rs::crypto::Sha256::hash(as_span(image)));
-  };
-  const auto scenario = rs::synth::build_paper_scenario();
-  const std::string paper =
-      TrustIndexIO::serialize(build_index(scenario.database()));
-  EXPECT_EQ(paper.size(), 382341u);
-  EXPECT_EQ(digest_of(paper),
-            "f585363a3866ffada9d87159bbb63538d41849e036e01fd3e6c15fdce06e6309");
+// The two pinned images: the paper scenario's index (what `rootstore index
+// build` writes) and the index of perfbench's default sim_index point at
+// seed 1.
+const std::string& paper_image() {
+  static const std::string image = [] {
+    const auto scenario = rs::synth::build_paper_scenario();
+    return TrustIndexIO::serialize(build_index(scenario.database()));
+  }();
+  return image;
+}
 
-  rs::synth::SimulatorConfig cfg;
-  cfg.seed = 1;
-  cfg.ca_count = 600;
-  cfg.program_count = 6;
-  cfg.derivative_count = 6;
-  cfg.snapshot_interval_days = 30;
-  cfg.ct_log_count = 2;
-  const auto eco = rs::synth::simulate_ecosystem(cfg);
-  const std::string sim = TrustIndexIO::serialize(build_index(eco.database));
-  EXPECT_EQ(sim.size(), 1383666u);
-  EXPECT_EQ(digest_of(sim),
-            "a620be3424936bebfe9f5421944fd139a932c63eeb2c0d3fc5feb718a213adbd");
+const std::string& sim_image() {
+  static const std::string image = [] {
+    rs::synth::SimulatorConfig cfg;
+    cfg.seed = 1;
+    cfg.ca_count = 600;
+    cfg.program_count = 6;
+    cfg.derivative_count = 6;
+    cfg.snapshot_interval_days = 30;
+    cfg.ct_log_count = 2;
+    const auto eco = rs::synth::simulate_ecosystem(cfg);
+    return TrustIndexIO::serialize(build_index(eco.database));
+  }();
+  return image;
+}
+
+std::string sha256_hex(std::span<const std::uint8_t> bytes) {
+  return rs::util::hex_encode(rs::crypto::Sha256::hash(bytes));
+}
+
+// The exact bytes of both images, pinned.  Codec rewrites must leave every
+// byte where it was.
+TEST(IndexIoGolden, ImagesAreUnchanged) {
+  EXPECT_EQ(paper_image().size(), 196877u);
+  EXPECT_EQ(sha256_hex(as_span(paper_image())),
+            "6289961492c5a554d90c8f4f608b5659d62b3d419c86a0fc3d19c21e3c5966f4");
+  EXPECT_EQ(sim_image().size(), 822378u);
+  EXPECT_EQ(sha256_hex(as_span(sim_image())),
+            "d1dd9855f3d387302c145fc758adca8e1dc3b53d3c9ce14bee762f024ca29ad2");
+}
+
+// The interner, provider and membership sections of both images, pinned
+// payload by payload, so a change of the container around them cannot hide
+// a change inside them.
+TEST(IndexIoGolden, SectionPayloadsAreUnchanged) {
+  struct Pin {
+    std::uint32_t id;
+    std::size_t bytes;
+    const char* sha256;
+  };
+  const auto expect_pins = [](const std::string& image,
+                              const std::vector<Pin>& pins,
+                              const std::string& what) {
+    auto view = rs::store::persist::FileView::parse(as_span(image));
+    ASSERT_TRUE(view.ok()) << what << ": " << view.message();
+    for (const Pin& pin : pins) {
+      const auto payload = view.value().section(pin.id);
+      ASSERT_TRUE(payload.has_value()) << what << " section " << pin.id;
+      EXPECT_EQ(payload->size(), pin.bytes) << what << " section " << pin.id;
+      EXPECT_EQ(sha256_hex(*payload), pin.sha256)
+          << what << " section " << pin.id;
+    }
+  };
+  expect_pins(
+      paper_image(),
+      {{kSectionInterner, 14600,
+        "75144c5ceb48bbb8c3753de8ba829305527414dbece9f48e3f886fb2421cb0fd"},
+       {kSectionProviders, 13165,
+        "d617b2b1f63f4862ad88ced381535e4f45c9bc10846a088acf97c20d55f122f7"},
+       {kSectionSets, 168976,
+        "31fdd238d8e69458339f67a85c6ace95853689bb354540b29a443888fff8ed67"}},
+      "paper");
+  expect_pins(
+      sim_image(),
+      {{kSectionInterner, 19208,
+        "7f54c146d8625242a8eaf89a2412e216a2b8644d08e02a34a95062b413fe813e"},
+       {kSectionProviders, 53538,
+        "098054ec206986059d037ff6d2d341141fbf64cfd5ffebd68d455db1755b824d"},
+       {kSectionSets, 749496,
+        "1f3e333b3741267c0c9954397d797b51a662d2a57c9db18fc004e5ab7c9f770e"}},
+      "sim");
+}
+
+// What verify() reports for both images.  `intervals` counts presence runs
+// over every (provider, scope).
+TEST(IndexIoGolden, VerifyStatsAreUnchanged) {
+  const auto expect_stats = [](const std::string& image,
+                               std::uint64_t providers,
+                               std::uint64_t certificates,
+                               std::uint64_t resolution_points,
+                               std::uint64_t intervals,
+                               const std::string& what) {
+    const auto stats = TrustIndexIO::verify(as_span(image));
+    ASSERT_TRUE(stats.ok()) << what << ": " << stats.message();
+    EXPECT_EQ(stats.value().providers, providers) << what;
+    EXPECT_EQ(stats.value().certificates, certificates) << what;
+    EXPECT_EQ(stats.value().resolution_points, resolution_points) << what;
+    EXPECT_EQ(stats.value().intervals, intervals) << what;
+    EXPECT_EQ(stats.value().bytes, image.size()) << what;
+  };
+  expect_stats(paper_image(), 10, 456, 670, 7713, "paper");
+  expect_stats(sim_image(), 14, 600, 2764, 23367, "sim");
 }
 
 TEST(IndexIoRoundTrip, LoadedIndexMatchesBruteForceEverywhere) {

@@ -6,8 +6,7 @@
 //   * single-bit flips across the header, section table, and payloads,
 //   * version and flag skew,
 //   * count fields rewritten to hostile values (via re-framed sections,
-//     so checksums are valid and the *semantic* caps must catch them),
-//   * checksummed-but-inconsistent files that only deep verify() rejects.
+//     so checksums are valid and the *semantic* caps must catch them).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +32,7 @@ std::span<const std::uint8_t> as_span(const std::string& s) {
 }
 
 /// One compact but fully featured index image: multiple providers (with
-/// derivatives), multi-year histories, all four sections populated.
+/// derivatives), multi-year histories, all three sections populated.
 const std::string& corpus_image() {
   static const std::string image = [] {
     rs::synth::SimulatorConfig cfg;
@@ -123,7 +122,7 @@ TEST(PersistFault, TruncationSweepAtEverySectionBoundary) {
 TEST(PersistFault, SingleBitFlipsInHeaderAndSectionTable) {
   const std::string& image = corpus_image();
   const std::size_t protected_bytes =
-      persist::kHeaderBytes + 4 * persist::kSectionEntryBytes;
+      persist::kHeaderBytes + 3 * persist::kSectionEntryBytes;
   ASSERT_LE(protected_bytes, image.size());
   for (std::size_t byte = 0; byte < protected_bytes; ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -142,7 +141,7 @@ TEST(PersistFault, SingleBitFlipsInHeaderAndSectionTable) {
 TEST(PersistFault, SingleBitFlipsInPayloadsTripSectionChecksums) {
   const std::string& image = corpus_image();
   const std::size_t payload_start =
-      persist::kHeaderBytes + 4 * persist::kSectionEntryBytes;
+      persist::kHeaderBytes + 3 * persist::kSectionEntryBytes;
   // Stride across the payload region; every flip must be caught by the
   // section checksum before any payload byte is interpreted.
   for (std::size_t byte = payload_start; byte < image.size(); byte += 211) {
@@ -158,7 +157,7 @@ TEST(PersistFault, SingleBitFlipsInPayloadsTripSectionChecksums) {
 TEST(PersistFault, VersionAndFlagSkew) {
   {
     std::string skew = corpus_image();
-    skew[8] = 2;  // future format version
+    skew[8] = 3;  // future format version
     auto loaded = TrustIndexIO::deserialize(as_span(skew));
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.code(), LoadError::kBadVersion);
@@ -179,6 +178,17 @@ TEST(PersistFault, VersionAndFlagSkew) {
   }
 }
 
+// Format version 1 stored presence intervals as a fourth section.  Such a
+// file fails on its version field, before any checksum is read; rebuilding
+// it with `rootstore index build` is the migration.
+TEST(PersistFault, VersionOneIsRejected) {
+  std::string v1 = corpus_image();
+  v1[8] = 1;
+  auto loaded = TrustIndexIO::deserialize(as_span(v1));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), LoadError::kBadVersion);
+}
+
 TEST(PersistFault, NotAnIndexAtAll) {
   expect_rejected("", "empty file");
   expect_rejected(std::string(3, '\0'), "three zero bytes");
@@ -188,6 +198,23 @@ TEST(PersistFault, NotAnIndexAtAll) {
   std::string mangled = corpus_image();
   mangled.erase(6, 1);  // strip the \r
   expect_rejected(mangled, "CRLF-stripped image");
+}
+
+// A version-2 file carries exactly sections 1..3: a fourth one, framed
+// with fresh checksums, is refused rather than ignored.
+TEST(PersistFault, FourthSectionIsRejected) {
+  auto parsed = persist::FileView::parse(as_span(corpus_image()));
+  ASSERT_TRUE(parsed.ok());
+  persist::FileBuilder b;
+  for (const auto& s : parsed.value().sections()) {
+    b.add_section(s.id, std::string(s.payload.begin(), s.payload.end()));
+  }
+  persist::ByteWriter extra;
+  extra.u64(0);
+  b.add_section(kSectionSets + 1, std::move(extra).take());
+  auto loaded = TrustIndexIO::deserialize(as_span(b.finish()));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), LoadError::kBadSectionTable);
 }
 
 TEST(PersistFault, OversizedCountsFailTheCapsNotTheAllocator) {
@@ -223,14 +250,6 @@ TEST(PersistFault, OversizedCountsFailTheCapsNotTheAllocator) {
     auto loaded = TrustIndexIO::deserialize(
         as_span(with_section_payload(kSectionProviders, std::move(w).take())));
     EXPECT_FALSE(loaded.ok());
-  }
-  {  // Interval run count promising far more records than present.
-    persist::ByteWriter w;
-    w.u64(std::uint64_t{1} << 40);
-    auto loaded = TrustIndexIO::deserialize(
-        as_span(with_section_payload(kSectionIntervals, std::move(w).take())));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.code(), LoadError::kCountOverflow);
   }
 }
 
@@ -310,7 +329,7 @@ TEST(PersistFault, TrailingAndMissingBytes) {
     ASSERT_TRUE(parsed.ok());
     persist::FileBuilder b;
     for (const auto& s : parsed.value().sections()) {
-      if (s.id == kSectionIntervals) continue;
+      if (s.id == kSectionSets) continue;
       b.add_section(s.id, std::string(s.payload.begin(), s.payload.end()));
     }
     auto loaded = TrustIndexIO::deserialize(as_span(b.finish()));
@@ -319,100 +338,11 @@ TEST(PersistFault, TrailingAndMissingBytes) {
   }
 }
 
-// A file can be perfectly checksummed and structurally valid while its
-// redundant structures disagree — a lying writer.  The loader accepts it
-// (each structure is self-consistent); deep verify() must not.
-TEST(PersistFault, DeepVerifyCatchesConsistentlyLyingWriter) {
-  auto parsed = persist::FileView::parse(as_span(corpus_image()));
-  ASSERT_TRUE(parsed.ok());
-  const auto s4 = *parsed.value().section(kSectionIntervals);
-  std::string payload(s4.begin(), s4.end());
-  // Section 4 layout: per (provider, scope), u64 run count then 24-byte
-  // records {u32 id, u32 pad, i64 added, i64 removed}.  Find the first
-  // non-empty run group and shift its first record's `added` one day
-  // earlier — still sorted, still loadable, but now disagreeing with the
-  // membership sets.
-  std::size_t pos = 0;
-  while (pos + 8 <= payload.size()) {
-    std::uint64_t runs = 0;
-    for (int i = 0; i < 8; ++i) {
-      runs |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(payload[pos + i]))
-              << (8 * i);
-    }
-    pos += 8;
-    if (runs > 0) break;
-  }
-  ASSERT_LT(pos + 24, payload.size()) << "corpus has no interval records";
-  const std::size_t added_at = pos + 8;
-  std::int64_t added = 0;
-  for (int i = 0; i < 8; ++i) {
-    added |= static_cast<std::int64_t>(
-                 static_cast<std::uint8_t>(payload[added_at + i]))
-             << (8 * i);
-  }
-  added -= 1;
-  for (int i = 0; i < 8; ++i) {
-    payload[added_at + i] = static_cast<char>((added >> (8 * i)) & 0xFF);
-  }
-  const std::string lying = with_section_payload(kSectionIntervals, payload);
-
-  // Structurally fine: the plain loader takes it...
-  auto loaded = TrustIndexIO::deserialize(as_span(lying));
-  ASSERT_TRUE(loaded.ok()) << loaded.message();
-  // ...but the deep check recomputes intervals from the sets and objects.
-  auto verified = TrustIndexIO::verify(as_span(lying));
-  ASSERT_FALSE(verified.ok());
-  EXPECT_EQ(verified.code(), LoadError::kBadValue);
-}
-
-TEST(PersistFault, IntervalRecordInvariants) {
-  {  // removed <= added.
-    persist::ByteWriter w;
-    w.u64(1);
-    w.u32(0);
-    w.u32(0);
-    w.i64(100);
-    w.i64(100);
-    auto loaded = TrustIndexIO::deserialize(
-        as_span(with_section_payload(kSectionIntervals, std::move(w).take())));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.code(), LoadError::kBadValue);
-  }
-  {  // Certificate id beyond the universe.
-    persist::ByteWriter w;
-    w.u64(1);
-    w.u32(0xFFFFFFFFu);
-    w.u32(0);
-    w.i64(100);
-    w.i64(200);
-    auto loaded = TrustIndexIO::deserialize(
-        as_span(with_section_payload(kSectionIntervals, std::move(w).take())));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.code(), LoadError::kBadValue);
-  }
-  {  // Reserved pad not zero.
-    persist::ByteWriter w;
-    w.u64(1);
-    w.u32(0);
-    w.u32(1);
-    w.i64(100);
-    w.i64(200);
-    auto loaded = TrustIndexIO::deserialize(
-        as_span(with_section_payload(kSectionIntervals, std::move(w).take())));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.code(), LoadError::kBadValue);
-  }
-}
-
-// Each (provider, scope) interval table is sized to its highest id with
-// runs, at 24 bytes per slot, and an interval record is 24 bytes of file:
-// a record naming the universe's last id in every table made the loader's
-// allocation grow with universe x tables, quadratic in the file size.  A
-// record must name a member of one of its (provider, scope)'s sets, which
-// bounds every table by set words the file carries.  No valid index has
-// any other record.
-TEST(PersistFault, IntervalIdOutsideItsSetsIsRejected) {
+// verify() counts presence runs from the sets: |S_k \ S_{k-1}| summed over
+// every (provider, scope) and date.  Four providers over a 1,024-digest
+// universe, one snapshot each: when every set holds the universe's last id
+// that is one run per set, 16 in all; with empty sets it is none.
+TEST(PersistFault, VerifyCountsRunsFromTheSets) {
   constexpr std::uint32_t kDigests = 1024;
   constexpr std::uint32_t kLast = kDigests - 1;
   constexpr std::int64_t kDay = 18262;  // 2020-01-01
@@ -426,7 +356,6 @@ TEST(PersistFault, IntervalIdOutsideItsSetsIsRejected) {
     persist::write_digests(interner, digests);
     persist::ByteWriter providers;
     persist::ByteWriter sets;
-    persist::ByteWriter intervals;
     providers.u64(4);
     for (int p = 0; p < 4; ++p) {
       providers.str("P" + std::to_string(p));
@@ -437,32 +366,25 @@ TEST(PersistFault, IntervalIdOutsideItsSetsIsRejected) {
         rs::store::IdSet members(kDigests);
         if (last_is_member) members.insert(kLast);
         persist::write_id_set(sets, members);
-        intervals.u64(1);
-        intervals.u32(kLast);
-        intervals.u32(0);
-        intervals.i64(kDay);
-        intervals.i64(std::numeric_limits<std::int64_t>::min());  // open
       }
     }
     persist::FileBuilder b;
     b.add_section(kSectionInterner, std::move(interner).take());
     b.add_section(kSectionProviders, std::move(providers).take());
     b.add_section(kSectionSets, std::move(sets).take());
-    b.add_section(kSectionIntervals, std::move(intervals).take());
     return b.finish();
   };
 
-  auto outside = TrustIndexIO::deserialize(as_span(image(false)));
-  ASSERT_FALSE(outside.ok());
-  EXPECT_EQ(outside.code(), LoadError::kBadValue);
-
-  // The same records over sets that hold the id form a valid index.
-  const std::string member = image(true);
-  auto loaded = TrustIndexIO::deserialize(as_span(member));
-  ASSERT_TRUE(loaded.ok()) << loaded.message();
-  auto verified = TrustIndexIO::verify(as_span(member));
-  ASSERT_TRUE(verified.ok()) << verified.message();
-  EXPECT_EQ(verified.value().intervals, 16u);
+  for (const bool last_is_member : {true, false}) {
+    const std::string bytes = image(last_is_member);
+    auto loaded = TrustIndexIO::deserialize(as_span(bytes));
+    ASSERT_TRUE(loaded.ok()) << loaded.message();
+    auto verified = TrustIndexIO::verify(as_span(bytes));
+    ASSERT_TRUE(verified.ok()) << verified.message();
+    EXPECT_EQ(verified.value().intervals, last_is_member ? 16u : 0u);
+    EXPECT_EQ(verified.value().providers, 4u);
+    EXPECT_EQ(verified.value().certificates, kDigests);
+  }
 }
 
 // Dates are day counts, and a checksummed file may carry any int64 as one.
@@ -470,12 +392,9 @@ TEST(PersistFault, IntervalIdOutsideItsSetsIsRejected) {
 // Date::civil (the `stats` op reached it on load).  The loader takes the
 // days Date::parse can produce, 0000-01-01..9999-12-31, and no others.
 TEST(PersistFault, DateOutsideFourDigitYearsIsRejected) {
-  constexpr std::int64_t kDay = 18262;  // 2020-01-01
-  constexpr std::int64_t kOpen = std::numeric_limits<std::int64_t>::min();
-  // One provider with one snapshot holding the one certificate, whose
-  // interval record runs from `added` to `removed`.
-  const auto image = [](std::int64_t snapshot, std::int64_t added,
-                        std::int64_t removed) {
+  // One provider with one snapshot, dated `snapshot`, holding the one
+  // certificate.
+  const auto image = [](std::int64_t snapshot) {
     std::vector<rs::crypto::Sha256Digest> digests(1);
     persist::ByteWriter interner;
     persist::write_digests(interner, digests);
@@ -486,22 +405,15 @@ TEST(PersistFault, DateOutsideFourDigitYearsIsRejected) {
     providers.i64(snapshot);
     providers.str("v1");
     persist::ByteWriter sets;
-    persist::ByteWriter intervals;
     for (std::size_t s = 0; s < kScopeCount; ++s) {
       rs::store::IdSet members(1);
       members.insert(0);
       persist::write_id_set(sets, members);
-      intervals.u64(1);
-      intervals.u32(0);
-      intervals.u32(0);
-      intervals.i64(added);
-      intervals.i64(removed);
     }
     persist::FileBuilder b;
     b.add_section(kSectionInterner, std::move(interner).take());
     b.add_section(kSectionProviders, std::move(providers).take());
     b.add_section(kSectionSets, std::move(sets).take());
-    b.add_section(kSectionIntervals, std::move(intervals).take());
     return b.finish();
   };
   const auto expect_bad_value = [](const std::string& bytes,
@@ -514,18 +426,14 @@ TEST(PersistFault, DateOutsideFourDigitYearsIsRejected) {
   constexpr std::int64_t kMin = rs::util::Date::kMinIsoDays;
   constexpr std::int64_t kMax = rs::util::Date::kMaxIsoDays;
 
-  expect_bad_value(image(kHuge, kDay, kOpen), "snapshot date near INT64_MAX");
-  expect_bad_value(image(kMin - 1, kDay, kOpen), "snapshot before 0000");
-  expect_bad_value(image(kMax + 1, kDay, kOpen), "snapshot after 9999");
-  expect_bad_value(image(kDay, kHuge, kOpen), "added near INT64_MAX");
-  expect_bad_value(image(kDay, kMin - 1, kOpen), "added before 0000");
-  expect_bad_value(image(kDay, kDay, kHuge), "removed near INT64_MAX");
-  expect_bad_value(image(kDay, kDay, kMax + 1), "removed after 9999");
+  expect_bad_value(image(kHuge), "snapshot date near INT64_MAX");
+  expect_bad_value(image(kMin - 1), "snapshot before 0000");
+  expect_bad_value(image(kMax + 1), "snapshot after 9999");
 
   // The edges themselves load.
-  auto first = TrustIndexIO::deserialize(as_span(image(kMin, kMin, kMax)));
+  auto first = TrustIndexIO::deserialize(as_span(image(kMin)));
   ASSERT_TRUE(first.ok()) << first.message();
-  auto last = TrustIndexIO::deserialize(as_span(image(kMax, kMax, kOpen)));
+  auto last = TrustIndexIO::deserialize(as_span(image(kMax)));
   ASSERT_TRUE(last.ok()) << last.message();
 }
 

@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/crypto/prng.h"
+#include "src/landscape/index_view.h"
+#include "src/query/index_io.h"
 #include "src/store/database.h"
 #include "src/store/interner.h"
 #include "src/store/membership.h"
 #include "src/store/trust.h"
+#include "src/synth/paper_scenario.h"
 #include "src/synth/simulator.h"
 #include "src/x509/builder.h"
 #include "tests/referee/intervals_reference.h"
@@ -269,7 +274,7 @@ TEST(TrustIndex, StatsAccessors) {
   EXPECT_EQ(f.index.resolution_point_count(), 5u);  // 4 dates + 1 date
 }
 
-// --- derive_intervals against the referee -----------------------------------
+// --- derived runs against the referee --------------------------------------
 
 // `set` as deserialize returns it: trimmed to its last non-zero word.
 IdSet trimmed(const IdSet& set) {
@@ -290,12 +295,33 @@ std::vector<Date> dates_for(std::size_t n) {
   return dates;
 }
 
+// The one-id derivation, for every id of the universe, against the
+// referee's all-ids derivation over the same sequence.
+void expect_matches_referee(const std::vector<Date>& dates,
+                            const std::vector<IdSet>& sets,
+                            std::size_t universe, const std::string& what) {
+  const auto expected = rs::referee::intervals::derive(dates, sets, universe);
+  for (std::uint32_t id = 0; id < universe; ++id) {
+    ASSERT_EQ(TrustIndex::intervals_of(dates, sets, id), expected[id])
+        << what << ", id " << id;
+  }
+}
+
 void expect_matches_referee(const std::vector<IdSet>& sets,
                             std::size_t universe, const std::string& what) {
-  const auto dates = dates_for(sets.size());
-  EXPECT_EQ(TrustIndex::derive_intervals(dates, sets, universe),
-            rs::referee::intervals::derive(dates, sets, universe))
-      << what;
+  expect_matches_referee(dates_for(sets.size()), sets, universe, what);
+}
+
+// perfbench's default sim_index point at seed 1.
+rs::synth::SimulatorConfig sim_index_config() {
+  rs::synth::SimulatorConfig cfg;
+  cfg.seed = 1;
+  cfg.ca_count = 600;
+  cfg.program_count = 6;
+  cfg.derivative_count = 6;
+  cfg.snapshot_interval_days = 30;
+  cfg.ct_log_count = 2;
+  return cfg;
 }
 
 TEST(DeriveIntervals, MatchesReferee) {
@@ -370,14 +396,7 @@ TEST(DeriveIntervals, MatchesReferee) {
 
   // Every lane and scope of perfbench's sim_index database, as built and
   // as loaded.
-  rs::synth::SimulatorConfig cfg;
-  cfg.seed = 1;
-  cfg.ca_count = 600;
-  cfg.program_count = 6;
-  cfg.derivative_count = 6;
-  cfg.snapshot_interval_days = 30;
-  cfg.ct_log_count = 2;
-  const auto eco = rs::synth::simulate_ecosystem(cfg);
+  const auto eco = rs::synth::simulate_ecosystem(sim_index_config());
   const auto table = rs::store::MembershipTable::build(eco.database);
   const std::size_t universe = table.interner().size();
   for (const auto& [name, history] : eco.database.histories()) {
@@ -393,16 +412,65 @@ TEST(DeriveIntervals, MatchesReferee) {
         built.push_back(row[s]);
         loaded.push_back(trimmed(row[s]));
       }
-      const auto expected =
-          rs::referee::intervals::derive(dates, built, universe);
-      EXPECT_EQ(TrustIndex::derive_intervals(dates, built, universe),
-                expected)
-          << name << " scope " << s;
-      EXPECT_EQ(TrustIndex::derive_intervals(dates, loaded, universe),
-                expected)
-          << name << " scope " << s << ", trimmed";
+      expect_matches_referee(dates, built, universe,
+                             name + " scope " + std::to_string(s));
+      expect_matches_referee(
+          dates, loaded, universe,
+          name + " scope " + std::to_string(s) + ", trimmed");
     }
   }
+}
+
+// --- first-seen tables against lineage --------------------------------------
+
+// first_seen_tables walks the sets word by word; lineage derives each id's
+// runs one set at a time.  A provider's first-seen date of an id is the
+// earliest `added` among its spans, in every scope.
+void expect_first_seen_is_earliest_added(const TrustIndex& index,
+                                         const std::string& what) {
+  const auto names = index.providers();
+  const std::size_t universe = index.interner().size();
+  for (const Scope scope :
+       {Scope::kTls, Scope::kEmail, Scope::kCode, Scope::kPresent}) {
+    const auto tables = rs::landscape::first_seen_tables(index, scope);
+    ASSERT_EQ(tables.size(), names.size()) << what;
+    for (const auto& table : tables) ASSERT_EQ(table.size(), universe) << what;
+    for (std::uint32_t id = 0; id < universe; ++id) {
+      std::vector<std::optional<Date>> earliest(names.size());
+      for (const auto& span :
+           index.lineage(index.interner().digest_of(id), scope)) {
+        const auto p = static_cast<std::size_t>(
+            std::find(names.begin(), names.end(), span.provider) -
+            names.begin());
+        ASSERT_LT(p, names.size()) << what;
+        if (!earliest[p] || span.interval.added < *earliest[p]) {
+          earliest[p] = span.interval.added;
+        }
+      }
+      for (std::size_t p = 0; p < names.size(); ++p) {
+        ASSERT_EQ(tables[p][id], earliest[p])
+            << what << " " << names[p] << " scope " << to_string(scope)
+            << " id " << id;
+      }
+    }
+  }
+}
+
+TEST(FirstSeenTables, EqualEarliestLineageAdded) {
+  const auto check = [](const StoreDatabase& db, const std::string& what) {
+    const TrustIndex built =
+        TrustIndex::build(db, CertInterner::from_database(db));
+    expect_first_seen_is_earliest_added(built, what + ", built");
+    // Loaded sets are trimmed to their last non-zero word.
+    const std::string image = TrustIndexIO::serialize(built);
+    auto loaded = TrustIndexIO::deserialize(
+        {reinterpret_cast<const std::uint8_t*>(image.data()), image.size()});
+    ASSERT_TRUE(loaded.ok()) << loaded.message();
+    expect_first_seen_is_earliest_added(loaded.value(), what + ", loaded");
+  };
+  check(rs::synth::build_paper_scenario().database(), "paper");
+  check(rs::synth::simulate_ecosystem(sim_index_config()).database,
+        "sim_index");
 }
 
 }  // namespace

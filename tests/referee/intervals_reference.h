@@ -1,12 +1,13 @@
-// The reference interval derivation: TrustIndex::derive_intervals as the
-// library ran it before it walked the sets word by word (src/query/
-// trust_index.cpp).  For every consecutive pair of sets it materializes
-// the two differences as IdSets, walks their ids() vectors, opens a run
-// where a set gains an ID and closes it where the next set lacks it; runs
-// still open after the last set stay open.  The word walk must agree with
-// it on every (dates, sets) sequence, trimmed or not
-// (tests/query/trust_index_test.cpp, DeriveIntervals.*).  Header-only,
-// included from the repo root.
+// The reference interval derivation: every certificate's presence runs at
+// once, as the library derived and stored them before it kept the sets
+// alone.  For every consecutive pair of sets it materializes the two
+// differences as IdSets, walks their ids() vectors, opens a run where a set
+// gains an ID and closes it where the next set lacks it; runs still open
+// after the last set stay open.  TrustIndex::intervals_of, the one-id
+// derivation lineage() uses, must agree with it for every ID on every
+// (dates, sets) sequence, trimmed or not (tests/query/trust_index_test.cpp,
+// DeriveIntervals.*; fuzz/fuzz_persist_load.cpp).  Header-only, included
+// from the repo root.
 #pragma once
 
 #include <cstddef>

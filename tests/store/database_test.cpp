@@ -78,23 +78,6 @@ TEST(StoreDatabase, CertificateLookup) {
   EXPECT_EQ(interner.id_of(make_cert(99)->sha256()), std::nullopt);
 }
 
-TEST(StoreDatabase, TlsPresenceIntervals) {
-  const StoreDatabase db = make_db();
-  auto shared = make_cert(1);
-  const auto presence = db.tls_presence(shared->sha256());
-  ASSERT_EQ(presence.size(), 2u);
-  EXPECT_EQ(presence[0].provider, "A");
-  EXPECT_EQ(presence[0].first_seen, Date::ymd(2019, 1, 1));
-  EXPECT_EQ(presence[0].last_seen, Date::ymd(2020, 1, 1));
-  EXPECT_TRUE(presence[0].in_latest);
-
-  auto removed = make_cert(3);
-  const auto removed_presence = db.tls_presence(removed->sha256());
-  ASSERT_EQ(removed_presence.size(), 1u);
-  EXPECT_EQ(removed_presence[0].last_seen, Date::ymd(2019, 1, 1));
-  EXPECT_FALSE(removed_presence[0].in_latest);
-}
-
 // Ever-sets are OR-accumulated membership rows.
 TEST(StoreDatabase, EverSets) {
   const StoreDatabase db = make_db();

@@ -202,7 +202,7 @@ TEST(FileFraming, RejectsNonsense) {
 
   {  // Version skew is detected before any checksum work.
     std::string skew = image;
-    skew[8] = 2;
+    skew[8] = static_cast<char>(kFormatVersion + 1);
     EXPECT_EQ(FileView::parse(as_span(skew)).code(), LoadError::kBadVersion);
   }
   {  // Unknown feature flags.

@@ -11,7 +11,7 @@
 //   rootstore serve                       NDJSON query server on loopback TCP
 //   rootstore index build <out>           compile + persist the trust index
 //   rootstore index append <file>         absorb new snapshots incrementally
-//   rootstore index verify <file>         deep-verify a persisted index
+//   rootstore index verify <file>         load a persisted index, print stats
 //   rootstore formats                     list supported formats
 //
 // Every subcommand works on any supported serialization (sniffed from the
@@ -101,8 +101,8 @@ int usage() {
       "                            absorb snapshots newer than the index's\n"
       "                            coverage — O(delta), byte-identical to a\n"
       "                            full rebuild — and rewrite atomically\n"
-      "  index verify <file>       structural + checksum + deep consistency\n"
-      "                            verification of a persisted index\n"
+      "  index verify <file>       full structural + checksum load of a\n"
+      "                            persisted index, then its stats\n"
       "  serve [--port N] [--threads K] [--cache N] [--port-file FILE]\n"
       "        [--from DIR] [--index FILE] [--watch-index]\n"
       "                            serve queries as newline-delimited JSON\n"
