@@ -4,8 +4,6 @@
 //     store at one date through the TrustIndex (borrowed IdSet views, no
 //     copies) and run landscape::agreement_summary, i.e. word-parallel
 //     popcounts over interned presence vectors.
-//   * BM_AgreementMatrixIdSetPooled — the same pass with the pairwise
-//     popcounts fanned out on a 3-worker ThreadPool.
 //   * BM_AgreementMatrixNaive — the honest baseline an implementation
 //     without the interner would run: extract each provider's snapshot
 //     into a sorted set of 32-byte digests (the test referee's
@@ -21,7 +19,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/landscape/index_view.h"
 #include "src/landscape/presence.h"
 #include "src/query/engine.h"
@@ -66,26 +63,16 @@ const Bench& bench() {
   return *b;
 }
 
-void agreement_idset(benchmark::State& state, rs::exec::ThreadPool* pool) {
+void BM_AgreementMatrixIdSet(benchmark::State& state) {
   const Bench& b = bench();
   for (auto _ : state) {
     const auto view =
         rs::landscape::presence_at(b.engine.index(), b.date, Scope::kTls);
-    auto summary = rs::landscape::agreement_summary(view.sets, pool);
+    auto summary = rs::landscape::agreement_summary(view.sets);
     benchmark::DoNotOptimize(summary);
   }
 }
-
-void BM_AgreementMatrixIdSet(benchmark::State& state) {
-  agreement_idset(state, nullptr);
-}
 BENCHMARK(BM_AgreementMatrixIdSet);
-
-void BM_AgreementMatrixIdSetPooled(benchmark::State& state) {
-  rs::exec::ThreadPool pool(3);
-  agreement_idset(state, &pool);
-}
-BENCHMARK(BM_AgreementMatrixIdSetPooled);
 
 /// The same metrics from scratch with sorted-digest sets: what every
 /// request would cost without interned presence vectors.

@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
                 cert->short_id().c_str());
     for (const auto& span :
          index.lineage(cert->sha256(), rs::query::Scope::kTls)) {
-      std::printf("  %-12s %s .. %s\n", span.provider.c_str(),
+      std::printf("  %-12.*s %s .. %s\n",
+                  static_cast<int>(span.provider.size()), span.provider.data(),
                   span.interval.added.to_string().c_str(),
                   span.interval.removed
                       ? span.interval.removed->to_string().c_str()

@@ -1,24 +1,18 @@
-// Deterministic fork-join execution for the membership-table build.
+// Fork-join execution for the membership-table build.
 //
 // One production site uses the pool: MembershipTable::add builds each
 // provider's lane of per-snapshot rows on its own task.  Every other
 // analysis runs inline, because there a fork-join costs about what it
-// saves (docs/PARALLELISM.md has the per-site measurements);
-// landscape::agreement_summary keeps a pooled pair loop that only a
-// benchmark drives.  This module provides the primitive: a fixed-size
-// thread pool plus a chunked parallel-for whose results are identical for
-// ANY worker count, including zero workers (inline serial execution).
+// saves (docs/PARALLELISM.md has the per-site measurements).  This module
+// provides the primitive: a fixed-size thread pool plus a parallel-for
+// that submits one task per index, or runs inline when it has no workers
+// to use (zero workers is the serial engine).
 //
-// Determinism contract (see docs/PARALLELISM.md):
-//   * Chunk boundaries depend only on the range length `n`, never on the
-//     worker count (plan_chunks).
-//   * parallel_for bodies write disjoint outputs, so scheduling order is
-//     irrelevant.
-//   * The serial fallback (`pool == nullptr` or zero workers) walks the
-//     same chunks in the same order through the same code path.
+// Determinism contract (see docs/PARALLELISM.md): parallel_for bodies
+// write disjoint outputs, so scheduling order is irrelevant and any worker
+// count gives the same result.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -38,8 +32,8 @@ namespace rs::exec {
 /// inline on the calling thread.  Destruction drains every task already
 /// queued before joining (shutdown never drops work).  `submit` from inside
 /// a worker of the same pool throws std::logic_error: nested submission
-/// deadlocks a bounded pool, so the parallel helpers below detect it and
-/// degrade to inline serial execution instead.
+/// deadlocks a bounded pool, so parallel_for below detects it and runs
+/// inline instead.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -70,44 +64,16 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Fixed chunking for an n-element range.  Depends only on `n` — never on
-/// the worker count — which is what makes parallel results reproducible
-/// across thread configurations.
-struct ChunkPlan {
-  std::size_t chunk_size = 0;
-  std::size_t chunk_count = 0;
-};
-
-inline ChunkPlan plan_chunks(std::size_t n) noexcept {
-  // Enough chunks that a handful of workers load-balance across uneven
-  // per-element cost (providers differ in snapshot count), few enough that
-  // queue overhead stays negligible.
-  constexpr std::size_t kTargetChunks = 64;
-  ChunkPlan plan;
-  if (n == 0) return plan;
-  plan.chunk_size = (n + kTargetChunks - 1) / kTargetChunks;
-  plan.chunk_count = (n + plan.chunk_size - 1) / plan.chunk_size;
-  return plan;
-}
-
-/// Runs `body(chunk_index, begin, end)` over the fixed chunks of [0, n).
-/// Parallel when `pool` has workers and we are not already inside one of
-/// them; inline serial (same chunks, ascending order) otherwise.  The first
-/// exception thrown by a body is rethrown on the calling thread after all
-/// chunks finish.
+/// Runs `body(i)` for every i in [0, n), one pool task per index.  Runs
+/// inline, in ascending order, when `pool` is null or has zero workers,
+/// when the caller is one of its workers, or when n <= 1.  Every task runs
+/// even when one throws; the first exception is rethrown on the calling
+/// thread after all of them finish.  Bodies must write disjoint state.
 template <typename Body>
-void for_each_chunk(ThreadPool* pool, std::size_t n, const Body& body) {
-  const ChunkPlan plan = plan_chunks(n);
-  if (plan.chunk_count == 0) return;
-
-  const bool serial = pool == nullptr || pool->worker_count() == 0 ||
-                      pool->in_worker() || plan.chunk_count == 1;
-  if (serial) {
-    for (std::size_t c = 0; c < plan.chunk_count; ++c) {
-      const std::size_t begin = c * plan.chunk_size;
-      const std::size_t end = std::min(n, begin + plan.chunk_size);
-      body(c, begin, end);
-    }
+void parallel_for(ThreadPool* pool, std::size_t n, const Body& body) {
+  if (pool == nullptr || pool->worker_count() == 0 || pool->in_worker() ||
+      n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
@@ -115,20 +81,18 @@ void for_each_chunk(ThreadPool* pool, std::size_t n, const Body& body) {
   // initialized in the constructor (constructors are exempt from the
   // thread-safety analysis: no other thread can hold the lock yet).
   struct Completion {
-    explicit Completion(std::size_t chunks) : remaining(chunks) {}
+    explicit Completion(std::size_t tasks) : remaining(tasks) {}
     rs::util::Mutex mutex;
     rs::util::CondVar done;
     std::size_t remaining RS_GUARDED_BY(mutex);
     std::exception_ptr error RS_GUARDED_BY(mutex);
   };
-  Completion state(plan.chunk_count);
-  for (std::size_t c = 0; c < plan.chunk_count; ++c) {
-    const std::size_t begin = c * plan.chunk_size;
-    const std::size_t end = std::min(n, begin + plan.chunk_size);
-    pool->submit([&, c, begin, end] {
+  Completion state(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pool->submit([&, i] {
       std::exception_ptr thrown;
       try {
-        body(c, begin, end);
+        body(i);
       } catch (...) {
         thrown = std::current_exception();
       }
@@ -144,17 +108,6 @@ void for_each_chunk(ThreadPool* pool, std::size_t n, const Body& body) {
     error = std::move(state.error);
   }
   if (error) std::rethrow_exception(error);
-}
-
-/// Runs `body(i)` for every i in [0, n); see for_each_chunk for the
-/// scheduling and exception contract.  Bodies must write disjoint state.
-template <typename Body>
-void parallel_for(ThreadPool* pool, std::size_t n, const Body& body) {
-  for_each_chunk(pool, n,
-                 [&](std::size_t /*chunk*/, std::size_t begin,
-                     std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) body(i);
-                 });
 }
 
 }  // namespace rs::exec

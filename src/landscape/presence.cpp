@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "src/exec/thread_pool.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 
@@ -59,7 +58,7 @@ std::vector<IdSet> exclusive_sets(
 }
 
 AgreementSummary agreement_summary(const std::vector<const IdSet*>& sets,
-                                   rs::exec::ThreadPool* pool) {
+                                   rs::exec::ThreadPool* /*pool*/) {
   rs::obs::Span span("landscape/agreement");
   AgreementSummary out;
   const std::size_t n = sets.size();
@@ -82,29 +81,14 @@ AgreementSummary agreement_summary(const std::vector<const IdSet*>& sets,
   out.exclusive_counts.reserve(n);
   for (const IdSet& e : exclusives) out.exclusive_counts.push_back(e.size());
 
-  // Pairwise overlaps: flatten the upper triangle so the pool can chunk
-  // it; each slot is written exactly once (disjoint outputs), and the
-  // cardinalities are integers, so any worker count yields the same bytes.
+  // Pairwise overlaps over the upper triangle, row-major.
   const std::size_t pair_count = n < 2 ? 0 : n * (n - 1) / 2;
-  out.pairs.resize(pair_count);
-  if (pair_count > 0) {
-    // Row offsets: pairs of row a start at offset[a].
-    std::vector<std::size_t> offset(n, 0);
-    for (std::size_t a = 1; a < n; ++a) {
-      offset[a] = offset[a - 1] + (n - a);
+  out.pairs.reserve(pair_count);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      out.pairs.push_back({a, b, sets[a]->intersection_size(*sets[b]),
+                           sets[a]->union_size(*sets[b])});
     }
-    rs::exec::parallel_for(pool, pair_count, [&](std::size_t k) {
-      // Invert the flat index to (a, b): find the row by scanning offsets
-      // (n is small — tens of providers — so linear is fine).
-      std::size_t a = 0;
-      while (a + 1 < n && offset[a + 1] <= k) ++a;
-      const std::size_t b = a + 1 + (k - offset[a]);
-      PairScore& p = out.pairs[k];
-      p.a = a;
-      p.b = b;
-      p.intersection = sets[a]->intersection_size(*sets[b]);
-      p.union_size = sets[a]->union_size(*sets[b]);
-    });
   }
   span.set_items(pair_count);
   rs::obs::Registry::global().counter("landscape.pairs_scored")

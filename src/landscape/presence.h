@@ -74,11 +74,10 @@ std::vector<rs::store::IdSet> exclusive_sets(
     const std::vector<const rs::store::IdSet*>& candidates,
     const std::vector<const rs::store::IdSet*>& held);
 
-/// Full agreement summary over one presence vector.  `pool` parallelizes
-/// the pairwise popcounts; results are identical for any worker count
-/// (integer cardinalities, disjoint writes, fixed pair order).  At tens
-/// of providers the serial loop is several times faster, so the study
-/// passes no pool; only a benchmark still does (docs/PARALLELISM.md).
+/// Full agreement summary over one presence vector.  `pool` is ignored:
+/// the pairs are one plain loop, several times faster at tens of providers
+/// than a pooled one.  The parameter stays only until perfbench's grid
+/// sweep stops passing it.
 AgreementSummary agreement_summary(
     const std::vector<const rs::store::IdSet*>& sets,
     rs::exec::ThreadPool* pool = nullptr);

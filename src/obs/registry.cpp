@@ -4,9 +4,13 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/util/json.h"
+
 namespace rs::obs {
 
 namespace {
+
+using rs::util::append_json_string;
 
 const SteadyClock& default_clock() {
   static const SteadyClock clock;
@@ -24,31 +28,6 @@ struct ThreadSlot {
 };
 
 thread_local ThreadSlot tls_thread_slot;
-
-// Minimal JSON string escaping: span/counter names are ASCII identifiers
-// in practice, but arbitrary bytes must not corrupt the document.
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 // trace_event timestamps are microseconds; emit with fixed .3 precision so
 // FakeClock-driven output is byte-stable.

@@ -10,12 +10,15 @@
 #include "src/store/database.h"
 #include "src/store/interner.h"
 #include "src/util/hex.h"
+#include "src/util/json.h"
 #include "src/verify/temporal.h"
 #include "src/verify/verify.h"
 #include "src/x509/certificate.h"
 
 namespace rs::query {
 namespace {
+
+using rs::util::append_json_string;
 
 /// Appends `value` in decimal.
 void append_uint(std::string& out, std::uint64_t value) {

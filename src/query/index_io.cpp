@@ -298,23 +298,9 @@ rs::util::Result<bool> TrustIndexIO::append_snapshot(
                   p.dates.back().to_string() +
                   "; incremental append must be chronological");
   }
-  if (!p.dates.empty() && snapshot.date == p.dates.back()) {
-    // Equal-dated snapshots collapse to the later one (the full build's
-    // ProviderHistory::at semantics): drop the provider's newest snapshot
-    // before appending the replacement.
-    for (auto& sets : p.sets) sets.pop_back();
-    p.dates.pop_back();
-    p.versions.pop_back();
-    index.resolutions_ -= 1;
-  }
-
-  auto rows = rs::store::MembershipTable::rows_of(snapshot, index.interner_);
-  for (std::size_t s = 0; s < kScopeCount; ++s) {
-    p.sets[s].push_back(std::move(rows[s]));
-  }
-  p.dates.push_back(snapshot.date);
-  p.versions.push_back(snapshot.version);
-  index.resolutions_ += 1;
+  index.push_point(
+      p, snapshot,
+      rs::store::MembershipTable::rows_of(snapshot, index.interner_));
 
   auto& reg = rs::obs::Registry::global();
   if (reg.enabled()) reg.counter("persist.snapshots_appended").increment();

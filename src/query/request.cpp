@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "src/encoding/base64.h"
 #include "src/util/hex.h"
+#include "src/util/json.h"
 
 namespace rs::query {
 namespace {
 
+using rs::util::append_json_string;
 using rs::util::Result;
-
-constexpr char kHexDigits[] = "0123456789abcdef";
 
 bool is_ws(char c) noexcept {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';
@@ -38,35 +37,6 @@ struct Cursor {
   }
 };
 
-/// True for a byte a JSON string carries as itself: not '"', not '\\',
-/// not a control byte.
-bool is_plain(char c) noexcept {
-  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
-}
-
-/// Length of the longest prefix of the `n` bytes at `p` that are all
-/// plain.  Tests eight bytes at a time: a word needs a closer look when one
-/// of its bytes is '"', '\\' or below 0x20 (the zero-byte and less-than
-/// tests of "Bit Twiddling Hacks", exact about whether such a byte
-/// exists), and the byte loop finds which one.
-std::size_t plain_prefix(const char* p, std::size_t n) noexcept {
-  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
-  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    const std::uint64_t quote = w ^ (kOnes * '"');
-    const std::uint64_t backslash = w ^ (kOnes * '\\');
-    const std::uint64_t stop = ((quote - kOnes) & ~quote) |
-                               ((backslash - kOnes) & ~backslash) |
-                               ((w - kOnes * 0x20) & ~w);
-    if ((stop & kHigh) != 0) break;
-  }
-  while (i < n && is_plain(p[i])) ++i;
-  return i;
-}
-
 /// Parses a JSON string literal.  Accepts the simple escapes
 /// (\" \\ \/ \b \f \n \r \t); rejects \uXXXX (the request vocabulary is
 /// ASCII) and raw control bytes.  `what` names the thing being parsed for
@@ -89,8 +59,8 @@ Result<std::string_view> parse_string(Cursor& in, const char* what,
   }
   const std::size_t start = in.pos;
   const auto run = [&in](std::size_t room) {
-    return plain_prefix(in.text.data() + in.pos,
-                        std::min(room, in.text.size() - in.pos));
+    return rs::util::json_plain_prefix(
+        in.text.data() + in.pos, std::min(room, in.text.size() - in.pos));
   };
   in.pos += run(cap);
   if (!in.done() && in.peek() == '"') {
@@ -336,31 +306,6 @@ std::size_t max_request_bytes(Op op) noexcept {
   return (op == Op::kVerifyChain || op == Op::kFirstRejectedAt)
              ? kMaxVerifyRequestBytes
              : kMaxRequestBytes;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  std::size_t i = 0;
-  while (true) {
-    // Copy the clean run at once; stop at the next byte to escape.
-    const std::size_t j = i + plain_prefix(s.data() + i, s.size() - i);
-    out.append(s.data() + i, j - i);
-    if (j == s.size()) break;
-    const char c = s[j];
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        out += "\\u00";
-        out.push_back(kHexDigits[(static_cast<unsigned char>(c) >> 4) & 0xF]);
-        out.push_back(kHexDigits[static_cast<unsigned char>(c) & 0xF]);
-    }
-    i = j + 1;
-  }
-  out.push_back('"');
 }
 
 rs::util::Result<Request> parse_request(std::string_view text) {

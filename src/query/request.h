@@ -114,10 +114,6 @@ struct Request {
 /// its epoch prefix to build a cache key in one buffer.
 void append_canonical_request(std::string& out, const Request& request);
 
-/// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
-/// Shared by the canonicalizer and the response writers in engine.cpp.
-void append_json_string(std::string& out, std::string_view s);
-
 /// True when `text` opens a batch envelope: `{"op":"batch",...}` with `op`
 /// as the first field (the batch grammar mandates field order, so this
 /// cheap prefix test is exact).  Batch lines bypass parse_request and go

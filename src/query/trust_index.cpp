@@ -16,46 +16,32 @@ const char* to_string(TrustAnswer a) noexcept {
   return "?";
 }
 
-std::vector<TrustInterval> TrustIndex::intervals_of(
-    std::span<const rs::util::Date> dates,
-    std::span<const rs::store::IdSet> sets, std::uint32_t id) {
-  std::vector<TrustInterval> runs;
+void TrustIndex::intervals_of(std::string_view provider,
+                              std::span<const rs::util::Date> dates,
+                              std::span<const rs::store::IdSet> sets,
+                              std::uint32_t id, std::vector<LineageSpan>& out) {
   bool open = false;
   for (std::size_t k = 0; k < sets.size(); ++k) {
     const bool held = sets[k].contains(id);
-    if (held && !open) runs.push_back({dates[k], std::nullopt});
-    if (!held && open) runs.back().removed = dates[k];
+    if (held && !open) out.push_back({provider, {dates[k], std::nullopt}});
+    if (!held && open) out.back().interval.removed = dates[k];
     open = held;
   }
-  return runs;
 }
 
-void TrustIndex::build_provider(const rs::store::ProviderHistory& history,
-                                const std::vector<rs::store::ScopeSets>& rows,
-                                ProviderData& out) {
-  // Collapse to distinct dates: for equal dates the later snapshot wins,
-  // mirroring ProviderHistory::at (upper_bound resolution).
-  const auto& snapshots = history.snapshots();
-  std::vector<std::size_t> resolved;
-  for (std::size_t k = 0; k < snapshots.size(); ++k) {
-    if (!resolved.empty() &&
-        snapshots[resolved.back()].date == snapshots[k].date) {
-      resolved.back() = k;
-    } else {
-      resolved.push_back(k);
-    }
+void TrustIndex::push_point(ProviderData& p,
+                            const rs::store::Snapshot& snapshot,
+                            const rs::store::ScopeSets& rows) {
+  if (!p.dates.empty() && p.dates.back() == snapshot.date) {
+    p.dates.pop_back();
+    p.versions.pop_back();
+    for (auto& sets : p.sets) sets.pop_back();
+    --resolutions_;
   }
-
-  out.dates.reserve(resolved.size());
-  out.versions.reserve(resolved.size());
-  for (const std::size_t k : resolved) {
-    out.dates.push_back(snapshots[k].date);
-    out.versions.push_back(snapshots[k].version);
-  }
-  for (std::size_t s = 0; s < kScopeCount; ++s) {
-    out.sets[s].reserve(resolved.size());
-    for (const std::size_t k : resolved) out.sets[s].push_back(rows[k][s]);
-  }
+  p.dates.push_back(snapshot.date);
+  p.versions.push_back(snapshot.version);
+  for (std::size_t s = 0; s < kScopeCount; ++s) p.sets[s].push_back(rows[s]);
+  ++resolutions_;
 }
 
 TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
@@ -76,8 +62,14 @@ TrustIndex TrustIndex::build(const rs::store::StoreDatabase& db,
     index.by_name_.emplace(name, index.providers_.size());
     auto& provider = index.providers_.emplace_back();
     provider.name = name;
-    build_provider(history, table.lane(history), provider);
-    index.resolutions_ += provider.dates.size();
+    const auto& snapshots = history.snapshots();
+    const auto& rows = table.lane(history);
+    provider.dates.reserve(snapshots.size());
+    provider.versions.reserve(snapshots.size());
+    for (auto& sets : provider.sets) sets.reserve(snapshots.size());
+    for (std::size_t k = 0; k < snapshots.size(); ++k) {
+      index.push_point(provider, snapshots[k], rows[k]);
+    }
   }
   span.set_items(index.resolutions_);
   return index;
@@ -201,11 +193,11 @@ std::vector<LineageSpan> TrustIndex::lineage(
   std::vector<LineageSpan> spans;
   const auto id = interner_.id_of(fp);
   if (!id) return spans;
+  // Most roots hold one run in a provider that carried them at all.
+  spans.reserve(providers_.size());
   for (const auto& p : providers_) {
-    for (const TrustInterval& run :
-         intervals_of(p.dates, p.sets[static_cast<std::size_t>(scope)], *id)) {
-      spans.push_back({p.name, run});
-    }
+    intervals_of(p.name, p.dates, p.sets[static_cast<std::size_t>(scope)],
+                 *id, spans);
   }
   return spans;
 }

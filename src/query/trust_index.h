@@ -58,9 +58,11 @@ struct TrustInterval {
   friend bool operator==(const TrustInterval&, const TrustInterval&) = default;
 };
 
-/// One lineage entry: an interval in one provider's history.
+/// One lineage entry: an interval in one provider's history.  `provider`
+/// borrows the name from the index, as StoreView::provider does, and stays
+/// valid for the index's lifetime.
 struct LineageSpan {
-  std::string provider;
+  std::string_view provider;
   TrustInterval interval;
 };
 
@@ -154,15 +156,17 @@ class TrustIndex {
   std::vector<LineageSpan> lineage(const rs::crypto::Sha256Digest& fp,
                                    Scope scope) const;
 
-  /// Presence runs of certificate `id` over one (provider, scope)'s
-  /// date-ordered sets: a run opens at the first set that holds the ID and
-  /// closes at the first later set that lacks it; a run still open after
-  /// the last set has no `removed`.  Sets may differ in word count.
-  /// lineage() derives its spans with this; the referee in
+  /// Appends to `out` the presence runs of certificate `id` over one
+  /// (provider, scope)'s date-ordered sets, each as a span of `provider`:
+  /// a run opens at the first set that holds the ID and closes at the
+  /// first later set that lacks it; a run still open after the last set
+  /// has no `removed`.  Sets may differ in word count.  lineage() derives
+  /// its spans with this; the referee in
   /// tests/referee/intervals_reference.h checks it.
-  static std::vector<TrustInterval> intervals_of(
-      std::span<const rs::util::Date> dates,
-      std::span<const rs::store::IdSet> sets, std::uint32_t id);
+  static void intervals_of(std::string_view provider,
+                           std::span<const rs::util::Date> dates,
+                           std::span<const rs::store::IdSet> sets,
+                           std::uint32_t id, std::vector<LineageSpan>& out);
 
  private:
   // The persistence layer (serialize/load/append, docs/PERSISTENCE.md)
@@ -172,8 +176,7 @@ class TrustIndex {
   struct ProviderData {
     std::string name;
     // Distinct snapshot dates, ascending.  When a history carries several
-    // snapshots on one date, the last one wins (matching
-    // ProviderHistory::at resolution).
+    // snapshots on one date, the last one wins (push_point).
     std::vector<rs::util::Date> dates;
     std::vector<std::string> versions;  // parallel to `dates`
     // Per scope, per distinct date: interned membership set.
@@ -184,9 +187,12 @@ class TrustIndex {
   /// Index into `dates` resolving `date`, or nullopt outside coverage.
   static std::optional<std::size_t> resolve(const ProviderData& p,
                                             rs::util::Date date);
-  static void build_provider(const rs::store::ProviderHistory& history,
-                             const std::vector<rs::store::ScopeSets>& rows,
-                             ProviderData& out);
+  /// Pushes `snapshot`, with its membership `rows`, onto `p` as one
+  /// resolution point.  A snapshot dated equal to the provider's newest
+  /// replaces it: the later snapshot wins, as in ProviderHistory::at.
+  /// Dates must not decrease.
+  void push_point(ProviderData& p, const rs::store::Snapshot& snapshot,
+                  const rs::store::ScopeSets& rows);
   std::vector<ProviderData> providers_;  // name order
   std::map<std::string, std::size_t, std::less<>> by_name_;
   rs::store::CertInterner interner_;

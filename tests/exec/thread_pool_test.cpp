@@ -41,8 +41,6 @@ TEST(ThreadPool, EmptyRangeNeverInvokesBody) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
   parallel_for(&pool, 0, [&](std::size_t) { ++calls; });
-  for_each_chunk(&pool, 0,
-                 [&](std::size_t, std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -60,7 +58,7 @@ TEST(ThreadPool, SingleElementRange) {
 
 TEST(ThreadPool, EveryIndexVisitedExactlyOnce) {
   ThreadPool pool(3);
-  constexpr std::size_t kN = 5000;  // far more chunks than workers
+  constexpr std::size_t kN = 5000;  // far more tasks than workers
   std::vector<std::atomic<int>> visits(kN);
   parallel_for(&pool, kN, [&](std::size_t i) { ++visits[i]; });
   for (std::size_t i = 0; i < kN; ++i) {
@@ -82,23 +80,21 @@ TEST(ThreadPool, ExceptionPropagatesOutOfParallelFor) {
   EXPECT_EQ(calls.load(), 10);
 }
 
-TEST(ThreadPool, AllChunksRunEvenWhenOneThrows) {
+TEST(ThreadPool, EveryTaskRunsWhenOneThrows) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
-  std::atomic<int> chunks_entered{0};
+  std::atomic<int> entered{0};
   try {
-    for_each_chunk(&pool, kN,
-                   [&](std::size_t c, std::size_t, std::size_t) {
-                     ++chunks_entered;
-                     if (c == 0) throw std::runtime_error("first chunk fails");
-                   });
+    parallel_for(&pool, kN, [&](std::size_t i) {
+      ++entered;
+      if (i == 0) throw std::runtime_error("index 0 fails");
+    });
     FAIL() << "expected exception";
   } catch (const std::runtime_error&) {
   }
-  // for_each_chunk waits for every chunk before rethrowing, so no task is
+  // parallel_for waits for every task before rethrowing, so no task is
   // left running against destroyed stack state.
-  EXPECT_EQ(chunks_entered.load(),
-            static_cast<int>(plan_chunks(kN).chunk_count));
+  EXPECT_EQ(entered.load(), static_cast<int>(kN));
 }
 
 TEST(ThreadPool, NestedSubmitFromWorkerThrows) {

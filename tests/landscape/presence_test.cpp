@@ -1,6 +1,6 @@
 // Unit tests for the landscape disparity primitives: every metric is
-// cross-checked against a naive recomputation over the same sets, and the
-// pooled pairwise pass must reproduce the serial bytes.
+// cross-checked against a naive recomputation over the same sets, and a
+// pool passed to agreement_summary changes nothing and runs no task.
 #include "src/landscape/presence.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,8 @@
 
 #include "src/exec/thread_pool.h"
 #include "src/landscape/ct_landscape.h"
+#include "src/obs/clock.h"
+#include "src/obs/registry.h"
 #include "src/store/id_set.h"
 #include "src/util/date.h"
 
@@ -127,7 +129,7 @@ TEST(AgreementSummary, MatchesNaiveRecomputation) {
   }
 }
 
-TEST(AgreementSummary, PooledMatchesSerial) {
+TEST(AgreementSummary, PoolArgumentChangesNothing) {
   const std::size_t universe = 512;
   std::vector<IdSet> sets;
   for (std::size_t p = 0; p < 12; ++p) {
@@ -138,9 +140,18 @@ TEST(AgreementSummary, PooledMatchesSerial) {
     sets.push_back(make_set(universe, ids));
   }
   const auto v = views(sets);
+  auto& reg = rs::obs::Registry::global();
+  rs::obs::FakeClock clock(0, 1);
+  reg.reset();
+  reg.enable(&clock);
   const auto serial = rs::landscape::agreement_summary(v, nullptr);
   rs::exec::ThreadPool pool(3);
   const auto pooled = rs::landscape::agreement_summary(v, &pool);
+  reg.disable();
+  // The pairs are one plain loop: the pool never sees a task.
+  EXPECT_EQ(reg.counter_value("exec.pool_tasks"), 0u);
+  reg.reset();
+
   EXPECT_EQ(serial.sizes, pooled.sizes);
   EXPECT_EQ(serial.exclusive_counts, pooled.exclusive_counts);
   EXPECT_EQ(serial.union_size, pooled.union_size);

@@ -110,15 +110,11 @@ TEST(ObsPool, ParallelForSpansCarryDistinctThreadIndices) {
   {
     rs::exec::ThreadPool pool(3);
     std::vector<int> out(256, 0);
-    rs::exec::for_each_chunk(&pool, out.size(),
-                             [&](std::size_t /*chunk*/, std::size_t begin,
-                                 std::size_t end) {
-                               rs::obs::Span span("test/chunk");
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 out[i] = 1;
-                               }
-                               span.set_items(end - begin);
-                             });
+    rs::exec::parallel_for(&pool, out.size(), [&](std::size_t i) {
+      rs::obs::Span span("test/task");
+      out[i] = 1;
+      span.set_items(1);
+    });
     for (int v : out) EXPECT_EQ(v, 1);
   }
 
@@ -127,7 +123,7 @@ TEST(ObsPool, ParallelForSpansCarryDistinctThreadIndices) {
   ASSERT_FALSE(spans.empty());
   std::uint64_t items = 0;
   for (const auto& s : spans) {
-    EXPECT_EQ(s.name, "test/chunk");
+    EXPECT_EQ(s.name, "test/task");
     items += s.items;
   }
   EXPECT_EQ(items, 256u);  // every element accounted for exactly once

@@ -16,6 +16,7 @@
 #include "src/query/request.h"
 #include "src/store/interner.h"
 #include "src/synth/paper_scenario.h"
+#include "src/util/json.h"
 #include "tests/referee/request_reference.h"
 #include "tests/serve/wire_golden_lines.h"
 
@@ -94,7 +95,7 @@ TEST(RequestReferee, AppendJsonStringEscapesEveryByteAlike) {
   for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
   std::string got = "x";
   std::string want = "x";
-  append_json_string(got, all);
+  rs::util::append_json_string(got, all);
   ref::append_json_string(want, all);
   EXPECT_EQ(got, want);
 
@@ -108,7 +109,7 @@ TEST(RequestReferee, AppendJsonStringEscapesEveryByteAlike) {
     }
     got.clear();
     want.clear();
-    append_json_string(got, s);
+    rs::util::append_json_string(got, s);
     ref::append_json_string(want, s);
     ASSERT_EQ(got, want) << "case " << i;
   }

@@ -374,12 +374,6 @@ TEST(CanonicalRequest, IsAFixedPoint) {
   }
 }
 
-TEST(AppendJsonString, EscapesControlBytesAndQuotes) {
-  std::string out;
-  append_json_string(out, "a\"b\\c\nd\x01");
-  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-}
-
 // --- Batch envelopes ------------------------------------------------------
 
 TEST(LooksLikeBatch, MatchesExactlyTheEnvelopeOpening) {

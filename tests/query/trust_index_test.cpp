@@ -301,9 +301,19 @@ void expect_matches_referee(const std::vector<Date>& dates,
                             const std::vector<IdSet>& sets,
                             std::size_t universe, const std::string& what) {
   const auto expected = rs::referee::intervals::derive(dates, sets, universe);
+  std::vector<LineageSpan> spans;
   for (std::uint32_t id = 0; id < universe; ++id) {
-    ASSERT_EQ(TrustIndex::intervals_of(dates, sets, id), expected[id])
-        << what << ", id " << id;
+    // Appends after what is already there, labelled with the provider.
+    spans.assign(1,
+                 LineageSpan{"prior", {Date::ymd(2000, 1, 1), std::nullopt}});
+    TrustIndex::intervals_of("P", dates, sets, id, spans);
+    std::vector<TrustInterval> runs;
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+      ASSERT_EQ(spans[i].provider, "P") << what << ", id " << id;
+      runs.push_back(spans[i].interval);
+    }
+    ASSERT_EQ(spans[0].provider, "prior") << what << ", id " << id;
+    ASSERT_EQ(runs, expected[id]) << what << ", id " << id;
   }
 }
 

@@ -26,6 +26,9 @@
 #       its lock bit with a relaxed store, so a later compare_exchange is
 #       unordered after the read (a race TSan reports); publish through a
 #       shared_ptr guarded by rs::util::Mutex instead.
+#   R7  no rs::exec::parallel_for call outside src/store/membership.cpp,
+#       and no definition outside src/exec/ — the per-provider membership
+#       lanes are the one place a fork-join pays (docs/PARALLELISM.md).
 #
 # Usage: tools/check_concurrency.sh   (exits non-zero on any finding)
 set -eu
@@ -79,6 +82,17 @@ if [ -n "$r6" ]; then
   status=1
   echo "check_concurrency: R6 std::atomic<std::shared_ptr> (publish a shared_ptr guarded by rs::util::Mutex instead):" >&2
   printf '%s\n' "$r6" >&2
+fi
+
+# R7: fork-join confined to the membership lanes.  The pool header under
+# src/exec/ defines parallel_for; membership.cpp is its one caller.
+r7=$(printf '%s\n' "$files" |
+  grep -v -e '^src/exec/' -e '^src/store/membership\.cpp$' |
+  xargs grep -nE '\bparallel_for\s*\(' /dev/null || true)
+if [ -n "$r7" ]; then
+  status=1
+  echo "check_concurrency: R7 parallel_for outside src/store/membership.cpp (run the loop inline; see docs/PARALLELISM.md):" >&2
+  printf '%s\n' "$r7" >&2
 fi
 
 # R3/R4: pattern uses requiring a nearby rationale comment.

@@ -3,7 +3,6 @@
 #
 #   * BM_AgreementMatrixIdSet — the shipped agreement matrix over interned
 #     IdSet presence views resolved from the TrustIndex
-#   * BM_AgreementMatrixIdSetPooled — the same pass on a 3-worker pool
 #   * BM_AgreementMatrixNaive — the same metrics recomputed from sorted
 #     32-byte digest sets (the test referee, tests/referee/), the path an
 #     implementation without the interner would run per request
@@ -27,7 +26,7 @@ if [ ! -x "$bench_bin" ]; then
 fi
 
 "$bench_bin" \
-  --benchmark_filter='BM_AgreementMatrixIdSet$|BM_AgreementMatrixIdSetPooled|BM_AgreementMatrixNaive' \
+  --benchmark_filter='BM_AgreementMatrixIdSet$|BM_AgreementMatrixNaive' \
   --benchmark_out="$out_file" \
   --benchmark_out_format=json \
   --benchmark_repetitions=1
