@@ -100,8 +100,8 @@ BENCHMARK(BM_JaccardMatrix)->Arg(10)->Arg(25)->Arg(50)
 // database (0: the paper scenario, 10 providers; 1: the sim_index point,
 // 14), the second is the worker count (0 is the inline serial baseline).
 // The table is identical across args (see docs/PARALLELISM.md); only the
-// wall clock moves.  tools/record_parallel_bench.sh captures this sweep
-// into BENCH_parallel.json.
+// wall clock moves.  tools/record_bench.sh captures this sweep into
+// BENCH_parallel.json and prints the serial-vs-N speedups.
 void BM_MembershipBuildParallel(benchmark::State& state) {
   const auto& db = state.range(0) == 1 ? sim_index_database()
                                        : shared_scenario().database();
@@ -125,10 +125,8 @@ BENCHMARK(BM_MembershipBuildParallel)->ArgsProduct({{0, 1}, {0, 1, 2, 4}})
 // --- Membership-table benchmarks -------------------------------------------
 //
 // The paper-scenario Figure 1 matrix (2011-2021 window) over the shared
-// table's rows; BENCH_intern.json keeps the historical comparison with
-// the sorted-merge engine, which now lives in tests/ as the referee.
-// tools/record_obs_bench.sh uses BM_JaccardMatrixInterned/40 as the
-// uninstrumented baseline.
+// table's rows.  tools/record_bench.sh reads BM_JaccardMatrixInterned/40 as
+// the baseline of BENCH_obs.json's disabled-overhead row.
 
 void BM_JaccardMatrixInterned(benchmark::State& state) {
   shared_table();  // built once, as in the study, outside the timed loop
@@ -292,8 +290,8 @@ BENCHMARK(BM_OperatorFootprints)->Unit(benchmark::kMillisecond);
 //
 // The same Figure-1-sized work items with the rs_obs registry disabled
 // (the default) vs enabled with the production steady clock.  The
-// acceptance gate compares the untraced arm against the uninstrumented
-// baseline benchmarks (tools/record_obs_bench.sh): the disabled cost of
+// contract compares the untraced arm against the baseline benchmarks
+// (printed, not enforced, by tools/record_bench.sh): the disabled cost of
 // every probe on the hot path is one relaxed atomic load, so the delta
 // must stay within noise (≤2%).
 

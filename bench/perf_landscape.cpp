@@ -11,9 +11,9 @@
 //     same sizes / exclusive counts / pairwise matrix / union /
 //     intersection by merge scans.
 //
-// tools/record_landscape_bench.sh runs these, writes BENCH_landscape.json,
-// and enforces the floor: the IdSet matrix must beat the naive scan by
-// >= 5x on the simulated ecosystem below.
+// tools/record_bench.sh runs these, writes BENCH_landscape.json, and
+// enforces the floor: the IdSet matrix must beat the naive scan by >= 5x
+// on the simulated ecosystem below.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

@@ -9,9 +9,9 @@
 //     snapshot to the existing tables (BM_AppendOneSnapshot) instead of
 //     recomputing the whole history (BM_FullRecompute).
 //
-// tools/record_incremental_bench.sh runs these, writes
-// BENCH_incremental.json, and enforces the DESIGN.md floors: load >= 20x
-// rebuild, append-one >= 10x full recompute, both on the paper scenario.
+// tools/record_bench.sh runs these, writes BENCH_incremental.json, and
+// enforces the DESIGN.md floors: load >= 20x rebuild, append-one >= 10x
+// full recompute, both on the paper scenario.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

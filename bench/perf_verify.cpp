@@ -9,9 +9,9 @@
 //     BM_FirstRejectedAtLinearScan evaluates every day of coverage, which
 //     is the naive alternative the breakpoint theorem replaces.
 //
-// tools/record_verify_bench.sh runs these, writes BENCH_verify.json, and
-// enforces the floor: the breakpoint sweep must beat the day-by-day scan
-// by >= 5x (it visits ~30x fewer dates on the paper scenario).
+// tools/record_bench.sh runs these, writes BENCH_verify.json, and enforces
+// the floor: the breakpoint sweep must beat the day-by-day scan by >= 5x
+// (it visits ~30x fewer dates on the paper scenario).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

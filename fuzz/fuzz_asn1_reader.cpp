@@ -1,5 +1,5 @@
 // Fuzz target: rs::asn1::Reader, the strict DER decoder underneath every
-// binary snapshot format (X.509, authroot.stl, signed envelopes).
+// binary snapshot format (X.509, authroot.stl).
 //
 // Walks the input as a DER forest: constructed elements are descended via
 // the tag-specific sub-reader APIs (exercising the nesting-depth cap),

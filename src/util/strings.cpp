@@ -1,6 +1,7 @@
 #include "src/util/strings.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 
 namespace rs::util {
@@ -93,6 +94,16 @@ bool icontains(std::string_view haystack, std::string_view needle) {
     if (iequals(haystack.substr(i, needle.size()), needle)) return true;
   }
   return false;
+}
+
+std::optional<std::size_t> parse_count(std::string_view text,
+                                       std::size_t max) {
+  if (text.empty()) return std::nullopt;
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value > max) return std::nullopt;
+  return value;
 }
 
 std::string errno_message(int errnum) {

@@ -1,6 +1,8 @@
 // Small string helpers shared by the format parsers.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,6 +56,13 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// True if `needle` occurs in `haystack` ignoring ASCII case.
 bool icontains(std::string_view haystack, std::string_view needle);
+
+/// Reads `text` as a decimal integer in 0..max: digits only, so an empty
+/// string, a sign, junk, trailing characters or a value past `max` (or past
+/// size_t) give nullopt.  The command-line tools read every numeric flag
+/// through it.
+std::optional<std::size_t> parse_count(std::string_view text,
+                                       std::size_t max);
 
 /// Thread-safe strerror: the glibc strerror() writes into a shared static
 /// buffer (clang-tidy concurrency-mt-unsafe), so concurrent code must use

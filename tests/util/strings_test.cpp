@@ -1,5 +1,7 @@
 #include "src/util/strings.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 namespace rs::util {
@@ -87,6 +89,22 @@ TEST(IContains, FindsSubstringsCaseInsensitively) {
   EXPECT_FALSE(icontains("abc", "abcd"));
   EXPECT_TRUE(icontains("SAMSUNG internet", "Samsung Internet"));
   EXPECT_FALSE(icontains("Samsung", "Samsung Internet"));
+}
+
+TEST(ParseCount, AcceptsDigitsUpToTheExactMax) {
+  EXPECT_EQ(parse_count("0", 256), 0u);
+  EXPECT_EQ(parse_count("007", 256), 7u);
+  EXPECT_EQ(parse_count("256", 256), 256u);
+  EXPECT_EQ(parse_count("257", 256), std::nullopt);
+  EXPECT_EQ(parse_count("18446744073709551615", SIZE_MAX), SIZE_MAX);
+}
+
+TEST(ParseCount, RejectsJunkSignsAndOverflow) {
+  for (const char* text : {"", "2x", "x2", "0x10", " 1", "1 ", "1.0", "+1",
+                           "-1", "-0", "18446744073709551616",
+                           "99999999999999999999999"}) {
+    EXPECT_EQ(parse_count(text, SIZE_MAX), std::nullopt) << "'" << text << "'";
+  }
 }
 
 }  // namespace

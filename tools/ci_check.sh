@@ -23,25 +23,10 @@
 #                           (skipped with a notice when clang is missing)
 #   5. lint              clang-tidy via tools/run_lint.sh (skipped with a
 #                        notice when clang-tidy is not installed)
-#   6. benches           records the lane build's 1-vs-N worker sweep into
-#                        BENCH_parallel.json, the observability-overhead
-#                        sweep into BENCH_obs.json,
-#                        the serve-layer connection/batch sweep into
-#                        BENCH_serve.json — gated same-run: 64 connections
-#                        must hold >= 0.7x the 4-connection miss
-#                        throughput, and batch-16 must amortize >= 2x the
-#                        singleton hit throughput —
-#                        the persisted-index cold-start/append
-#                        speedups into BENCH_incremental.json, gated
-#                        against the docs/PERSISTENCE.md floors (load >=
-#                        20x rebuild, append-one >= 10x full recompute),
-#                        the chain-verification sweep into
-#                        BENCH_verify.json, gated on the breakpoint
-#                        temporal scan beating the day-by-day scan >= 5x,
-#                        and the landscape agreement-matrix comparison
-#                        into BENCH_landscape.json, gated on the IdSet
-#                        matrix beating the naive sorted-digest scan
-#                        >= 5x (skip with ROOTSTORE_SKIP_BENCH=1)
+#   6. benches           tools/record_bench.sh records every BENCH_*.json
+#                        and checks them against its gate table (floors
+#                        and printed-only rows are listed there)
+#                        (skip with ROOTSTORE_SKIP_BENCH=1)
 #   7. coverage          gcov build + full suite, enforcing the src/ line
 #                        coverage floor in tools/coverage_baseline.txt
 #                        (skip with ROOTSTORE_SKIP_COVERAGE=1)
@@ -107,16 +92,8 @@ echo "=== [5/7] clang-tidy ==="
 if [ "${ROOTSTORE_SKIP_BENCH:-0}" = "1" ]; then
   echo "=== [6/7] benches: SKIPPED (ROOTSTORE_SKIP_BENCH=1) ==="
 else
-  echo "=== [6/7] benches -> BENCH_parallel/obs/serve/incremental/verify/landscape.json ==="
-  cmake --build "$repo_root/build" -j "$jobs" --target perf_analysis \
-        --target perf_persist --target perf_verify --target perf_landscape \
-        --target rootstore --target serve_loadgen
-  "$repo_root/tools/record_parallel_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_obs_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_serve_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_incremental_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_verify_bench.sh" "$repo_root/build"
-  "$repo_root/tools/record_landscape_bench.sh" "$repo_root/build"
+  echo "=== [6/7] benches -> BENCH_*.json, gated by tools/record_bench.sh ==="
+  "$repo_root/tools/record_bench.sh" "$repo_root/build"
 fi
 
 if [ "${ROOTSTORE_SKIP_COVERAGE:-0}" = "1" ]; then

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Regression test for the --port-file startup race, registered as a ctest.
 #
-# The contract (tools/rootstore.cpp, write_port_file_atomic): a stale port
-# file from a previous run is unlinked before the engine build starts, and
-# the new file appears atomically (tmp + fsync + rename) only AFTER
-# listen() has succeeded.  So a waiter polling for the file can never
+# The contract (tools/rootstore.cpp, serve_until_signal, which writes
+# through rs::store::persist::atomic_write_file): a stale port file from a
+# previous run is unlinked before the engine build starts, and the new file
+# appears atomically (tmp + fsync + rename) only AFTER listen() has
+# succeeded.  So a waiter polling for the file can never
 # read a stale port, a half-written port, or a port nobody listens on yet.
 #
 #   1. plant a stale port file; it must be replaced (never appended to,

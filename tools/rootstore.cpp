@@ -18,7 +18,6 @@
 // content): certdata.txt, PEM bundle, JKS, RSTS.
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -31,7 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "src/exec/thread_pool.h"
@@ -49,6 +47,7 @@
 #include "src/query/engine.h"
 #include "src/query/index_io.h"
 #include "src/serve/server.h"
+#include "src/store/persist.h"
 #include "src/synth/paper_scenario.h"
 #include "src/synth/user_agents.h"
 #include "src/util/strings.h"
@@ -57,7 +56,7 @@
 
 namespace {
 
-// Upper bound on every worker count: --threads and ROOTSTORE_THREADS.
+// Upper bound on every --threads worker count.
 constexpr std::size_t kMaxWorkers = 256;
 
 int usage() {
@@ -75,9 +74,9 @@ int usage() {
       "         [--trace-out FILE] [--metrics-out FILE]\n"
       "                            table1..table7, fig1..fig4, agreement,\n"
       "                            exclusivity, ct_landscape; --threads N\n"
-      "                            (or env ROOTSTORE_THREADS) builds the\n"
-      "                            per-provider membership rows on N worker\n"
-      "                            threads with byte-identical output\n"
+      "                            builds the per-provider membership rows\n"
+      "                            on N worker threads with byte-identical\n"
+      "                            output\n"
       "                            (0 = serial; every analysis runs inline);\n"
       "                            --from DIR decodes the database from a\n"
       "                            `dataset export` directory through the\n"
@@ -116,7 +115,7 @@ int usage() {
       "                            op, and with --watch-index hot-swaps the\n"
       "                            engine when FILE changes on disk\n"
       "  formats                   list supported serializations\n"
-      "--threads N and ROOTSTORE_THREADS take 0..256 worker threads.\n",
+      "--threads N takes 0..256 worker threads.\n",
       stderr);
   return 2;
 }
@@ -126,21 +125,19 @@ int die(const std::string& message) {
   return 1;
 }
 
-// Reads `text` into `out` as a decimal integer in 0..max: digits only, so
-// a sign, junk or trailing characters are rejected.  On failure prints one
-// line naming `flag`; callers then exit 2 before starting any work.
+// Reads `text` into `out` through rs::util::parse_count (digits only,
+// 0..max).  On failure prints one line naming `flag`; callers then exit 2
+// before starting any work.
 bool parse_count(std::string_view flag, std::string_view text,
                  std::size_t max, std::size_t& out) {
-  std::size_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
+  const auto value = rs::util::parse_count(text, max);
+  if (!value) {
     std::fprintf(stderr, "rootstore: %.*s must be an integer 0..%zu, got '%.*s'\n",
                  static_cast<int>(flag.size()), flag.data(), max,
                  static_cast<int>(text.size()), text.data());
     return false;
   }
-  out = value;
+  out = *value;
   return true;
 }
 
@@ -557,37 +554,11 @@ extern "C" void handle_shutdown_signal(int) {
   [[maybe_unused]] const ssize_t n = write(g_shutdown_pipe[1], &byte, 1);
 }
 
-// Writes `port` into `path` atomically: temp file, fsync, rename.  A
-// concurrently polling reader either sees no file or the complete port —
-// never a partial write — and a crash mid-write leaves no torn file.
-bool write_port_file_atomic(const std::string& path, std::uint16_t port) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const std::string text = std::to_string(port) + "\n";
-  std::size_t written = 0;
-  while (written < text.size()) {
-    const ssize_t n =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0 ||
-      ::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 // Serve tail: install the signal latch, publish the port file (only now —
 // listen(2) has already succeeded inside start(), so the file never names a
-// dead socket), block until SIGINT/SIGTERM, drain, report.
+// dead socket), block until SIGINT/SIGTERM, drain, report.  The port file is
+// written atomically (temp file, fsync, rename), so a polling reader sees
+// either no file or the complete port, never a partial write.
 int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
                        const std::string& port_file, std::size_t threads,
                        std::size_t cache) {
@@ -598,8 +569,12 @@ int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
 
-  if (!port_file.empty() && !write_port_file_atomic(port_file, bound_port)) {
-    return die("cannot write port file: " + port_file);
+  if (!port_file.empty()) {
+    const auto written = rs::store::persist::atomic_write_file(
+        port_file, std::to_string(bound_port) + "\n");
+    if (!written.ok()) {
+      return die("cannot write port file: " + written.error());
+    }
   }
   std::printf("listening 127.0.0.1:%u (threads=%zu cache=%zu)\n",
               static_cast<unsigned>(bound_port), threads, cache);
@@ -672,14 +647,7 @@ int main(int argc, char** argv) {
   if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
   if (cmd == "dataset" && args.size() == 3) return cmd_dataset(args[1], args[2]);
   if (cmd == "report" && args.size() >= 2) {
-    // Default worker count from the environment; --threads overrides.
     std::size_t threads = 0;
-    // Startup-only read on the main thread (CLI flag default): safe.
-    const char* threads_env = std::getenv("ROOTSTORE_THREADS");  // NOLINT(concurrency-mt-unsafe)
-    if (threads_env != nullptr && threads_env[0] != '\0' &&
-        !parse_count("ROOTSTORE_THREADS", threads_env, kMaxWorkers, threads)) {
-      return 2;
-    }
     bool csv = false;
     // ROOTSTORE_TRACE doubles as a default trace destination; the registry
     // itself also honours it for enablement at first access.

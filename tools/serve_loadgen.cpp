@@ -2,35 +2,25 @@
 //
 //   serve_loadgen --port N --oneshot '<json>'
 //       Send one request, print the response line, exit 0 (1 on transport
-//       failure).  Used by tools/serve_smoke.sh.
+//       failure).  Used by tools/serve_smoke.sh and
+//       tools/port_file_smoke.sh.
 //
-//   serve_loadgen --port N [--connections C] [--requests M]
-//                 [--duration S] [--batch K] [--json-out FILE]
-//                 [--request-file FILE]
-//       Benchmark mode: C concurrent connections issue M requests total in
-//       two phases — a MISS phase of distinct store_at/diff/is_trusted/
-//       lineage requests over the paper scenario, then a HIT phase
-//       replaying a small working set so the server's LRU answers from
-//       cache.  --duration S makes each phase time-bounded instead: the
-//       request mix replays cyclically until S seconds elapse.  --batch K
-//       wraps every K requests into one {"op":"batch",...} line (the
-//       throughput figures stay per-QUERY, so batch vs singleton numbers
-//       compare directly).  Reports throughput and p50/p99/p99.9 latency
-//       per phase as JSON to FILE (default stdout): the numbers checked in
-//       as BENCH_serve.json.
+//   serve_loadgen --port N [--connections C] [--requests M] [--batch K]
+//                 [--json-out FILE]
+//       Benchmark mode: C concurrent connections (1..256) issue M requests
+//       (1..1,000,000) per phase — a MISS phase of distinct store_at/diff/
+//       is_trusted/lineage requests over the paper scenario, then a HIT
+//       phase replaying a small working set so the server's LRU answers
+//       from cache.  --batch K wraps every K requests into one
+//       {"op":"batch",...} line (the throughput figures stay per-QUERY, so
+//       batch vs singleton numbers compare directly).  Reports throughput
+//       and p50/p99/p99.9 latency per phase as JSON to FILE (default
+//       stdout): tools/record_bench.sh records BENCH_serve.json with it.
 //
-// Request mix is generated deterministically from the scenario database,
-// so runs are comparable across machines and commits.  --mix SPEC reshapes
-// the generated workload: SPEC is comma-separated op:weight pairs, e.g.
-// `--mix is_trusted:4,diff:2,agreement_at:1,ct_coverage:1`, and each
-// generated request picks its op with probability weight/total.  Ops:
-// store_at, diff, is_trusted, lineage, agreement_at, ct_coverage.  The
-// default is the four classic ops at equal weight.  --request-file FILE
-// substitutes the mix with the NDJSON lines of FILE, cycled to --requests
-// total (the hot set is the file's first 64 lines); this is how the verify
-// golden corpus (tests/golden/verify/requests.ndjson) drives the server
-// with verify_chain/first_rejected_at load.  Lines that are already batch
-// envelopes go through verbatim — combine with --batch 1 only.
+// The request mix is generated deterministically from the scenario
+// database, four ops at equal weight, so runs are comparable across
+// machines and commits.  A malformed or out-of-range flag exits 2 before
+// any connection is made.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -41,10 +31,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -54,12 +43,42 @@
 #include "src/synth/paper_scenario.h"
 #include "src/util/hex.h"
 #include "src/util/stats.h"
+#include "src/util/strings.h"
 
 namespace {
+
+// Flag caps: one client thread per connection, and every request of a
+// phase is generated up front.
+constexpr std::size_t kMaxConnections = 256;
+constexpr std::size_t kMaxRequests = 1'000'000;
 
 int die(const std::string& message) {
   std::fprintf(stderr, "serve_loadgen: %s\n", message.c_str());
   return 1;
+}
+
+int usage() {
+  std::fputs("usage: serve_loadgen --port N [--connections C] [--requests M] "
+             "[--batch K] [--json-out FILE] [--oneshot '<json>']\n",
+             stderr);
+  return 2;
+}
+
+// Reads `text` into `out` as an integer in 1..max through
+// rs::util::parse_count.  On failure prints one line naming `flag`; the
+// caller then exits 2.
+bool parse_flag(std::string_view flag, std::string_view text,
+                std::size_t max, std::size_t& out) {
+  const auto value = rs::util::parse_count(text, max);
+  if (!value || *value == 0) {
+    std::fprintf(stderr,
+                 "serve_loadgen: %.*s must be an integer 1..%zu, got '%.*s'\n",
+                 static_cast<int>(flag.size()), flag.data(), max,
+                 static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  out = *value;
+  return true;
 }
 
 /// A blocking NDJSON connection to the server.
@@ -119,50 +138,9 @@ class Connection {
   std::string buffer_;
 };
 
-enum class MixOp { kStoreAt, kDiff, kIsTrusted, kLineage, kAgreementAt,
-                   kCtCoverage };
-
-/// Parses a `--mix` weights spec ("op:weight,op:weight,...") into a slot
-/// table: each op appears `weight` times, so a uniform pick over the table
-/// realises the requested ratios.  Returns false on unknown ops or bad
-/// weights.  An empty spec yields the classic equal-weight four-op mix.
-bool parse_mix(const std::string& spec, std::vector<MixOp>& slots) {
-  if (spec.empty()) {
-    slots = {MixOp::kStoreAt, MixOp::kDiff, MixOp::kIsTrusted,
-             MixOp::kLineage};
-    return true;
-  }
-  slots.clear();
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const std::string token = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    const std::size_t colon = token.find(':');
-    if (colon == std::string::npos) return false;
-    const std::string op = token.substr(0, colon);
-    const char* digits = token.c_str() + colon + 1;
-    char* end = nullptr;
-    const unsigned long weight = std::strtoul(digits, &end, 10);
-    if (end == digits || *end != '\0' || weight == 0 || weight > 100) {
-      return false;
-    }
-    MixOp mix_op;
-    if (op == "store_at") mix_op = MixOp::kStoreAt;
-    else if (op == "diff") mix_op = MixOp::kDiff;
-    else if (op == "is_trusted") mix_op = MixOp::kIsTrusted;
-    else if (op == "lineage") mix_op = MixOp::kLineage;
-    else if (op == "agreement_at") mix_op = MixOp::kAgreementAt;
-    else if (op == "ct_coverage") mix_op = MixOp::kCtCoverage;
-    else return false;
-    slots.insert(slots.end(), weight, mix_op);
-  }
-  return !slots.empty();
-}
-
-/// Deterministic request mix drawn from the scenario database.
+/// Deterministic request mix drawn from the scenario database: store_at,
+/// diff, is_trusted and lineage at equal weight.
 std::vector<std::string> build_requests(const rs::store::StoreDatabase& db,
-                                        const std::vector<MixOp>& mix,
                                         std::size_t count,
                                         std::uint64_t salt) {
   std::vector<std::string> providers = db.providers();
@@ -195,12 +173,12 @@ std::vector<std::string> build_requests(const rs::store::StoreDatabase& db,
         static_cast<std::size_t>(history->last_date() - first) + 1;
     const std::string date = (first + static_cast<std::int64_t>(
                                           next(span_days))).to_string();
-    switch (mix[next(mix.size())]) {
-      case MixOp::kStoreAt:
+    switch (next(4)) {
+      case 0:
         requests.push_back("{\"op\":\"store_at\",\"provider\":\"" + provider +
                            "\",\"date\":\"" + date + "\"}");
         break;
-      case MixOp::kDiff: {
+      case 1: {
         const std::string date_b =
             (first + static_cast<std::int64_t>(next(span_days))).to_string();
         requests.push_back("{\"op\":\"diff\",\"provider\":\"" + provider +
@@ -208,22 +186,14 @@ std::vector<std::string> build_requests(const rs::store::StoreDatabase& db,
                            date_b + "\"}");
         break;
       }
-      case MixOp::kIsTrusted:
+      case 2:
         requests.push_back("{\"op\":\"is_trusted\",\"provider\":\"" +
                            provider + "\",\"fp\":\"" + fps[next(fps.size())] +
                            "\",\"date\":\"" + date + "\"}");
         break;
-      case MixOp::kLineage:
+      default:
         requests.push_back("{\"op\":\"lineage\",\"fp\":\"" +
                            fps[next(fps.size())] + "\"}");
-        break;
-      case MixOp::kAgreementAt:
-        requests.push_back("{\"op\":\"agreement_at\",\"date\":\"" + date +
-                           "\"}");
-        break;
-      case MixOp::kCtCoverage:
-        requests.push_back("{\"op\":\"ct_coverage\",\"provider\":\"" +
-                           provider + "\",\"date\":\"" + date + "\"}");
         break;
     }
   }
@@ -262,20 +232,15 @@ struct PhaseResult {
   }
 };
 
-/// Runs `lines` round-robin across `connections` client threads; each line
-/// counts as `queries_per_line` requests.  With `duration_s` > 0 the mix
-/// replays cyclically until the deadline instead of stopping after one
-/// pass.  Latencies are per-line microseconds.
+/// Runs `lines` round-robin across `connections` client threads, one pass;
+/// each line counts as `queries_per_line` requests.  Latencies are per-line
+/// microseconds.
 bool run_phase(std::uint16_t port, std::size_t connections,
                const std::vector<std::string>& lines,
-               std::size_t queries_per_line, double duration_s,
-               PhaseResult& out) {
+               std::size_t queries_per_line, PhaseResult& out) {
   std::vector<std::vector<double>> latencies(connections);
   std::vector<bool> failed(connections, false);
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto deadline =
-      wall_start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(duration_s));
   std::vector<std::thread> clients;
   clients.reserve(connections);
   for (std::size_t c = 0; c < connections; ++c) {
@@ -286,14 +251,7 @@ bool run_phase(std::uint16_t port, std::size_t connections,
         return;
       }
       std::string response;
-      std::size_t i = c;
-      while (true) {
-        if (duration_s > 0) {
-          if (std::chrono::steady_clock::now() >= deadline) return;
-          if (i >= lines.size()) i %= lines.size();  // replay until deadline
-        } else if (i >= lines.size()) {
-          return;  // count-bounded: one pass
-        }
+      for (std::size_t i = c; i < lines.size(); i += connections) {
         const auto t0 = std::chrono::steady_clock::now();
         if (!conn.roundtrip(lines[i], response)) {
           failed[c] = true;
@@ -302,7 +260,6 @@ bool run_phase(std::uint16_t port, std::size_t connections,
         const auto t1 = std::chrono::steady_clock::now();
         latencies[c].push_back(
             std::chrono::duration<double, std::micro>(t1 - t0).count());
-        i += connections;
       }
     });
   }
@@ -340,48 +297,42 @@ void append_phase(std::string& out, const char* name, const PhaseResult& r) {
 
 int main(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  unsigned long port = 0;
+  std::size_t port = 0;
   std::size_t connections = 4;
   std::size_t request_count = 2000;
   std::size_t batch = 1;
-  double duration_s = 0;
   std::string oneshot;
   std::string json_out;
-  std::string request_file;
-  std::string mix_spec;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--port" && i + 1 < args.size()) {
-      port = std::strtoul(args[++i].c_str(), nullptr, 10);
+      if (!parse_flag("--port", args[++i], 65535, port)) return 2;
     } else if (args[i] == "--connections" && i + 1 < args.size()) {
-      connections = static_cast<std::size_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      if (!parse_flag("--connections", args[++i], kMaxConnections,
+                      connections)) {
+        return 2;
+      }
     } else if (args[i] == "--requests" && i + 1 < args.size()) {
-      request_count = static_cast<std::size_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      if (!parse_flag("--requests", args[++i], kMaxRequests, request_count)) {
+        return 2;
+      }
     } else if (args[i] == "--batch" && i + 1 < args.size()) {
-      batch = static_cast<std::size_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-    } else if (args[i] == "--duration" && i + 1 < args.size()) {
-      duration_s = std::strtod(args[++i].c_str(), nullptr);
+      if (!parse_flag("--batch", args[++i], rs::query::kMaxBatchRequests,
+                      batch)) {
+        return 2;
+      }
     } else if (args[i] == "--oneshot" && i + 1 < args.size()) {
       oneshot = args[++i];
     } else if (args[i] == "--json-out" && i + 1 < args.size()) {
       json_out = args[++i];
-    } else if (args[i] == "--request-file" && i + 1 < args.size()) {
-      request_file = args[++i];
-    } else if (args[i] == "--mix" && i + 1 < args.size()) {
-      mix_spec = args[++i];
     } else {
-      return die("usage: serve_loadgen --port N [--connections C] "
-                 "[--requests M] [--duration S] [--batch K] "
-                 "[--mix op:weight,...] [--json-out FILE] "
-                 "[--request-file FILE] [--oneshot '<json>']");
+      return usage();
     }
   }
-  if (port == 0 || port > 65535) return die("--port is required (1..65535)");
-  if (batch == 0 || batch > rs::query::kMaxBatchRequests) {
-    return die("--batch must be 1.." +
-               std::to_string(rs::query::kMaxBatchRequests));
+  if (port == 0) return usage();  // --port is required
+  if (request_count < batch) {
+    std::fputs("serve_loadgen: --requests must be at least --batch\n",
+               stderr);
+    return 2;
   }
   const auto port16 = static_cast<std::uint16_t>(port);
 
@@ -395,49 +346,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (connections == 0) return die("--connections must be > 0");
   // MISS phase: distinct requests (cold cache).  HIT phase: a small
   // working set replayed until the same request total is reached — after
-  // the first lap every answer is an LRU hit.
-  std::vector<std::string> miss_requests;
-  std::vector<std::string> hot_set;
-  if (!request_file.empty()) {
-    std::ifstream f(request_file, std::ios::binary);
-    if (!f.good()) return die("cannot read " + request_file);
-    std::vector<std::string> file_lines;
-    std::string line;
-    while (std::getline(f, line)) {
-      if (!line.empty()) file_lines.push_back(line);
-    }
-    if (file_lines.empty()) {
-      return die("no request lines in " + request_file);
-    }
-    miss_requests.reserve(request_count);
-    for (std::size_t i = 0; i < request_count; ++i) {
-      miss_requests.push_back(file_lines[i % file_lines.size()]);
-    }
-    hot_set.assign(file_lines.begin(),
-                   file_lines.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           std::min<std::size_t>(64, file_lines.size())));
-  } else {
-    std::vector<MixOp> mix;
-    if (!parse_mix(mix_spec, mix)) {
-      return die("bad --mix spec '" + mix_spec +
-                 "' (want op:weight,... over store_at/diff/is_trusted/"
-                 "lineage/agreement_at/ct_coverage, weights 1..100)");
-    }
-    // The workload derives from the same scenario the server loaded, so
-    // the requests below always hit covered providers and real
-    // certificates.
-    const auto scenario = rs::synth::build_paper_scenario();
-    const auto& db = scenario.database();
-    miss_requests = build_requests(db, mix, request_count, 1);
-    hot_set = build_requests(db, mix,
-                             std::max<std::size_t>(
-                                 std::min<std::size_t>(64, request_count), 1),
-                             2);
-  }
+  // the first lap every answer is an LRU hit.  The workload derives from
+  // the same scenario the server loaded, so the requests always hit
+  // covered providers and real certificates.
+  const auto scenario = rs::synth::build_paper_scenario();
+  const auto& db = scenario.database();
+  const auto miss_requests = build_requests(db, request_count, 1);
+  const auto hot_set =
+      build_requests(db, std::min<std::size_t>(64, request_count), 2);
   std::vector<std::string> hit_requests;
   hit_requests.reserve(request_count + hot_set.size());
   for (const auto& r : hot_set) hit_requests.push_back(r);  // warm lap
@@ -452,15 +370,11 @@ int main(int argc, char** argv) {
   const auto hit_lines =
       batch > 1 ? batch_lines(hit_requests, batch) : hit_requests;
 
-  if (miss_lines.empty() || hit_lines.empty()) {
-    return die("--requests too small for --batch " + std::to_string(batch));
-  }
-
   PhaseResult miss, hit;
-  if (!run_phase(port16, connections, miss_lines, batch, duration_s, miss)) {
+  if (!run_phase(port16, connections, miss_lines, batch, miss)) {
     return die("miss phase failed (server down?)");
   }
-  if (!run_phase(port16, connections, hit_lines, batch, duration_s, hit)) {
+  if (!run_phase(port16, connections, hit_lines, batch, hit)) {
     return die("hit phase failed (server down?)");
   }
 
