@@ -98,7 +98,8 @@ BENCHMARK(BM_JaccardMatrix)->Arg(10)->Arg(25)->Arg(50)
 // Thread-pool scaling of the one pooled kernel: the membership table's
 // per-provider lanes over a fixed universe.  The first arg picks the
 // database (0: the paper scenario, 10 providers; 1: the sim_index point,
-// 14), the second is the worker count (0 is the inline serial baseline).
+// 14), the second is the worker count (0 is the inline serial baseline;
+// one worker builds inline too, so the sweep skips it).
 // The table is identical across args (see docs/PARALLELISM.md); only the
 // wall clock moves.  tools/record_bench.sh captures this sweep into
 // BENCH_parallel.json and prints the serial-vs-N speedups.
@@ -119,14 +120,13 @@ void BM_MembershipBuildParallel(benchmark::State& state) {
                  (threads == 0 ? std::string("serial")
                                : std::to_string(threads) + "-workers"));
 }
-BENCHMARK(BM_MembershipBuildParallel)->ArgsProduct({{0, 1}, {0, 1, 2, 4}})
+BENCHMARK(BM_MembershipBuildParallel)->ArgsProduct({{0, 1}, {0, 2, 4}})
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
 
 // --- Membership-table benchmarks -------------------------------------------
 //
 // The paper-scenario Figure 1 matrix (2011-2021 window) over the shared
-// table's rows.  tools/record_bench.sh reads BM_JaccardMatrixInterned/40 as
-// the baseline of BENCH_obs.json's disabled-overhead row.
+// table's rows.
 
 void BM_JaccardMatrixInterned(benchmark::State& state) {
   shared_table();  // built once, as in the study, outside the timed loop
@@ -289,11 +289,12 @@ BENCHMARK(BM_OperatorFootprints)->Unit(benchmark::kMillisecond);
 // --- Observability overhead (BENCH_obs.json) -------------------------------
 //
 // The same Figure-1-sized work items with the rs_obs registry disabled
-// (the default) vs enabled with the production steady clock.  The
-// contract compares the untraced arm against the baseline benchmarks
-// (printed, not enforced, by tools/record_bench.sh): the disabled cost of
-// every probe on the hot path is one relaxed atomic load, so the delta
-// must stay within noise (≤2%).
+// (the default) vs enabled with the production steady clock;
+// tools/record_bench.sh prints the cost of switching tracing on.  The
+// disabled-mode contract (no allocation, no clock read, nothing collected)
+// is enforced by tests/obs/obs_disabled_test.cpp, not timed here: a
+// disabled probe is one relaxed atomic load, far below what repeated
+// recordings of one tree can resolve.
 
 void BM_JaccardMatrixObs(benchmark::State& state) {
   shared_table();  // built outside the timed loop
@@ -346,22 +347,5 @@ void BM_StalenessObs(benchmark::State& state) {
   state.SetLabel(traced ? "traced" : "untraced");
 }
 BENCHMARK(BM_StalenessObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_StalenessAllDerivatives(benchmark::State& state) {
-  const auto& scenario = shared_scenario();
-  const auto index = rs::analysis::build_version_index(
-      *scenario.database().find("NSS"), shared_table());
-  for (auto _ : state) {
-    double total = 0;
-    for (const char* name :
-         {"Alpine", "AmazonLinux", "Android", "NodeJS", "Debian", "Ubuntu"}) {
-      total += rs::analysis::derivative_staleness(
-                   *scenario.database().find(name), shared_table(), index)
-                   .avg_versions_behind;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-}
-BENCHMARK(BM_StalenessAllDerivatives)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -5,8 +5,8 @@
 // analysis runs inline, because there a fork-join costs about what it
 // saves (docs/PARALLELISM.md has the per-site measurements).  This module
 // provides the primitive: a fixed-size thread pool plus a parallel-for
-// that submits one task per index, or runs inline when it has no workers
-// to use (zero workers is the serial engine).
+// that submits one task per index, or runs inline when it has fewer than
+// two workers to use (zero and one worker both build serially).
 //
 // Determinism contract (see docs/PARALLELISM.md): parallel_for bodies
 // write disjoint outputs, so scheduling order is irrelevant and any worker
@@ -65,13 +65,15 @@ class ThreadPool {
 };
 
 /// Runs `body(i)` for every i in [0, n), one pool task per index.  Runs
-/// inline, in ascending order, when `pool` is null or has zero workers,
-/// when the caller is one of its workers, or when n <= 1.  Every task runs
-/// even when one throws; the first exception is rethrown on the calling
-/// thread after all of them finish.  Bodies must write disjoint state.
+/// inline, in ascending order, when `pool` is null or has fewer than two
+/// workers (one worker would run the tasks in turn while the caller only
+/// waits), when the caller is one of its workers, or when n <= 1.  Every
+/// task runs even when one throws; the first exception is rethrown on the
+/// calling thread after all of them finish.  Bodies must write disjoint
+/// state.
 template <typename Body>
 void parallel_for(ThreadPool* pool, std::size_t n, const Body& body) {
-  if (pool == nullptr || pool->worker_count() == 0 || pool->in_worker() ||
+  if (pool == nullptr || pool->worker_count() < 2 || pool->in_worker() ||
       n <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;

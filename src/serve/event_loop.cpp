@@ -9,11 +9,16 @@
 #include <utility>
 
 #include "src/obs/registry.h"
+#include "src/query/request.h"
 
 namespace rs::serve {
 namespace {
 
 constexpr int kMaxEvents = 64;
+// Framing cap: the largest legal line is a full batch plus "\r\n".
+constexpr std::size_t kMaxLineBytes = rs::query::kMaxBatchBytes + 2;
+// How long a drain waits for peers to read their last responses.
+constexpr std::chrono::milliseconds kDrainDeadline{5000};
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -22,8 +27,8 @@ bool set_nonblocking(int fd) {
 
 }  // namespace
 
-EventLoop::EventLoop(EventLoopOptions options, EventLoopHooks hooks)
-    : options_(options), hooks_(std::move(hooks)) {}
+EventLoop::EventLoop(std::size_t write_buffer_cap, EventLoopHooks hooks)
+    : write_buffer_cap_(write_buffer_cap), hooks_(std::move(hooks)) {}
 
 EventLoop::~EventLoop() {
   request_drain();
@@ -232,13 +237,13 @@ void EventLoop::pump(Conn& conn) {
   while (!conn.close_after_flush) {
     process_lines(conn);
     if (conn.close_after_flush) break;
-    if (pending_out(conn) > options_.write_buffer_cap) {
+    if (pending_out(conn) > write_buffer_cap_) {
       // Backpressure: before pausing, try to drain to the kernel.  Pause
       // only when the socket itself is full — then EPOLLOUT is armed and
       // guarantees this connection is pumped again; pausing after a clean
       // flush would strand buffered input with no future event.
       flush(conn);
-      if (pending_out(conn) > options_.write_buffer_cap) break;
+      if (pending_out(conn) > write_buffer_cap_) break;
       continue;
     }
     if (draining_ || !conn.read_ready) break;
@@ -246,13 +251,13 @@ void EventLoop::pump(Conn& conn) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<std::size_t>(n));
-      if (conn.in.size() > options_.max_line_bytes &&
+      if (conn.in.size() > kMaxLineBytes &&
           conn.in.find('\n') == std::string::npos) {
         // Unterminated flood: structured error, then close — line framing
         // cannot be trusted past this point.
         conn.out.append(hooks_.transport_error(
             "oversized", "request line exceeds " +
-                             std::to_string(options_.max_line_bytes) +
+                             std::to_string(kMaxLineBytes) +
                              " bytes; closing connection"));
         conn.out.push_back('\n');
         conn.in.clear();
@@ -262,7 +267,6 @@ void EventLoop::pump(Conn& conn) {
       continue;
     }
     if (n == 0) {
-      conn.peer_eof = true;
       conn.read_ready = false;
       process_lines(conn);
       if (!conn.in.empty()) {
@@ -297,7 +301,7 @@ void EventLoop::process_lines(Conn& conn) {
     // Backpressure check per line (not per buffer) so a pipelined burst
     // pauses exactly when the cap is crossed.  Drain ignores the cap: every
     // fully received request is answered before the connection closes.
-    if (!draining_ && pending_out(conn) > options_.write_buffer_cap) break;
+    if (!draining_ && pending_out(conn) > write_buffer_cap_) break;
     const std::size_t nl = conn.in.find('\n', start);
     if (nl == std::string::npos) break;
     std::string_view line(conn.in.data() + start, nl - start);
@@ -360,8 +364,7 @@ void EventLoop::close_conn(int fd) {
 
 void EventLoop::begin_drain() {
   draining_ = true;
-  drain_deadline_at_ = std::chrono::steady_clock::now() +
-                       options_.drain_deadline;
+  drain_deadline_at_ = std::chrono::steady_clock::now() + kDrainDeadline;
   if (listen_fd_ >= 0) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
   }

@@ -25,10 +25,14 @@
 // reader throttles itself via TCP flow control instead of ballooning
 // server memory.
 //
+// Framing: a line longer than the largest legal batch (kMaxBatchBytes plus
+// "\r\n") with no newline in sight gets an `oversized` error, then the
+// connection closes.
+//
 // Drain (`request_drain`): stop accepting, answer every fully received
 // request line already buffered, flush, close.  Connections whose peers
-// stop reading are force-closed at `drain_deadline` so shutdown always
-// terminates.
+// stop reading are force-closed 5 s after the drain began, so shutdown
+// always terminates.
 //
 // Threading: all connection state is owned by the loop thread and touched
 // by nothing else; the only cross-thread surface is the mutex-guarded
@@ -52,12 +56,6 @@
 
 namespace rs::serve {
 
-struct EventLoopOptions {
-  std::size_t max_line_bytes = 65538;     // framing cap (largest batch + \r\n)
-  std::size_t write_buffer_cap = 262144;  // backpressure threshold per conn
-  std::chrono::milliseconds drain_deadline{5000};
-};
-
 struct EventLoopHooks {
   /// Answers one request line (no trailing newline in, none out).
   std::function<std::string(std::string_view line)> respond;
@@ -71,7 +69,8 @@ struct EventLoopHooks {
 
 class EventLoop {
  public:
-  EventLoop(EventLoopOptions options, EventLoopHooks hooks);
+  /// `write_buffer_cap` is the per-connection backpressure threshold.
+  EventLoop(std::size_t write_buffer_cap, EventLoopHooks hooks);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -104,7 +103,6 @@ class EventLoop {
     std::string out;              // rendered, not yet sent
     std::size_t out_offset = 0;   // sent prefix of `out`
     bool read_ready = false;      // EPOLLIN edge seen, recv not yet EAGAIN
-    bool peer_eof = false;
     bool close_after_flush = false;
     bool want_write = false;      // EPOLLOUT currently in the interest set
   };
@@ -125,7 +123,7 @@ class EventLoop {
     return conn.out.size() - conn.out_offset;
   }
 
-  const EventLoopOptions options_;
+  const std::size_t write_buffer_cap_;
   const EventLoopHooks hooks_;
 
   int epoll_fd_ = -1;

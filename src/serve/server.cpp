@@ -6,10 +6,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cstring>
+#include <chrono>
 #include <utility>
 
 #include "src/obs/span.h"
@@ -18,6 +17,10 @@
 
 namespace rs::serve {
 namespace {
+
+constexpr int kListenBacklog = 64;
+/// How often the reloader stats `watch_path` for a new mtime.
+constexpr std::chrono::milliseconds kWatchInterval{200};
 
 /// Nanosecond mtime of `path`, or -1 when it cannot be stat'ed (e.g. the
 /// file is momentarily absent mid-rename).
@@ -32,36 +35,26 @@ std::size_t loop_count_for(std::size_t num_threads) noexcept {
   return num_threads == 0 ? 1 : num_threads;
 }
 
-/// The serve counters in the process-wide registry, looked up by name once
-/// per process: a lookup takes the registry mutex, and handles stay valid
-/// across Registry::reset().
-struct ServeCounters {
-  rs::obs::Counter& requests;
-  rs::obs::Counter& errors;
-  rs::obs::Counter& batch_items;
-  rs::obs::Counter& cache_hits;
-  rs::obs::Counter& cache_misses;
-  rs::obs::Counter& connections;
-  rs::obs::Counter& reloads;
-  rs::obs::Counter& reload_failures;
-};
-
-const ServeCounters& serve_counters() {
-  static const ServeCounters counters = [] {
-    auto& registry = rs::obs::Registry::global();
-    return ServeCounters{registry.counter("serve.requests"),
-                         registry.counter("serve.errors"),
-                         registry.counter("serve.batch_items"),
-                         registry.counter("serve.cache_hits"),
-                         registry.counter("serve.cache_misses"),
-                         registry.counter("serve.connections"),
-                         registry.counter("serve.reloads"),
-                         registry.counter("serve.reload_failures")};
-  }();
-  return counters;
-}
-
 }  // namespace
+
+void Server::count(Event event, std::uint64_t n) {
+  // The rs_obs mirrors, looked up by name once per process: a lookup takes
+  // the registry mutex, and handles stay valid across Registry::reset().
+  static const std::array<rs::obs::Counter*, kEventCount> mirrors = [] {
+    constexpr std::array<const char*, kEventCount> kNames = {
+        "serve.connections", "serve.requests",   "serve.errors",
+        "serve.batch_items", "serve.cache_hits", "serve.cache_misses",
+        "serve.reloads",     "serve.reload_failures"};
+    std::array<rs::obs::Counter*, kEventCount> counters{};
+    for (std::size_t i = 0; i < kEventCount; ++i) {
+      counters[i] = &rs::obs::Registry::global().counter(kNames[i]);
+    }
+    return counters;
+  }();
+  // memory-order: relaxed — monotonic counter read only by stats().
+  counts_[event].fetch_add(n, std::memory_order_relaxed);
+  mirrors[event]->add(n);
+}
 
 Server::Server(std::shared_ptr<const rs::query::QueryEngine> engine,
                ServerOptions options)
@@ -92,7 +85,7 @@ rs::util::Result<std::uint16_t> Server::start() {
     return R::err("bind 127.0.0.1:" + std::to_string(options_.port) + ": " +
                   why);
   }
-  if (::listen(fd, options_.backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const std::string why = rs::util::errno_message(errno);
     ::close(fd);
     return R::err("listen: " + why);
@@ -106,32 +99,21 @@ rs::util::Result<std::uint16_t> Server::start() {
   listen_fd_ = fd;
   port_ = ntohs(addr.sin_port);
 
-  EventLoopOptions loop_options;
-  // Framing cap: the largest legal line is a full batch plus "\r\n".
-  loop_options.max_line_bytes = rs::query::kMaxBatchBytes + 2;
-  loop_options.write_buffer_cap = options_.write_buffer_cap;
-  loop_options.drain_deadline = options_.drain_deadline;
-
   EventLoopHooks hooks;
   hooks.respond = [this](std::string_view line) { return respond_line(line); };
   hooks.transport_error = [this](std::string_view code,
                                  std::string_view message) {
-    // memory-order: relaxed — monotonic counter read only by stats().
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    serve_counters().errors.increment();
+    count(kError);
     return rs::query::error_response(code, message);
   };
-  hooks.on_connection = [this] {
-    // memory-order: relaxed — monotonic counter read only by stats().
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    serve_counters().connections.increment();
-  };
+  hooks.on_connection = [this] { count(kConnection); };
 
   const std::size_t n = loop_count_for(options_.num_threads);
   loops_.clear();
   loops_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>(loop_options, hooks));
+    loops_.push_back(
+        std::make_unique<EventLoop>(options_.write_buffer_cap, hooks));
   }
   std::vector<EventLoop*> ring;
   ring.reserve(n);
@@ -188,10 +170,7 @@ void Server::stop() {
 
 std::string Server::respond_line(std::string_view line) {
   rs::obs::Span span("serve/request");
-  const ServeCounters& counters = serve_counters();
-  // memory-order: relaxed — monotonic counters read only by stats().
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  counters.requests.increment();
+  count(kRequest);
 
   // Pin the published engine+epoch once for the whole line: every item of
   // a batch is answered by the same engine even when a hot swap lands
@@ -202,21 +181,15 @@ std::string Server::respond_line(std::string_view line) {
   if (rs::query::looks_like_batch(line)) {
     auto items = rs::query::parse_batch_request(line);
     if (!items.ok()) {
-      // memory-order: relaxed — monotonic counter read only by stats().
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      counters.errors.increment();
+      count(kError);
       return rs::query::error_response("bad_request", items.error());
     }
-    // memory-order: relaxed — monotonic counter read only by stats().
-    batch_items_.fetch_add(items.value().size(), std::memory_order_relaxed);
-    counters.batch_items.add(items.value().size());
+    count(kBatchItem, items.value().size());
     std::vector<std::string> responses;
     responses.reserve(items.value().size());
     for (const std::string_view item : items.value()) {
       if (rs::query::looks_like_batch(item)) {
-        // memory-order: relaxed — monotonic counter read only by stats().
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        counters.errors.increment();
+        count(kError);
         responses.push_back(rs::query::error_response(
             "bad_request", "batch requests may not nest"));
       } else {
@@ -231,12 +204,9 @@ std::string Server::respond_line(std::string_view line) {
 
 std::string Server::respond_single(const Published& pub,
                                    std::string_view line) {
-  const ServeCounters& counters = serve_counters();
   auto parsed = rs::query::parse_request(line);
   if (!parsed.ok()) {
-    // memory-order: relaxed — monotonic counter read only by stats().
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    counters.errors.increment();
+    count(kError);
     return rs::query::error_response("bad_request", parsed.error());
   }
   if (parsed.value().op == rs::query::Op::kServerStats) {
@@ -248,25 +218,26 @@ std::string Server::respond_single(const Published& pub,
 
   // Epoch-prefixed key: an entry cached under a replaced engine can never
   // be served after a flip; dead-epoch keys age out of the LRU naturally.
-  // The canonical form is appended after the prefix, in one buffer.
+  // The canonical form is appended after the prefix, in one buffer, which
+  // the key then owns: it is hashed once, and a miss moves it into the
+  // new cache entry.
   char epoch[24];
-  std::string key(epoch,
-                  std::to_chars(epoch, epoch + sizeof epoch, pub.epoch).ptr);
-  key.push_back('|');
-  rs::query::append_canonical_request(key, parsed.value());
+  std::string text(epoch,
+                   std::to_chars(epoch, epoch + sizeof epoch, pub.epoch).ptr);
+  text.push_back('|');
+  rs::query::append_canonical_request(text, parsed.value());
+  ResponseCache::Key key(std::move(text));
   if (auto cached = cache_.get(key)) {
-    counters.cache_hits.increment();
+    count(kCacheHit);
     return *std::move(cached);
   }
-  counters.cache_misses.increment();
+  count(kCacheMiss);
 
   std::string response = pub.engine->handle(parsed.value());
   if (rs::query::QueryEngine::is_error_response(response)) {
-    // memory-order: relaxed — monotonic counter read only by stats().
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    counters.errors.increment();
+    count(kError);
   } else {
-    cache_.put(key, response);
+    cache_.put(std::move(key), response);
   }
   return response;
 }
@@ -300,9 +271,7 @@ std::string Server::server_stats_response() const {
 
 std::string Server::reload_response(const Published& pub) {
   if (!options_.reload_factory) {
-    // memory-order: relaxed — monotonic counter read only by stats().
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    serve_counters().errors.increment();
+    count(kError);
     return rs::query::error_response(
         "reload_unavailable",
         "server was started without a reloadable index source");
@@ -330,7 +299,7 @@ void Server::reload_loop() {
         if (options_.watch_path.empty()) {
           reload_cv_.wait(reload_mutex_);
         } else {
-          reload_cv_.wait_for(reload_mutex_, options_.watch_interval);
+          reload_cv_.wait_for(reload_mutex_, kWatchInterval);
         }
       }
       if (reload_stop_) return;
@@ -354,15 +323,11 @@ void Server::run_reload() {
   if (!made.ok() || made.value() == nullptr) {
     // Keep serving the current epoch: a broken index on disk must never
     // take down a healthy server.
-    // memory-order: relaxed — monotonic counter read only by stats().
-    reload_failures_.fetch_add(1, std::memory_order_relaxed);
-    serve_counters().reload_failures.increment();
+    count(kReloadFailure);
     return;
   }
   swap_engine(std::move(made).take());
-  // memory-order: relaxed — monotonic counter read only by stats().
-  reloads_.fetch_add(1, std::memory_order_relaxed);
-  serve_counters().reloads.increment();
+  count(kReload);
 }
 
 std::shared_ptr<const Server::Published> Server::published() const {
@@ -386,19 +351,21 @@ void Server::swap_engine(
 std::uint64_t Server::epoch() const { return published()->epoch; }
 
 ServerStats Server::stats() const {
-  ServerStats s;
   // memory-order: relaxed — point-in-time snapshot; fields may be mutually
   // skewed by in-flight requests, which callers of stats() accept.
-  s.connections = connections_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.batch_items = batch_items_.load(std::memory_order_relaxed);
-  s.reloads = reloads_.load(std::memory_order_relaxed);
-  s.reload_failures = reload_failures_.load(std::memory_order_relaxed);
+  const auto load = [this](Event event) {
+    return counts_[event].load(std::memory_order_relaxed);
+  };
+  ServerStats s;
+  s.connections = load(kConnection);
+  s.requests = load(kRequest);
+  s.errors = load(kError);
+  s.cache_hits = load(kCacheHit);
+  s.cache_misses = load(kCacheMiss);
+  s.batch_items = load(kBatchItem);
   s.epoch = epoch();
-  const LruCache::Counters c = cache_.counters();
-  s.cache_hits = c.hits;
-  s.cache_misses = c.misses;
+  s.reloads = load(kReload);
+  s.reload_failures = load(kReloadFailure);
   return s;
 }
 

@@ -18,7 +18,7 @@
 //     read/write buffers; a connection whose pending responses exceed
 //     `write_buffer_cap` stops being read until the peer drains it
 //     (backpressure via TCP flow control).
-//   * A ShardedCache (next_pow2(num_threads) shards) keyed on
+//   * A ResponseCache (next_pow2(num_threads) shards) keyed on
 //     epoch-prefixed canonical_request() fronts the engine, so loops
 //     answering different requests never contend on one cache lock.
 //
@@ -42,13 +42,13 @@
 //
 // Graceful drain: stop() drains loop 0 first (no more accepts or
 // handoffs), then the peers; every fully received request line is
-// answered before its connection closes, bounded by `drain_deadline`.
+// answered before its connection closes, bounded by a 5 s deadline.
 // SIGINT handling lives in the CLI (tools/rootstore.cpp), which calls
 // stop() from the main thread.
 #pragma once
 
+#include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -59,7 +59,7 @@
 
 #include "src/query/engine.h"
 #include "src/serve/event_loop.h"
-#include "src/serve/sharded_cache.h"
+#include "src/serve/response_cache.h"
 #include "src/util/mutex.h"
 #include "src/util/result.h"
 #include "src/util/thread_annotations.h"
@@ -70,23 +70,20 @@ struct ServerOptions {
   std::uint16_t port = 0;          // 0 = kernel-assigned ephemeral port
   std::size_t num_threads = 4;     // event-loop workers (0 → 1)
   std::size_t cache_capacity = 1024;  // total LRU entries; 0 disables
-  int backlog = 64;                // listen(2) backlog
   std::size_t write_buffer_cap = 262144;  // per-conn backpressure threshold
-  std::chrono::milliseconds drain_deadline{5000};
   /// Loads a fresh engine for a hot swap; invoked on the reloader thread
   /// only.  Unset → `reload_index` answers `reload_unavailable`.
   std::function<rs::util::Result<std::shared_ptr<const rs::query::QueryEngine>>()>
       reload_factory;
   /// When nonempty, the reloader thread polls this file's mtime every
-  /// `watch_interval` and runs `reload_factory` on change.
+  /// 200 ms and runs `reload_factory` on change.
   std::string watch_path;
-  std::chrono::milliseconds watch_interval{200};
 };
 
 /// Point-in-time serve-layer counters (also mirrored to rs_obs as
-/// serve.requests / serve.errors / serve.cache_hits / serve.cache_misses /
-/// serve.connections / serve.batch_items / serve.reloads when tracing is
-/// enabled).
+/// serve.connections / serve.requests / serve.errors / serve.batch_items /
+/// serve.cache_hits / serve.cache_misses / serve.reloads /
+/// serve.reload_failures when tracing is enabled).
 struct ServerStats {
   std::uint64_t connections = 0;   // accepted since start
   std::uint64_t requests = 0;      // request lines answered
@@ -123,7 +120,7 @@ class Server {
   }
 
   /// Graceful drain, idempotent: stop accepting, answer every fully
-  /// received request, flush, then return (bounded by drain_deadline).
+  /// received request, flush, then return (bounded by a 5 s deadline).
   void stop();
 
   ServerStats stats() const;
@@ -149,6 +146,21 @@ class Server {
     std::uint64_t epoch = 0;
   };
 
+  /// The serve events counted in ServerStats, one counter each.
+  enum Event : std::size_t {
+    kConnection,
+    kRequest,
+    kError,
+    kBatchItem,
+    kCacheHit,
+    kCacheMiss,
+    kReload,
+    kReloadFailure,
+    kEventCount
+  };
+  /// Counts `n` of `event`: its ServerStats field and its serve.* mirror.
+  void count(Event event, std::uint64_t n = 1);
+
   /// The current publication, copied under published_mutex_.
   std::shared_ptr<const Published> published() const
       RS_EXCLUDES(published_mutex_);
@@ -159,7 +171,7 @@ class Server {
   void run_reload();
 
   const ServerOptions options_;
-  ShardedCache cache_;
+  ResponseCache cache_;
   mutable rs::util::Mutex published_mutex_;
   std::shared_ptr<const Published> published_ RS_GUARDED_BY(published_mutex_);
 
@@ -180,12 +192,7 @@ class Server {
 
   // memory-order: relaxed — independent monotonic counters, read only by
   // stats() snapshots that tolerate momentary skew between them.
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> batch_items_{0};
-  std::atomic<std::uint64_t> reloads_{0};
-  std::atomic<std::uint64_t> reload_failures_{0};
+  std::array<std::atomic<std::uint64_t>, kEventCount> counts_{};
 };
 
 }  // namespace rs::serve

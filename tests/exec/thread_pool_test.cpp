@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/registry.h"
+
 namespace rs::exec {
 namespace {
 
@@ -29,6 +31,32 @@ TEST(ThreadPool, ZeroWorkersRunsInlineOnCallingThread) {
   parallel_for(&pool, ids.size(),
                [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
   for (const auto& id : ids) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPool, OneWorkerParallelForRunsInlineOnCallingThread) {
+  // A lone worker would run the indices one after another while the caller
+  // waits, so parallel_for runs them on the caller instead, in ascending
+  // order, and submits nothing: exec.pool_tasks stays 0.
+  auto& registry = rs::obs::Registry::global();
+  registry.reset();
+  registry.enable();
+  std::vector<std::thread::id> ids;
+  std::vector<std::size_t> order;
+  {
+    ThreadPool pool(1);
+    parallel_for(&pool, 10, [&](std::size_t i) {
+      ids.push_back(std::this_thread::get_id());
+      order.push_back(i);
+    });
+  }  // the destructor joins the worker, so any task it ran is counted
+  registry.disable();
+  const std::uint64_t tasks = registry.counter_value("exec.pool_tasks");
+  registry.reset();
+
+  ASSERT_EQ(ids.size(), 10u);
+  for (const auto& id : ids) EXPECT_EQ(id, std::this_thread::get_id());
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(tasks, 0u);
 }
 
 TEST(ThreadPool, NullPoolRunsInline) {

@@ -540,6 +540,89 @@ TEST(ServerBatch, BatchItemsShareTheResponseCache) {
 }
 
 // ---------------------------------------------------------------------------
+// Error accounting
+
+// Each kind of error response, from the line parsers, the engine, the admin
+// op and the transport, moves ServerStats::errors, the serve.errors mirror
+// and server_stats' "errors" field by exactly one.
+TEST(Server, EveryErrorCountsOnce) {
+  auto& registry = rs::obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.enable();
+  ServerFixture f;
+  ASSERT_NE(f.port, 0);
+
+  struct Counts {
+    std::uint64_t stats;
+    std::uint64_t mirror;
+    std::uint64_t wire;
+  };
+  const auto counts = [&f, &registry] {
+    const std::string stats =
+        f.server->respond_line(R"({"op":"server_stats"})");
+    const std::string field = "\"errors\":";
+    const std::size_t at = stats.find(field);
+    EXPECT_NE(at, std::string::npos) << stats;
+    return Counts{f.server->stats().errors,
+                  registry.counter_value("serve.errors"),
+                  at == std::string::npos
+                      ? 0
+                      : std::stoull(stats.substr(at + field.size()))};
+  };
+  const auto expect_one_more = [&counts](const Counts& before,
+                                         const std::string& kind) {
+    const Counts after = counts();
+    EXPECT_EQ(after.stats - before.stats, 1u) << kind;
+    EXPECT_EQ(after.mirror - before.mirror, 1u) << kind;
+    EXPECT_EQ(after.wire - before.wire, 1u) << kind;
+  };
+
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {"bad batch envelope", R"({"op":"batch"})"},
+      {"nested batch item", make_batch({make_batch({R"({"op":"stats"})"})})},
+      {"parse error", "garbage that does not parse"},
+      {"engine error",
+       R"({"op":"store_at","provider":"Nope","date":"2019-06-01"})"},
+      {"reload_index without a factory", R"({"op":"reload_index"})"},
+  };
+  Client client(f.port);
+  ASSERT_TRUE(client.connected());
+  for (const auto& [kind, line] : lines) {
+    const Counts before = counts();
+    const auto response = client.roundtrip(line);
+    ASSERT_TRUE(response.has_value()) << kind;
+    EXPECT_NE(response->find("\"code\":\""), std::string::npos) << kind;
+    expect_one_more(before, kind);
+  }
+
+  {
+    const Counts before = counts();
+    Client flood(f.port);
+    ASSERT_TRUE(flood.connected());
+    ASSERT_TRUE(
+        flood.send_raw(std::string(rs::query::kMaxBatchBytes + 100, 'x')));
+    const auto response = flood.read_line();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_NE(response->find("\"code\":\"oversized\""), std::string::npos);
+    expect_one_more(before, "oversized line");
+  }
+  {
+    const Counts before = counts();
+    Client cut(f.port);
+    ASSERT_TRUE(cut.connected());
+    ASSERT_TRUE(cut.send_raw(R"({"op":"stats")"));
+    cut.half_close();
+    const auto response = cut.read_line();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_NE(response->find("\"code\":\"bad_request\""),
+              std::string::npos);
+    expect_one_more(before, "EOF mid-line");
+  }
+  f.server->stop();
+  if (!was_enabled) registry.disable();
+}
+
+// ---------------------------------------------------------------------------
 // Backpressure
 
 TEST(Server, BackpressureSurvivesSlowReaderPipelining) {

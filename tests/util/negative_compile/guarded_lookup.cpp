@@ -1,7 +1,7 @@
 // Negative-compilation probe for the thread-safety analysis.
 //
-// A miniature of serve::LruCache::get ("lookup"): a counter field guarded
-// by a util::Mutex.  Compiled twice by a configure-time try_compile in
+// A miniature of serve::ResponseCache::get ("lookup") on one shard: a
+// counter field guarded by the shard's util::Mutex.  Compiled twice by a configure-time try_compile in
 // tests/CMakeLists.txt (clang only):
 //
 //   -DRS_TSA_TAKE_LOCK=1   the faithful version, MutexLock held
@@ -18,7 +18,7 @@
 
 namespace {
 
-struct MiniLruCache {
+struct MiniCacheShard {
   rs::util::Mutex mutex;
   int hits RS_GUARDED_BY(mutex) = 0;
 
@@ -33,6 +33,6 @@ struct MiniLruCache {
 }  // namespace
 
 int main() {
-  MiniLruCache cache;
-  return cache.lookup() == 1 ? 0 : 1;
+  MiniCacheShard shard;
+  return shard.lookup() == 1 ? 0 : 1;
 }

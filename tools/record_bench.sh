@@ -2,9 +2,8 @@
 # Records every microbenchmark file from one build tree, then checks the
 # readings against one gate table:
 #
-#   BENCH_parallel.json     the membership lanes at 0/1/2/4 workers
-#   BENCH_obs.json          the rs_obs registry disabled and enabled,
-#                           beside the baselines the <=2% contract names
+#   BENCH_parallel.json     the membership lanes at 0/2/4 workers
+#   BENCH_obs.json          the rs_obs registry disabled and enabled
 #   BENCH_incremental.json  cold start (load vs rebuild), append one
 #   BENCH_verify.json       point verdicts; breakpoint vs day-by-day scan
 #   BENCH_landscape.json    IdSet agreement matrix vs the digest referee
@@ -47,7 +46,7 @@ gbench() {
 }
 gbench BENCH_parallel.json perf_analysis 'BM_MembershipBuildParallel'
 gbench BENCH_obs.json perf_analysis \
-    'BM_JaccardMatrixObs|BM_StalenessObs|BM_JaccardMatrixInterned/40|BM_StalenessAllDerivatives'
+    'BM_JaccardMatrixObs|BM_StalenessObs'
 gbench BENCH_incremental.json perf_persist \
     'BM_ColdStartRebuild|BM_ColdStartLoad|BM_ColdStartLoadFile|BM_FullRecompute|BM_AppendOneSnapshot'
 gbench BENCH_verify.json perf_verify \
@@ -139,10 +138,9 @@ echo "record_bench: wrote 6 BENCH_*.json files to $out_dir ($build_type)"
 #   serve_G2   batch-16 envelopes amortize the syscall-bound cached path.
 #   lanes_*    serial over N workers: one task per provider, so it depends
 #              on the host's cores (docs/PARALLELISM.md).
-#   obs_*      *_off: the registry disabled over its baseline, where the
-#              contract is <= 1.02; *_on: tracing on over off.  Repeated
-#              runs of one tree spread wider than 2%, so a hard gate would
-#              flake.
+#   obs_*_on   tracing on over off.  The disabled-mode contract (no
+#              allocation, no clock read, nothing collected) is enforced
+#              by tests/obs/obs_disabled_test.cpp, not by a timing row.
 lane=BM_MembershipBuildParallel
 rt=process_time/real_time
 gates="
@@ -152,15 +150,11 @@ cold_start      20  BENCH_incremental.json BM_ColdStartRebuild          BM_ColdS
 append_one      10  BENCH_incremental.json BM_FullRecompute             BM_AppendOneSnapshot
 verify          5   BENCH_verify.json      BM_FirstRejectedAtLinearScan BM_FirstRejectedAtBreakpoints
 landscape       5   BENCH_landscape.json   BM_AgreementMatrixNaive      BM_AgreementMatrixIdSet
-lanes_paper_1   -   BENCH_parallel.json    $lane/0/0/$rt $lane/0/1/$rt
 lanes_paper_2   -   BENCH_parallel.json    $lane/0/0/$rt $lane/0/2/$rt
 lanes_paper_4   -   BENCH_parallel.json    $lane/0/0/$rt $lane/0/4/$rt
-lanes_sim_1     -   BENCH_parallel.json    $lane/1/0/$rt $lane/1/1/$rt
 lanes_sim_2     -   BENCH_parallel.json    $lane/1/0/$rt $lane/1/2/$rt
 lanes_sim_4     -   BENCH_parallel.json    $lane/1/0/$rt $lane/1/4/$rt
-obs_jaccard_off -   BENCH_obs.json BM_JaccardMatrixObs/0 BM_JaccardMatrixInterned/40 contract<=1.02
 obs_jaccard_on  -   BENCH_obs.json BM_JaccardMatrixObs/1 BM_JaccardMatrixObs/0
-obs_stale_off   -   BENCH_obs.json BM_StalenessObs/0     BM_StalenessAllDerivatives  contract<=1.02
 obs_stale_on    -   BENCH_obs.json BM_StalenessObs/1     BM_StalenessObs/0
 "
 

@@ -28,6 +28,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <unistd.h>
@@ -76,8 +77,8 @@ int usage() {
       "                            exclusivity, ct_landscape; --threads N\n"
       "                            builds the per-provider membership rows\n"
       "                            on N worker threads with byte-identical\n"
-      "                            output\n"
-      "                            (0 = serial; every analysis runs inline);\n"
+      "                            output (0 and 1 both build them inline;\n"
+      "                            every other analysis runs inline);\n"
       "                            --from DIR decodes the database from a\n"
       "                            `dataset export` directory through the\n"
       "                            real format parsers (same report bytes);\n"
@@ -251,7 +252,9 @@ int cmd_convert(const std::string& in, const std::string& out) {
     ok = static_cast<bool>(f);
   } else if (rs::util::ends_with(out, ".dir")) {
     lossy = true;
-    fs::create_directories(out);
+    std::error_code ec;
+    fs::create_directories(out, ec);
+    if (ec) return die("cannot create " + out + ": " + ec.message());
     ok = true;
     for (const auto& file : rs::formats::write_cert_dir(entries)) {
       std::ofstream f(fs::path(out) / file.name, std::ios::binary);
