@@ -106,9 +106,7 @@ Oid make(std::string_view dotted) { return *Oid::from_dotted(dotted); }
 RS_WELL_KNOWN_OID(md5_with_rsa, "1.2.840.113549.1.1.4")
 RS_WELL_KNOWN_OID(sha1_with_rsa, "1.2.840.113549.1.1.5")
 RS_WELL_KNOWN_OID(sha256_with_rsa, "1.2.840.113549.1.1.11")
-RS_WELL_KNOWN_OID(sha384_with_rsa, "1.2.840.113549.1.1.12")
 RS_WELL_KNOWN_OID(ecdsa_with_sha256, "1.2.840.10045.4.3.2")
-RS_WELL_KNOWN_OID(ecdsa_with_sha384, "1.2.840.10045.4.3.3")
 
 RS_WELL_KNOWN_OID(rsa_encryption, "1.2.840.113549.1.1.1")
 RS_WELL_KNOWN_OID(ec_public_key, "1.2.840.10045.2.1")

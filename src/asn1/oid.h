@@ -53,9 +53,7 @@ namespace oids {
 const Oid& md5_with_rsa();        // 1.2.840.113549.1.1.4
 const Oid& sha1_with_rsa();       // 1.2.840.113549.1.1.5
 const Oid& sha256_with_rsa();     // 1.2.840.113549.1.1.11
-const Oid& sha384_with_rsa();     // 1.2.840.113549.1.1.12
 const Oid& ecdsa_with_sha256();   // 1.2.840.10045.4.3.2
-const Oid& ecdsa_with_sha384();   // 1.2.840.10045.4.3.3
 
 // Public key algorithms.
 const Oid& rsa_encryption();      // 1.2.840.113549.1.1.1

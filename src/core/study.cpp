@@ -787,14 +787,6 @@ std::string EcosystemStudy::report_ct_landscape() {
   const rs::util::Date date = latest_common_date(index);
   const auto first_seen =
       rs::landscape::first_seen_tables(index, rs::query::Scope::kTls);
-  const auto all_names = index.providers();
-  const auto index_of = [&](const std::string& name) {
-    std::size_t at = 0;
-    for (std::size_t i = 0; i < all_names.size(); ++i) {
-      if (all_names[i] == name) at = i;
-    }
-    return at;
-  };
 
   std::string out =
       "Landscape: synthetic CT-log root acceptance vs program stores\n"
@@ -803,44 +795,28 @@ std::string EcosystemStudy::report_ct_landscape() {
 
   const auto [y_first, y_last] = coverage_years(index);
   for (const auto& log_name : log_names) {
-    const auto log_view =
-        index.store_at(log_name, date, rs::query::Scope::kTls);
-    if (!log_view) continue;
-    const std::size_t log_idx = index_of(log_name);
+    const auto ct = rs::landscape::ct_coverage_at(
+        index, log_name, date, rs::query::Scope::kTls, programs, first_seen);
+    if (!ct) continue;
 
-    std::vector<std::string> covered_names;
-    std::vector<const rs::store::IdSet*> covered_sets;
-    for (const auto& p : programs) {
-      const auto v = index.store_at(p, date, rs::query::Scope::kTls);
-      if (!v) continue;
-      covered_names.push_back(p);
-      covered_sets.push_back(v->roots);
-    }
-    const auto rows = rs::landscape::coverage_rows(*log_view->roots,
-                                                   covered_sets);
-    const std::size_t exclusive =
-        rs::landscape::log_exclusive_count(*log_view->roots, covered_sets);
-
-    out += "\n" + log_name + ": " + std::to_string(log_view->roots->size()) +
-           " accepted roots, " + std::to_string(exclusive) +
+    out += "\n" + log_name + ": " + std::to_string(ct->log.roots->size()) +
+           " accepted roots, " + std::to_string(ct->log_exclusive) +
            " log-exclusive\n";
     TextTable t({"Store", "Size", "Covered", "Fraction", "Matched",
                  "Mean lag (d)"});
     for (std::size_t c = 1; c <= 5; ++c) t.set_align(c, Align::kRight);
-    for (std::size_t i = 0; i < covered_names.size(); ++i) {
-      const auto lag = rs::landscape::adoption_lag(
-          first_seen[log_idx], first_seen[index_of(covered_names[i])]);
-      t.add_row({covered_names[i], std::to_string(rows[i].store_size),
-                 std::to_string(rows[i].covered),
+    for (const auto& row : ct->stores) {
+      t.add_row({row.name, std::to_string(row.coverage.store_size),
+                 std::to_string(row.coverage.covered),
                  rs::landscape::format_ratio(
-                     static_cast<double>(rows[i].covered),
-                     static_cast<double>(rows[i].store_size), 4),
-                 std::to_string(lag.matched),
-                 lag.matched == 0
+                     static_cast<double>(row.coverage.covered),
+                     static_cast<double>(row.coverage.store_size), 4),
+                 std::to_string(row.lag.matched),
+                 row.lag.matched == 0
                      ? std::string("-")
                      : rs::landscape::format_ratio(
-                           static_cast<double>(lag.total_lag_days),
-                           static_cast<double>(lag.matched), 1)});
+                           static_cast<double>(row.lag.total_lag_days),
+                           static_cast<double>(row.lag.matched), 1)});
     }
     out += t.render();
 

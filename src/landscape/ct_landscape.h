@@ -9,9 +9,11 @@
 // first adoption of a root to the log's first acceptance).
 //
 // Like presence.h, everything operates on borrowed IdSet views plus
-// caller-supplied first-seen tables, so the same code answers the
-// `ct_coverage` wire op, the report_ct_landscape study entry point, and
-// the brute-force differential battery.
+// caller-supplied first-seen tables.  `ct_coverage_at` in index_view.h
+// assembles the three primitives below over a TrustIndex, once for both
+// the `ct_coverage` wire op and the report_ct_landscape study entry
+// point, which only render its result; the brute-force differential
+// battery checks the op's bytes.
 #pragma once
 
 #include <cstddef>

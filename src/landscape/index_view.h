@@ -10,11 +10,13 @@
 // lifetime.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/landscape/ct_landscape.h"
@@ -80,6 +82,65 @@ inline std::vector<FirstSeen> first_seen_tables(
     }
   }
   return tables;
+}
+
+/// One store the log is compared with: how much of the store the log
+/// accepts at the date, and how far the log's adoption of the roots both
+/// ever carried lags the store's over the whole history.
+struct CtStoreRow {
+  std::string name;
+  CoverageRow coverage;
+  LagStats lag;
+};
+
+/// One log's CT-coverage answer at one date.
+struct CtCoverage {
+  rs::query::StoreView log;        // the log's resolved store
+  std::size_t log_exclusive = 0;   // roots no covered store holds
+  std::vector<CtStoreRow> stores;  // covered stores, in `stores` order
+  std::vector<std::string> not_covered;  // stores the date does not resolve
+};
+
+/// Compares the log `log` with each of `stores` at `date`: the log's
+/// coverage of every store whose coverage includes the date, its
+/// log-exclusive count against those stores, and its adoption lag against
+/// each from `first_seen` (first_seen_tables(index, scope)).  nullopt when
+/// the date does not resolve the log.  Both the `ct_coverage` wire op and
+/// the `ct_landscape` report call this; they only render its result.
+inline std::optional<CtCoverage> ct_coverage_at(
+    const rs::query::TrustIndex& index, std::string_view log,
+    rs::util::Date date, rs::query::Scope scope,
+    const std::vector<std::string>& stores,
+    const std::vector<FirstSeen>& first_seen) {
+  const auto log_view = index.store_at(log, date, scope);
+  if (!log_view) return std::nullopt;
+  CtCoverage out{*log_view, 0, {}, {}};
+  std::vector<const rs::store::IdSet*> covered;
+  for (const auto& name : stores) {
+    const auto view = index.store_at(name, date, scope);
+    if (view) {
+      out.stores.push_back({name, {}, {}});
+      covered.push_back(view->roots);
+    } else {
+      out.not_covered.push_back(name);
+    }
+  }
+  const auto rows = coverage_rows(*log_view->roots, covered);
+  out.log_exclusive = log_exclusive_count(*log_view->roots, covered);
+
+  // first_seen is in index provider order, which is name order.
+  const auto names = index.providers();
+  const auto first_seen_of = [&](std::string_view name) -> const FirstSeen& {
+    return first_seen[static_cast<std::size_t>(
+        std::lower_bound(names.begin(), names.end(), name) - names.begin())];
+  };
+  const FirstSeen& log_first = first_seen_of(log);
+  for (std::size_t i = 0; i < out.stores.size(); ++i) {
+    CtStoreRow& row = out.stores[i];
+    row.coverage = rows[i];
+    row.lag = adoption_lag(log_first, first_seen_of(row.name));
+  }
+  return out;
 }
 
 }  // namespace rs::landscape

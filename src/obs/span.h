@@ -60,9 +60,6 @@ class Span {
     if (registry_ != nullptr) items_ += items;
   }
 
-  /// True when this span is live (registry was enabled at construction).
-  bool recording() const noexcept { return registry_ != nullptr; }
-
  private:
   // The innermost live span id on this thread; swapping keeps nesting
   // correct even when spans on the same thread interleave with pool tasks.

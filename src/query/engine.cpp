@@ -1,16 +1,13 @@
 #include "src/query/engine.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdint>
 #include <functional>
 #include <utility>
 
 #include "src/landscape/index_view.h"
+#include "src/query/response_writer.h"
 #include "src/store/database.h"
 #include "src/store/interner.h"
-#include "src/util/hex.h"
-#include "src/util/json.h"
 #include "src/verify/temporal.h"
 #include "src/verify/verify.h"
 #include "src/x509/certificate.h"
@@ -18,136 +15,54 @@
 namespace rs::query {
 namespace {
 
-using rs::util::append_json_string;
-
-/// Appends `value` in decimal.
-void append_uint(std::string& out, std::uint64_t value) {
-  char buf[24];
-  const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
-  out.append(buf, end);
-}
-
-/// Appends a fingerprint as a quoted string of 64 lowercase hex digits,
-/// written in place (hex digits never need escaping).
-void append_fp(std::string& out, const rs::crypto::Sha256Digest& fp) {
-  out.push_back('"');
-  rs::util::append_hex(out, fp);
-  out.push_back('"');
-}
-
-/// Appends a date as a quoted "YYYY-MM-DD", written in place.
-void append_date(std::string& out, const rs::util::Date& d) {
-  out.push_back('"');
-  d.append_to(out);
-  out.push_back('"');
-}
-
-/// Incremental writer for the flat response objects.  Field order is the
-/// call order, so every response shape is fixed at its call site.  Keys
-/// are literals of this file and are written as they are; free-text
-/// values go through append_json_string, dates and fingerprints are
-/// written in place.
-class ResponseWriter {
- public:
-  /// Room for the common responses in one allocation; finish() hands the
-  /// buffer on, and the response cache stores an exact-size copy.
-  ResponseWriter() {
-    out_.reserve(256);
-    out_.push_back('{');
-  }
-
-  void field(std::string_view key, std::string_view value) {
-    key_only(key);
-    append_json_string(out_, value);
-  }
-  void field_date(std::string_view key, const rs::util::Date& value) {
-    key_only(key);
-    append_date(out_, value);
-  }
-  void field_fp(std::string_view key, const rs::crypto::Sha256Digest& value) {
-    key_only(key);
-    append_fp(out_, value);
-  }
-  void field_uint(std::string_view key, std::uint64_t value) {
-    key_only(key);
-    append_uint(out_, value);
-  }
-  void field_bool(std::string_view key, bool value) {
-    key_only(key);
-    out_ += value ? "true" : "false";
-  }
-  void field_null(std::string_view key) {
-    key_only(key);
-    out_ += "null";
-  }
-  void field_strings(std::string_view key,
-                     const std::vector<std::string>& values) {
-    key_only(key);
-    out_.push_back('[');
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (i > 0) out_.push_back(',');
-      append_json_string(out_, values[i]);
-    }
-    out_.push_back(']');
-  }
-  /// Opens a raw value position; the caller appends JSON via raw().
-  void key_only(std::string_view key) {
-    if (out_.size() > 1) out_.push_back(',');
-    out_.push_back('"');
-    out_ += key;
-    out_ += "\":";
-  }
-  std::string& raw() { return out_; }
-
-  std::string finish() {
-    out_.push_back('}');
-    return std::move(out_);
-  }
-
- private:
-  std::string out_;
-};
-
-/// Serializes an IdSet as a sorted array of hex fingerprints.  The array
-/// is sized once, 66 bytes per quoted fingerprint plus the commas and
-/// brackets, and every fingerprint's digits are written into it.
-void append_roots(ResponseWriter& w, std::string_view key,
-                  const rs::store::IdSet& ids,
-                  const rs::store::CertInterner& interner) {
-  w.key_only(key);
-  std::string& out = w.raw();
-  const std::vector<std::uint32_t> members = ids.ids();
-  const std::size_t at = out.size();
-  out.resize(at + 2 + (members.empty() ? 0 : members.size() * 67 - 1));
-  char* p = out.data() + at;
-  *p++ = '[';
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (i > 0) *p++ = ',';
-    *p++ = '"';
-    p = rs::util::write_hex(p, interner.digest_of(members[i]));
-    *p++ = '"';
-  }
-  *p = ']';
-}
+/// Writes a handler's echo of its request fields.
+using Echo = std::function<void(ResponseWriter&)>;
 
 /// Common echo prefix: op + status.
 ResponseWriter begin(const Request& r, std::string_view status) {
   ResponseWriter w;
-  w.field("op", to_string(r.op));
-  w.field("status", status);
+  w.key("op").text(to_string(r.op));
+  w.key("status").text(status);
   return w;
+}
+
+std::string unknown_provider(const std::string& provider) {
+  return error_response("unknown_provider",
+                        "no history for provider '" + provider + "'");
+}
+
+/// True when `date` lies inside the coverage window, i.e. the provider's
+/// snapshots resolve it.
+bool covers(const std::optional<ProviderCoverage>& coverage,
+            rs::util::Date date) {
+  return coverage && coverage->first <= date && date <= coverage->last;
 }
 
 std::string not_covered(const Request& r, std::string_view provider,
                         const std::optional<ProviderCoverage>& coverage,
-                        const std::function<void(ResponseWriter&)>& echo) {
+                        const Echo& echo) {
   ResponseWriter w = begin(r, "not_covered");
   echo(w);
-  w.field("provider", provider);
+  w.key("provider").text(provider);
   if (coverage) {
-    w.field_date("coverage_begin", coverage->first);
-    w.field_date("coverage_end", coverage->last);
+    w.key("coverage_begin").date(coverage->first);
+    w.key("coverage_end").date(coverage->last);
   }
+  return w.finish();
+}
+
+/// The ok answer of store_at and agent_store: the resolved store and its
+/// roots.
+std::string store_response(const Request& r, const Echo& echo,
+                           const StoreView& view,
+                           const rs::store::CertInterner& interner) {
+  ResponseWriter w = begin(r, "ok");
+  echo(w);
+  w.key("provider").text(view.provider);
+  w.key("snapshot_date").date(view.snapshot_date);
+  w.key("version").text(view.version);
+  w.key("count").number(view.roots->size());
+  w.key("roots").roots(*view.roots, interner);
   return w.finish();
 }
 
@@ -155,9 +70,9 @@ std::string not_covered(const Request& r, std::string_view provider,
 
 std::string error_response(std::string_view code, std::string_view message) {
   ResponseWriter w;
-  w.field("status", "error");
-  w.field("code", code);
-  w.field("message", message);
+  w.key("status").text("error");
+  w.key("code").text(code);
+  w.key("message").text(message);
   return w.finish();
 }
 
@@ -178,19 +93,17 @@ QueryEngine::QueryEngine(TrustIndex index,
     : index_(std::move(index)), agents_(std::move(agents)) {}
 
 std::string batch_response(const std::vector<std::string>& responses) {
+  // One reservation for the envelope and every item.
   std::size_t total = 64;
   for (const auto& response : responses) total += response.size() + 1;
-  std::string out;
-  out.reserve(total);
-  out += "{\"op\":\"batch\",\"status\":\"ok\",\"count\":";
-  append_uint(out, responses.size());
-  out += ",\"responses\":[";
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += responses[i];
-  }
-  out += "]}";
-  return out;
+  ResponseWriter w(total);
+  w.key("op").text("batch");
+  w.key("status").text("ok");
+  w.key("count").number(responses.size());
+  w.key("responses").begin_array();
+  for (const auto& response : responses) w.raw(response);
+  w.end_array();
+  return w.finish();
 }
 
 std::string QueryEngine::handle_json(std::string_view line) const {
@@ -239,14 +152,11 @@ std::string QueryEngine::handle(const Request& request) const {
 }
 
 std::string QueryEngine::handle_is_trusted(const Request& r) const {
-  if (!index_.has_provider(*r.provider)) {
-    return error_response("unknown_provider",
-                          "no history for provider '" + *r.provider + "'");
-  }
+  if (!index_.has_provider(*r.provider)) return unknown_provider(*r.provider);
   const auto echo = [&](ResponseWriter& w) {
-    w.field_fp("fp", *r.fp);
-    w.field_date("date", *r.date);
-    w.field("scope", to_string(r.scope));
+    w.key("fp").fp(*r.fp);
+    w.key("date").date(*r.date);
+    w.key("scope").text(to_string(r.scope));
   };
   const TrustAnswer answer =
       index_.is_trusted(*r.fp, *r.provider, *r.date, r.scope);
@@ -255,8 +165,8 @@ std::string QueryEngine::handle_is_trusted(const Request& r) const {
   }
   ResponseWriter w = begin(r, "ok");
   echo(w);
-  w.field("provider", *r.provider);
-  w.field_bool("trusted", answer == TrustAnswer::kTrusted);
+  w.key("provider").text(*r.provider);
+  w.key("trusted").boolean(answer == TrustAnswer::kTrusted);
   return w.finish();
 }
 
@@ -265,46 +175,33 @@ std::string QueryEngine::handle_providers_trusting(const Request& r) const {
   const auto trusting =
       index_.providers_trusting(*r.fp, *r.date, r.scope, &skipped);
   ResponseWriter w = begin(r, "ok");
-  w.field_fp("fp", *r.fp);
-  w.field_date("date", *r.date);
-  w.field("scope", to_string(r.scope));
-  w.field_strings("providers", trusting);
-  w.field_strings("not_covered", skipped);
+  w.key("fp").fp(*r.fp);
+  w.key("date").date(*r.date);
+  w.key("scope").text(to_string(r.scope));
+  w.key("providers").texts(trusting);
+  w.key("not_covered").texts(skipped);
   return w.finish();
 }
 
 std::string QueryEngine::handle_store_at(const Request& r) const {
-  if (!index_.has_provider(*r.provider)) {
-    return error_response("unknown_provider",
-                          "no history for provider '" + *r.provider + "'");
-  }
+  if (!index_.has_provider(*r.provider)) return unknown_provider(*r.provider);
   const auto echo = [&](ResponseWriter& w) {
-    w.field_date("date", *r.date);
-    w.field("scope", to_string(r.scope));
+    w.key("date").date(*r.date);
+    w.key("scope").text(to_string(r.scope));
   };
   const auto view = index_.store_at(*r.provider, *r.date, r.scope);
   if (!view) {
     return not_covered(r, *r.provider, index_.coverage(*r.provider), echo);
   }
-  ResponseWriter w = begin(r, "ok");
-  echo(w);
-  w.field("provider", view->provider);
-  w.field_date("snapshot_date", view->snapshot_date);
-  w.field("version", view->version);
-  w.field_uint("count", view->roots->size());
-  append_roots(w, "roots", *view->roots, index_.interner());
-  return w.finish();
+  return store_response(r, echo, *view, index_.interner());
 }
 
 std::string QueryEngine::handle_diff(const Request& r) const {
-  if (!index_.has_provider(*r.provider)) {
-    return error_response("unknown_provider",
-                          "no history for provider '" + *r.provider + "'");
-  }
+  if (!index_.has_provider(*r.provider)) return unknown_provider(*r.provider);
   const auto echo = [&](ResponseWriter& w) {
-    w.field_date("date_a", *r.date_a);
-    w.field_date("date_b", *r.date_b);
-    w.field("scope", to_string(r.scope));
+    w.key("date_a").date(*r.date_a);
+    w.key("date_b").date(*r.date_b);
+    w.key("scope").text(to_string(r.scope));
   };
   const auto delta = index_.diff(*r.provider, *r.date_a, *r.date_b, r.scope);
   if (!delta) {
@@ -312,11 +209,11 @@ std::string QueryEngine::handle_diff(const Request& r) const {
   }
   ResponseWriter w = begin(r, "ok");
   echo(w);
-  w.field("provider", delta->from.provider);
-  w.field_date("snapshot_a", delta->from.snapshot_date);
-  w.field_date("snapshot_b", delta->to.snapshot_date);
-  append_roots(w, "added", delta->added, index_.interner());
-  append_roots(w, "removed", delta->removed, index_.interner());
+  w.key("provider").text(delta->from.provider);
+  w.key("snapshot_a").date(delta->from.snapshot_date);
+  w.key("snapshot_b").date(delta->to.snapshot_date);
+  w.key("added").roots(delta->added, index_.interner());
+  w.key("removed").roots(delta->removed, index_.interner());
   return w.finish();
 }
 
@@ -362,10 +259,10 @@ std::string QueryEngine::handle_agent_store(const Request& r) const {
   const std::string& provider = providers.front();
 
   const auto echo = [&](ResponseWriter& w) {
-    w.field("user_agent", *r.user_agent);
-    if (r.os) w.field("os", *r.os);
-    w.field_date("date", *r.date);
-    w.field("scope", to_string(r.scope));
+    w.key("user_agent").text(*r.user_agent);
+    if (r.os) w.key("os").text(*r.os);
+    w.key("date").date(*r.date);
+    w.key("scope").text(to_string(r.scope));
   };
   if (!index_.has_provider(provider)) {
     return error_response("unknown_provider",
@@ -376,39 +273,23 @@ std::string QueryEngine::handle_agent_store(const Request& r) const {
   if (!view) {
     return not_covered(r, provider, index_.coverage(provider), echo);
   }
-  ResponseWriter w = begin(r, "ok");
-  echo(w);
-  w.field("provider", view->provider);
-  w.field_date("snapshot_date", view->snapshot_date);
-  w.field("version", view->version);
-  w.field_uint("count", view->roots->size());
-  append_roots(w, "roots", *view->roots, index_.interner());
-  return w.finish();
+  return store_response(r, echo, *view, index_.interner());
 }
 
 std::string QueryEngine::handle_lineage(const Request& r) const {
   const auto spans = index_.lineage(*r.fp, r.scope);
   ResponseWriter w = begin(r, "ok");
-  w.field_fp("fp", *r.fp);
-  w.field("scope", to_string(r.scope));
-  w.key_only("spans");
-  std::string& out = w.raw();
-  out.push_back('[');
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += "{\"provider\":";
-    append_json_string(out, spans[i].provider);
-    out += ",\"added\":";
-    append_date(out, spans[i].interval.added);
-    out += ",\"removed\":";
-    if (spans[i].interval.removed) {
-      append_date(out, *spans[i].interval.removed);
-    } else {
-      out += "null";
-    }
-    out.push_back('}');
+  w.key("fp").fp(*r.fp);
+  w.key("scope").text(to_string(r.scope));
+  w.key("spans").begin_array();
+  for (const auto& span : spans) {
+    w.begin_object();
+    w.key("provider").text(span.provider);
+    w.key("added").date(span.interval.added);
+    w.key("removed").date_or_null(span.interval.removed);
+    w.end_object();
   }
-  out.push_back(']');
+  w.end_array();
   return w.finish();
 }
 
@@ -478,34 +359,19 @@ std::optional<rs::asn1::Oid> eku_for_scope(Scope scope) {
   return std::nullopt;
 }
 
-void append_cert_path(std::string& out,
-                      const std::vector<const rs::x509::Certificate*>& certs) {
-  out.push_back('[');
-  for (std::size_t i = 0; i < certs.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    append_fp(out, certs[i]->sha256());
-  }
-  out.push_back(']');
-}
-
 }  // namespace
 
 std::string QueryEngine::handle_verify_chain(const Request& r) const {
-  if (!index_.has_provider(*r.provider)) {
-    return error_response("unknown_provider",
-                          "no history for provider '" + *r.provider + "'");
-  }
+  if (!index_.has_provider(*r.provider)) return unknown_provider(*r.provider);
   auto chain = parse_chain(r);
   if (!chain.ok()) return error_response("bad_certificate", chain.error());
   const auto echo = [&](ResponseWriter& w) {
-    w.field_fp("fp", chain.value().leaf.sha256());
-    w.field_date("date", *r.date);
-    w.field("scope", to_string(r.scope));
+    w.key("fp").fp(chain.value().leaf.sha256());
+    w.key("date").date(*r.date);
+    w.key("scope").text(to_string(r.scope));
   };
   const auto cov = index_.coverage(*r.provider);
-  if (!cov || *r.date < cov->first || *r.date > cov->last) {
-    return not_covered(r, *r.provider, cov, echo);
-  }
+  if (!covers(cov, *r.date)) return not_covered(r, *r.provider, cov, echo);
 
   std::vector<const rs::x509::Certificate*> pool;
   pool.reserve(chain.value().pool.size());
@@ -516,44 +382,37 @@ std::string QueryEngine::handle_verify_chain(const Request& r) const {
 
   ResponseWriter w = begin(r, "ok");
   echo(w);
-  w.field("provider", *r.provider);
-  w.field("verdict", result.accepted ? "accepted" : "rejected");
-  w.field("reason", rs::verify::to_string(result.reason));
-  w.key_only("path");
+  w.key("provider").text(*r.provider);
+  w.key("verdict").text(result.accepted ? "accepted" : "rejected");
+  w.key("reason").text(rs::verify::to_string(result.reason));
+  w.key("path").begin_array();
   if (const auto* path = result.accepted_path()) {
-    append_cert_path(w.raw(), path->certs);
-  } else {
-    w.raw() += "[]";
+    for (const auto* cert : path->certs) w.fp(cert->sha256());
   }
-  w.key_only("candidates");
-  std::string& out = w.raw();
-  out.push_back('[');
-  for (std::size_t i = 0; i < result.candidates.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += "{\"path\":";
-    append_cert_path(out, result.candidates[i].certs);
-    out += ",\"status\":";
-    append_json_string(out, rs::verify::to_string(result.candidates[i].status));
-    out += ",\"fail_index\":";
-    append_uint(out, result.candidates[i].fail_index);
-    out.push_back('}');
+  w.end_array();
+  w.key("candidates").begin_array();
+  for (const auto& candidate : result.candidates) {
+    w.begin_object();
+    w.key("path").begin_array();
+    for (const auto* cert : candidate.certs) w.fp(cert->sha256());
+    w.end_array();
+    w.key("status").text(rs::verify::to_string(candidate.status));
+    w.key("fail_index").number(candidate.fail_index);
+    w.end_object();
   }
-  out.push_back(']');
-  w.field_uint("pool_size", chain.value().pool.size());
-  w.field_uint("pool_unparsed", chain.value().pool_unparsed);
+  w.end_array();
+  w.key("pool_size").number(chain.value().pool.size());
+  w.key("pool_unparsed").number(chain.value().pool_unparsed);
   return w.finish();
 }
 
 std::string QueryEngine::handle_first_rejected_at(const Request& r) const {
-  if (!index_.has_provider(*r.provider)) {
-    return error_response("unknown_provider",
-                          "no history for provider '" + *r.provider + "'");
-  }
+  if (!index_.has_provider(*r.provider)) return unknown_provider(*r.provider);
   auto chain = parse_chain(r);
   if (!chain.ok()) return error_response("bad_certificate", chain.error());
   const auto echo = [&](ResponseWriter& w) {
-    w.field_fp("fp", chain.value().leaf.sha256());
-    w.field("scope", to_string(r.scope));
+    w.key("fp").fp(chain.value().leaf.sha256());
+    w.key("scope").text(to_string(r.scope));
   };
   const auto cov = index_.coverage(*r.provider);
   if (!cov) return not_covered(r, *r.provider, cov, echo);
@@ -577,22 +436,17 @@ std::string QueryEngine::handle_first_rejected_at(const Request& r) const {
 
   ResponseWriter w = begin(r, "ok");
   echo(w);
-  w.field("provider", *r.provider);
-  if (scan.accepted_from) {
-    w.field_date("accepted_from", *scan.accepted_from);
-  } else {
-    w.field_null("accepted_from");
-  }
+  w.key("provider").text(*r.provider);
+  w.key("accepted_from").date_or_null(scan.accepted_from);
+  w.key("first_rejected").date_or_null(scan.first_rejected);
   if (scan.first_rejected) {
-    w.field_date("first_rejected", *scan.first_rejected);
-    w.field("reason", rs::verify::to_string(scan.flip_reason));
+    w.key("reason").text(rs::verify::to_string(scan.flip_reason));
   } else {
-    w.field_null("first_rejected");
-    w.field_null("reason");
+    w.key("reason").null();
   }
-  w.field_uint("evaluated", scan.evaluated);
-  w.field_date("coverage_begin", cov->first);
-  w.field_date("coverage_end", cov->last);
+  w.key("evaluated").number(scan.evaluated);
+  w.key("coverage_begin").date(cov->first);
+  w.key("coverage_end").date(cov->last);
   return w.finish();
 }
 
@@ -603,57 +457,29 @@ std::string QueryEngine::handle_agreement_at(const Request& r) const {
   const auto view = rs::landscape::presence_at(index_, *r.date, r.scope);
   const auto summary = rs::landscape::agreement_summary(view.sets);
   ResponseWriter w = begin(r, "ok");
-  w.field_date("date", *r.date);
-  w.field("scope", to_string(r.scope));
-  w.field_strings("providers", view.providers);
-  w.key_only("sizes");
-  {
-    std::string& out = w.raw();
-    out.push_back('[');
-    for (std::size_t i = 0; i < summary.sizes.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      append_uint(out, summary.sizes[i]);
-    }
-    out.push_back(']');
+  w.key("date").date(*r.date);
+  w.key("scope").text(to_string(r.scope));
+  w.key("providers").texts(view.providers);
+  w.key("sizes").numbers(summary.sizes);
+  w.key("exclusive").numbers(summary.exclusive_counts);
+  w.key("union_size").number(summary.union_size);
+  w.key("intersection_size").number(summary.intersection_size);
+  w.key("global_agreement")
+      .text(rs::landscape::format_agreement(summary.intersection_size,
+                                            summary.union_size));
+  w.key("pairs").begin_array();
+  for (const auto& p : summary.pairs) {
+    w.begin_object();
+    w.key("a").text(view.providers[p.a]);
+    w.key("b").text(view.providers[p.b]);
+    w.key("intersection").number(p.intersection);
+    w.key("union").number(p.union_size);
+    w.key("agreement")
+        .text(rs::landscape::format_agreement(p.intersection, p.union_size));
+    w.end_object();
   }
-  w.key_only("exclusive");
-  {
-    std::string& out = w.raw();
-    out.push_back('[');
-    for (std::size_t i = 0; i < summary.exclusive_counts.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      append_uint(out, summary.exclusive_counts[i]);
-    }
-    out.push_back(']');
-  }
-  w.field_uint("union_size", summary.union_size);
-  w.field_uint("intersection_size", summary.intersection_size);
-  w.field("global_agreement",
-          rs::landscape::format_agreement(summary.intersection_size,
-                                          summary.union_size));
-  w.key_only("pairs");
-  {
-    std::string& out = w.raw();
-    out.push_back('[');
-    for (std::size_t i = 0; i < summary.pairs.size(); ++i) {
-      const auto& p = summary.pairs[i];
-      if (i > 0) out.push_back(',');
-      out += "{\"a\":";
-      append_json_string(out, view.providers[p.a]);
-      out += ",\"b\":";
-      append_json_string(out, view.providers[p.b]);
-      out += ",\"intersection\":";
-      append_uint(out, p.intersection);
-      out += ",\"union\":";
-      append_uint(out, p.union_size);
-      out += ",\"agreement\":";
-      append_json_string(
-          out, rs::landscape::format_agreement(p.intersection, p.union_size));
-      out.push_back('}');
-    }
-    out.push_back(']');
-  }
-  w.field_strings("not_covered", view.not_covered);
+  w.end_array();
+  w.key("not_covered").texts(view.not_covered);
   return w.finish();
 }
 
@@ -663,119 +489,72 @@ std::string QueryEngine::handle_ct_coverage(const Request& r) const {
   // does its adoption of each store's roots lag (history-wide, per root
   // present in both)?  Any provider works as the log — the CT-specific
   // semantics come from the dataset (synth ct_log providers), not the op.
-  if (!index_.has_provider(*r.provider)) {
-    return error_response("unknown_provider",
-                          "no history for provider '" + *r.provider + "'");
-  }
+  if (!index_.has_provider(*r.provider)) return unknown_provider(*r.provider);
   const auto echo = [&](ResponseWriter& w) {
-    w.field_date("date", *r.date);
-    w.field("scope", to_string(r.scope));
+    w.key("date").date(*r.date);
+    w.key("scope").text(to_string(r.scope));
   };
-  const auto log_view = index_.store_at(*r.provider, *r.date, r.scope);
-  if (!log_view) {
-    return not_covered(r, *r.provider, index_.coverage(*r.provider), echo);
+  // The first-seen tables span every provider's history: build them only
+  // when the date resolves the log.
+  const auto cov = index_.coverage(*r.provider);
+  std::optional<rs::landscape::CtCoverage> ct;
+  if (covers(cov, *r.date)) {
+    std::vector<std::string> stores = index_.providers();
+    std::erase(stores, *r.provider);
+    ct = rs::landscape::ct_coverage_at(
+        index_, *r.provider, *r.date, r.scope, stores,
+        rs::landscape::first_seen_tables(index_, r.scope));
   }
-
-  // Presence of every other provider at the date (name order).
-  std::vector<std::string> covered_names;
-  std::vector<const rs::store::IdSet*> covered_sets;
-  std::vector<std::string> skipped;
-  for (const auto& name : index_.providers()) {
-    if (name == *r.provider) continue;
-    const auto resolved = index_.store_at(name, *r.date, r.scope);
-    if (resolved) {
-      covered_names.push_back(name);
-      covered_sets.push_back(resolved->roots);
-    } else {
-      skipped.push_back(name);
-    }
-  }
-  const auto rows = rs::landscape::coverage_rows(*log_view->roots,
-                                                 covered_sets);
-  const std::size_t exclusive =
-      rs::landscape::log_exclusive_count(*log_view->roots, covered_sets);
-
-  // History-wide adoption lag: first-seen date in the log minus first-seen
-  // date in the store, over roots both ever carry.
-  const auto first_seen = rs::landscape::first_seen_tables(index_, r.scope);
-  const auto all_names = index_.providers();
-  std::size_t log_idx = 0;
-  for (std::size_t i = 0; i < all_names.size(); ++i) {
-    if (all_names[i] == *r.provider) log_idx = i;
-  }
+  if (!ct) return not_covered(r, *r.provider, cov, echo);
 
   ResponseWriter w = begin(r, "ok");
   echo(w);
-  w.field("provider", log_view->provider);
-  w.field_date("snapshot_date", log_view->snapshot_date);
-  w.field_uint("log_size", log_view->roots->size());
-  w.field_uint("log_exclusive", exclusive);
-  w.key_only("coverage");
-  {
-    std::string& out = w.raw();
-    out.push_back('[');
-    for (std::size_t i = 0; i < covered_names.size(); ++i) {
-      std::size_t store_idx = 0;
-      for (std::size_t j = 0; j < all_names.size(); ++j) {
-        if (all_names[j] == covered_names[i]) store_idx = j;
-      }
-      const auto lag = rs::landscape::adoption_lag(first_seen[log_idx],
-                                                   first_seen[store_idx]);
-      if (i > 0) out.push_back(',');
-      out += "{\"provider\":";
-      append_json_string(out, covered_names[i]);
-      out += ",\"size\":";
-      append_uint(out, rows[i].store_size);
-      out += ",\"covered\":";
-      append_uint(out, rows[i].covered);
-      out += ",\"fraction\":";
-      append_json_string(
-          out, rs::landscape::format_ratio(
-                   static_cast<double>(rows[i].covered),
-                   static_cast<double>(rows[i].store_size), 4));
-      out += ",\"matched\":";
-      append_uint(out, lag.matched);
-      out += ",\"mean_lag_days\":";
-      if (lag.matched == 0) {
-        out += "null";
-      } else {
-        append_json_string(
-            out, rs::landscape::format_ratio(
-                     static_cast<double>(lag.total_lag_days),
-                     static_cast<double>(lag.matched), 1));
-      }
-      out.push_back('}');
+  w.key("provider").text(ct->log.provider);
+  w.key("snapshot_date").date(ct->log.snapshot_date);
+  w.key("log_size").number(ct->log.roots->size());
+  w.key("log_exclusive").number(ct->log_exclusive);
+  w.key("coverage").begin_array();
+  for (const auto& row : ct->stores) {
+    w.begin_object();
+    w.key("provider").text(row.name);
+    w.key("size").number(row.coverage.store_size);
+    w.key("covered").number(row.coverage.covered);
+    w.key("fraction").text(rs::landscape::format_ratio(
+        static_cast<double>(row.coverage.covered),
+        static_cast<double>(row.coverage.store_size), 4));
+    w.key("matched").number(row.lag.matched);
+    w.key("mean_lag_days");
+    if (row.lag.matched == 0) {
+      w.null();
+    } else {
+      w.text(rs::landscape::format_ratio(
+          static_cast<double>(row.lag.total_lag_days),
+          static_cast<double>(row.lag.matched), 1));
     }
-    out.push_back(']');
+    w.end_object();
   }
-  w.field_strings("not_covered", skipped);
+  w.end_array();
+  w.key("not_covered").texts(ct->not_covered);
   return w.finish();
 }
 
 std::string QueryEngine::handle_stats() const {
   ResponseWriter w;
-  w.field("op", "stats");
-  w.field("status", "ok");
-  w.field_uint("providers", index_.provider_count());
-  w.field_uint("resolution_points", index_.resolution_point_count());
-  w.field_uint("certificates", index_.interner().size());
-  w.key_only("coverage");
-  std::string& out = w.raw();
-  out.push_back('{');
-  bool first = true;
+  w.key("op").text("stats");
+  w.key("status").text("ok");
+  w.key("providers").number(index_.provider_count());
+  w.key("resolution_points").number(index_.resolution_point_count());
+  w.key("certificates").number(index_.interner().size());
+  w.key("coverage").begin_object();
   for (const auto& name : index_.providers()) {
     const auto cov = index_.coverage(name);
     if (!cov) continue;
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out += ":[";
-    append_date(out, cov->first);
-    out.push_back(',');
-    append_date(out, cov->last);
-    out.push_back(']');
+    w.escaped_key(name).begin_array();
+    w.date(cov->first);
+    w.date(cov->last);
+    w.end_array();
   }
-  out.push_back('}');
+  w.end_object();
   return w.finish();
 }
 

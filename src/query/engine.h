@@ -7,9 +7,11 @@
 // same handle()/handle_json(), which is what makes the serve-layer test
 // able to prove byte-identical answers across paths.
 //
-// Response grammar (docs/SERVING.md): every response is a flat JSON object
-// on one line.  Success and typed not-covered answers lead with "op" then
-// "status"; malformed or unanswerable requests produce
+// Response grammar (docs/SERVING.md): every response is one JSON object on
+// one line, written by ResponseWriter (src/query/response_writer.h), as
+// are the error and batch envelopes below and the server's own answers.
+// Success and typed not-covered answers lead with "op" then "status";
+// malformed or unanswerable requests produce
 //   {"status":"error","code":"<machine readable>","message":"<human>"}.
 // All construction is deterministic: fixed field order, sorted collections
 // (root lists ride on the interner's sorted-digest ID order).

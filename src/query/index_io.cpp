@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "src/obs/registry.h"
@@ -203,6 +204,25 @@ persist::Loaded<TrustIndex> TrustIndexIO::deserialize(
 
 rs::util::Result<std::uint64_t> TrustIndexIO::write_file(
     const TrustIndex& index, const std::string& path) {
+  using R = rs::util::Result<std::uint64_t>;
+  // A file deserialize() rejects is no index: refuse a string past the
+  // loader's caps before anything is written.
+  for (const auto& p : index.providers_) {
+    if (p.name.size() > persist::kMaxNameBytes) {
+      return R::err("provider name '" + p.name + "' is " +
+                    std::to_string(p.name.size()) +
+                    " bytes; the index loader takes at most " +
+                    std::to_string(persist::kMaxNameBytes));
+    }
+    for (const auto& version : p.versions) {
+      if (version.size() > persist::kMaxVersionBytes) {
+        return R::err("provider '" + p.name + "': version label '" +
+                      version + "' is " + std::to_string(version.size()) +
+                      " bytes; the index loader takes at most " +
+                      std::to_string(persist::kMaxVersionBytes));
+      }
+    }
+  }
   const std::string image = serialize(index);
   auto written = persist::atomic_write_file(path, image);
   if (written.ok()) {

@@ -74,6 +74,9 @@ class TrustIndexIO {
       std::span<const std::uint8_t> bytes);
 
   /// serialize() + persist::atomic_write_file.  Returns bytes written.
+  /// Refuses, writing nothing, an index whose provider names or version
+  /// labels exceed the loader's caps (persist::kMaxNameBytes,
+  /// kMaxVersionBytes), so every file written here loads back.
   static rs::util::Result<std::uint64_t> write_file(const TrustIndex& index,
                                                     const std::string& path);
 

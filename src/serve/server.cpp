@@ -13,6 +13,7 @@
 
 #include "src/obs/span.h"
 #include "src/query/request.h"
+#include "src/query/response_writer.h"
 #include "src/util/strings.h"
 
 namespace rs::serve {
@@ -244,29 +245,23 @@ std::string Server::respond_single(const Published& pub,
 
 std::string Server::server_stats_response() const {
   const ServerStats s = stats();
-  std::string out = "{\"op\":\"server_stats\",\"status\":\"ok\"";
-  const auto field = [&out](const char* key, std::uint64_t value) {
-    out.push_back(',');
-    out.push_back('"');
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  field("connections", s.connections);
-  field("requests", s.requests);
-  field("errors", s.errors);
-  field("cache_hits", s.cache_hits);
-  field("cache_misses", s.cache_misses);
-  field("cache_entries", cache_.size());
-  field("cache_capacity", cache_.capacity());
-  field("cache_shards", cache_.shard_count());
-  field("threads", loop_count_for(options_.num_threads));
-  field("batch_items", s.batch_items);
-  field("epoch", s.epoch);
-  field("reloads", s.reloads);
-  field("reload_failures", s.reload_failures);
-  out.push_back('}');
-  return out;
+  rs::query::ResponseWriter w;
+  w.key("op").text("server_stats");
+  w.key("status").text("ok");
+  w.key("connections").number(s.connections);
+  w.key("requests").number(s.requests);
+  w.key("errors").number(s.errors);
+  w.key("cache_hits").number(s.cache_hits);
+  w.key("cache_misses").number(s.cache_misses);
+  w.key("cache_entries").number(cache_.size());
+  w.key("cache_capacity").number(cache_.capacity());
+  w.key("cache_shards").number(cache_.shard_count());
+  w.key("threads").number(loop_count_for(options_.num_threads));
+  w.key("batch_items").number(s.batch_items);
+  w.key("epoch").number(s.epoch);
+  w.key("reloads").number(s.reloads);
+  w.key("reload_failures").number(s.reload_failures);
+  return w.finish();
 }
 
 std::string Server::reload_response(const Published& pub) {
@@ -284,9 +279,12 @@ std::string Server::reload_response(const Published& pub) {
   // The flip is asynchronous (the reloader thread loads the index off the
   // event loops); `epoch` is the one this request pinned — clients poll
   // server_stats to observe the flip.
-  return "{\"op\":\"reload_index\",\"status\":\"ok\",\"accepted\":true,"
-         "\"epoch\":" +
-         std::to_string(pub.epoch) + "}";
+  rs::query::ResponseWriter w;
+  w.key("op").text("reload_index");
+  w.key("status").text("ok");
+  w.key("accepted").boolean(true);
+  w.key("epoch").number(pub.epoch);
+  return w.finish();
 }
 
 void Server::reload_loop() {

@@ -67,6 +67,4 @@ std::vector<ExclusiveRow> table6_counts() {
   };
 }
 
-double table1_coverage() { return 0.77; }
-
 }  // namespace rs::synth::paper

@@ -56,7 +56,4 @@ struct ExclusiveRow {
 };
 std::vector<ExclusiveRow> table6_counts();
 
-/// Table 1 bottom line: fraction of top-200 UAs with collected root stores.
-double table1_coverage();  // 0.77
-
 }  // namespace rs::synth::paper

@@ -66,9 +66,6 @@ class PaperScenario {
   const Timeline& timeline(const std::string& program) const {
     return timelines_.at(program);
   }
-  bool has_timeline(const std::string& program) const {
-    return timelines_.contains(program);
-  }
 
   /// Root blueprints that exist only in derivatives (Debian-local CAs, ...).
   const std::map<std::string, RootSpec>& extra_specs() const noexcept {

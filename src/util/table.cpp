@@ -66,7 +66,7 @@ std::string TextTable::render() const {
 
 namespace {
 std::string csv_cell(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
   std::string out = "\"";
   for (char c : cell) {
     if (c == '"') out += '"';

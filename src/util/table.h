@@ -1,7 +1,8 @@
-// Plain-text table rendering for the benchmark harnesses.
+// Plain-text tables and CSV in one place.
 //
-// Every bench binary prints the paper's table/figure as an aligned text table
-// (and optionally CSV), so table formatting lives in one place.
+// `rootstore report <name>` renders every table of the paper through
+// TextTable::render, and the figure-data CSV exports (src/core/export.cpp,
+// `rootstore report <name> --csv`) write theirs through render_csv.
 #pragma once
 
 #include <string>
@@ -35,7 +36,8 @@ class TextTable {
   /// Renders with ASCII separators and 2-space padding.
   std::string render() const;
 
-  /// Renders as RFC-4180-ish CSV (quotes cells containing comma/quote/newline).
+  /// Renders as RFC 4180 CSV: a cell holding a comma, quote, CR or LF is
+  /// quoted, its quotes doubled.
   std::string render_csv() const;
 
   std::size_t row_count() const noexcept { return rows_.size(); }

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "src/store/database.h"
+#include "src/synth/paper_scenario.h"
 #include "src/util/strings.h"
 
 namespace rs::core {
@@ -94,6 +100,62 @@ TEST_F(ExportTest, ChurnCsvMarksOutliers) {
 
 TEST_F(ExportTest, CsvIsDeterministic) {
   EXPECT_EQ(figure3_csv(*study_), figure3_csv(*study_));
+}
+
+/// Splits one RFC 4180 record: quoted cells, quotes doubled inside them.
+std::vector<std::string> csv_fields(std::string_view line) {
+  std::vector<std::string> fields(1);
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted && c == '"' && i + 1 < line.size() && line[i + 1] == '"') {
+      fields.back() += '"';
+      ++i;
+    } else if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+// A version label may hold a comma or a quote (write_dataset refuses only
+// control bytes), so a CSV cell holding one must be quoted: every row
+// still parses to the header's seven fields, the version intact.
+TEST(ExportQuoting, Figure1RowsKeepVersionsHoldingCommasAndQuotes) {
+  const std::string suffix = ",\"patched\"";
+  auto scenario = rs::synth::build_paper_scenario();
+  rs::store::StoreDatabase db;
+  for (const auto& [name, history] : scenario.database().histories()) {
+    rs::store::ProviderHistory copy(name);
+    for (auto snapshot : history.snapshots()) {
+      if (name == "NSS") snapshot.version += suffix;
+      copy.add(std::move(snapshot));
+    }
+    db.add(std::move(copy));
+  }
+  scenario.replace_database(std::move(db));
+  const EcosystemStudy study(std::move(scenario));
+
+  const std::string csv = figure1_csv(study);
+  const auto lines = rs::util::split_lines(csv);
+  ASSERT_GT(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "provider,family,date,version,x,y,cluster");
+  std::size_t nss_rows = 0;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    const auto fields = csv_fields(lines[i]);
+    ASSERT_EQ(fields.size(), 7u) << lines[i];
+    if (fields[0] != "NSS") continue;
+    ++nss_rows;
+    const std::string& version = fields[3];
+    ASSERT_GE(version.size(), suffix.size()) << lines[i];
+    EXPECT_EQ(version.substr(version.size() - suffix.size()), suffix)
+        << lines[i];
+  }
+  EXPECT_GT(nss_rows, 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -349,6 +350,65 @@ TEST(IndexIoFile, WriteLoadVerifyRoundTrip) {
   EXPECT_GT(stats.value().intervals, 0u);
   EXPECT_EQ(stats.value().bytes, written.value());
 
+  std::filesystem::remove_all(dir);
+}
+
+// deserialize() caps provider names and version labels; write_file must
+// refuse a string past either cap, naming the provider, and write nothing.
+TEST(IndexIoFile, WriteRefusesStringsPastTheLoaderCaps) {
+  namespace persist = rs::store::persist;
+  const auto one_snapshot = [](const std::string& provider,
+                               std::size_t version_bytes) {
+    Snapshot s;
+    s.provider = provider;
+    s.date = Date::ymd(2020, 1, 1);
+    s.version = std::string(version_bytes, 'v');
+    ProviderHistory h(provider);
+    h.add(std::move(s));
+    StoreDatabase db;
+    db.add(std::move(h));
+    return build_index(db);
+  };
+  const auto dir =
+      std::filesystem::temp_directory_path() / "rs_index_io_caps_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  const std::string at_cap = (dir / "at_cap.rsix").string();
+  auto written = TrustIndexIO::write_file(
+      one_snapshot("P", persist::kMaxVersionBytes), at_cap);
+  ASSERT_TRUE(written.ok()) << written.error();
+  auto loaded = TrustIndexIO::load_file(at_cap);
+  ASSERT_TRUE(loaded.ok()) << loaded.message();
+  const auto view =
+      loaded.value().store_at("P", Date::ymd(2020, 1, 1), Scope::kPresent);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->version, std::string(persist::kMaxVersionBytes, 'v'));
+
+  const std::string long_version = (dir / "long_version.rsix").string();
+  auto refused = TrustIndexIO::write_file(
+      one_snapshot("P", persist::kMaxVersionBytes + 1), long_version);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().find("provider 'P'"), std::string::npos)
+      << refused.error();
+  EXPECT_NE(refused.error().find(std::string(persist::kMaxVersionBytes + 1,
+                                             'v')),
+            std::string::npos)
+      << refused.error();
+  EXPECT_FALSE(std::filesystem::exists(long_version));
+
+  const std::string long_name = (dir / "long_name.rsix").string();
+  const std::string name(persist::kMaxNameBytes + 1, 'N');
+  auto refused_name =
+      TrustIndexIO::write_file(one_snapshot(name, 1), long_name);
+  ASSERT_FALSE(refused_name.ok());
+  EXPECT_NE(refused_name.error().find(name), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(long_name));
+
+  // Nothing but the one good file: no temporary was left behind.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
   std::filesystem::remove_all(dir);
 }
 

@@ -2,7 +2,7 @@
 # Records every microbenchmark file from one build tree, then checks the
 # readings against one gate table:
 #
-#   BENCH_parallel.json     the membership lanes at 0/2/4 workers
+#   BENCH_parallel.json     the sim_index membership lanes at 0/2/4 workers
 #   BENCH_obs.json          the rs_obs registry disabled and enabled
 #   BENCH_incremental.json  cold start (load vs rebuild), append one
 #   BENCH_verify.json       point verdicts; breakpoint vs day-by-day scan
@@ -136,8 +136,9 @@ echo "record_bench: wrote 6 BENCH_*.json files to $out_dir ($build_type)"
 #   serve_G1   64 connections over the same 4 event loops stay in the class
 #              of 4 (0.7, not 0.85, absorbs the ±8% run-to-run noise).
 #   serve_G2   batch-16 envelopes amortize the syscall-bound cached path.
-#   lanes_*    serial over N workers: one task per provider, so it depends
-#              on the host's cores (docs/PARALLELISM.md).
+#   lanes_*    serial over N workers on the sim_index database: one task
+#              per provider, so it depends on the host's cores
+#              (docs/PARALLELISM.md).
 #   obs_*_on   tracing on over off.  The disabled-mode contract (no
 #              allocation, no clock read, nothing collected) is enforced
 #              by tests/obs/obs_disabled_test.cpp, not by a timing row.
@@ -150,10 +151,8 @@ cold_start      20  BENCH_incremental.json BM_ColdStartRebuild          BM_ColdS
 append_one      10  BENCH_incremental.json BM_FullRecompute             BM_AppendOneSnapshot
 verify          5   BENCH_verify.json      BM_FirstRejectedAtLinearScan BM_FirstRejectedAtBreakpoints
 landscape       5   BENCH_landscape.json   BM_AgreementMatrixNaive      BM_AgreementMatrixIdSet
-lanes_paper_2   -   BENCH_parallel.json    $lane/0/0/$rt $lane/0/2/$rt
-lanes_paper_4   -   BENCH_parallel.json    $lane/0/0/$rt $lane/0/4/$rt
-lanes_sim_2     -   BENCH_parallel.json    $lane/1/0/$rt $lane/1/2/$rt
-lanes_sim_4     -   BENCH_parallel.json    $lane/1/0/$rt $lane/1/4/$rt
+lanes_sim_2     -   BENCH_parallel.json    $lane/0/$rt $lane/2/$rt
+lanes_sim_4     -   BENCH_parallel.json    $lane/0/$rt $lane/4/$rt
 obs_jaccard_on  -   BENCH_obs.json BM_JaccardMatrixObs/1 BM_JaccardMatrixObs/0
 obs_stale_on    -   BENCH_obs.json BM_StalenessObs/1     BM_StalenessObs/0
 "

@@ -21,7 +21,6 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -83,8 +82,8 @@ int usage() {
       "                            `dataset export` directory through the\n"
       "                            real format parsers (same report bytes);\n"
       "                            --trace-out writes a Chrome trace_event\n"
-      "                            JSON (env ROOTSTORE_TRACE works too) and\n"
-      "                            --metrics-out a counters/stages JSON\n"
+      "                            JSON and --metrics-out a counters/stages\n"
+      "                            JSON\n"
       "  query '<json>' [--threads N] [--from DIR] [--index FILE]\n"
       "                            answer one trust query (is_trusted,\n"
       "                            providers_trusting, store_at, diff,\n"
@@ -652,15 +651,9 @@ int main(int argc, char** argv) {
   if (cmd == "report" && args.size() >= 2) {
     std::size_t threads = 0;
     bool csv = false;
-    // ROOTSTORE_TRACE doubles as a default trace destination; the registry
-    // itself also honours it for enablement at first access.
     std::string from_dir;
     std::string trace_out;
     std::string metrics_out;
-    // Startup-only read on the main thread (CLI flag default): safe.
-    if (const char* env = std::getenv("ROOTSTORE_TRACE")) {  // NOLINT(concurrency-mt-unsafe)
-      if (env[0] != '\0') trace_out = env;
-    }
     for (std::size_t i = 2; i < args.size(); ++i) {
       if (args[i] == "--csv") {
         csv = true;
