@@ -37,12 +37,11 @@ DistanceMatrix jaccard_matrix(const rs::store::StoreDatabase& db,
   std::vector<const rs::store::IdSet*> sets;
   for (const auto& [name, history] : db.histories()) {
     const auto& lane = table.lane(history);
-    // Collect candidate indices honouring the date window.
+    // Collect the indices dated min_date or later.
     std::vector<std::size_t> idx;
     for (std::size_t i = 0; i < history.size(); ++i) {
       const auto& s = history.snapshots()[i];
       if (options.min_date && s.date < *options.min_date) continue;
-      if (options.max_date && s.date > *options.max_date) continue;
       idx.push_back(i);
     }
     // Uniform subsample if requested (keep ends, stride the middle).

@@ -53,10 +53,9 @@ struct DistanceMatrix {
 /// Options for matrix construction.
 struct JaccardOptions {
   SetKind set_kind = SetKind::kAllCertificates;
-  /// Only snapshots dated in [min_date, max_date] are included (the paper's
-  /// Figure 1 restricts to 2011-2021).
+  /// Only snapshots dated min_date or later are included (the paper's
+  /// Figure 1 starts at 2011).
   std::optional<rs::util::Date> min_date;
-  std::optional<rs::util::Date> max_date;
   /// Keep at most this many snapshots per provider (uniform subsample, most
   /// recent kept); 0 = no limit.  Controls MDS cost.
   std::size_t max_per_provider = 0;

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "src/util/byte_order.h"
+
 namespace rs::crypto {
 
 namespace {
@@ -33,19 +35,7 @@ constexpr std::uint32_t kSine[64] = {
     0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
     0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
 
-std::uint32_t load_le32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void store_le32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
+using rs::util::load_le32;
 
 }  // namespace
 
@@ -82,60 +72,6 @@ void Md5::compress(const std::uint8_t* block) noexcept {
   state_[1] += b;
   state_[2] += c;
   state_[3] += d;
-}
-
-void Md5::update(std::span<const std::uint8_t> data) noexcept {
-  // Empty spans may carry data() == nullptr; memcpy from nullptr is UB
-  // even with a zero count (same fix as Sha1::update).
-  if (data.empty()) return;
-  length_ += data.size();
-  std::size_t off = 0;
-  if (buffered_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
-    buffered_ += take;
-    off = take;
-    if (buffered_ == 64) {
-      compress(buffer_);
-      buffered_ = 0;
-    }
-  }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffered_ = data.size() - off;
-  }
-}
-
-Md5Digest Md5::finish() noexcept {
-  const std::uint64_t bit_len = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  static constexpr std::uint8_t kZeros[64] = {};
-  while (buffered_ != 56) {
-    const std::size_t need = buffered_ < 56 ? 56 - buffered_ : 64 - buffered_ + 56;
-    const std::size_t take = std::min<std::size_t>(need, 64 - buffered_);
-    // update() may compress and reset buffered_; loop handles wrap.
-    update({kZeros, take});
-  }
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  }
-  update({len_bytes, 8});
-
-  Md5Digest out;
-  for (int i = 0; i < 4; ++i) store_le32(out.data() + i * 4, state_[i]);
-  return out;
-}
-
-Md5Digest Md5::hash(std::span<const std::uint8_t> data) noexcept {
-  Md5 h;
-  h.update(data);
-  return h.finish();
 }
 
 }  // namespace rs::crypto

@@ -6,34 +6,23 @@
 // root program purged MD5-signed roots.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <span>
 
+#include "src/crypto/block_hash.h"
 #include "src/crypto/digest.h"
 
 namespace rs::crypto {
 
-/// Incremental MD5 hasher.
-class Md5 {
+/// Incremental MD5 hasher: `update`, `finish` and the one-shot `hash`
+/// come from BlockHash.
+class Md5 : public BlockHash<Md5, 4, std::endian::little> {
  public:
   Md5() noexcept;
 
-  /// Absorbs `data`; may be called repeatedly.
-  void update(std::span<const std::uint8_t> data) noexcept;
-
-  /// Finalizes and returns the digest.  The hasher must not be used after.
-  Md5Digest finish() noexcept;
-
-  /// One-shot convenience.
-  static Md5Digest hash(std::span<const std::uint8_t> data) noexcept;
-
  private:
+  friend BlockHash;
   void compress(const std::uint8_t* block) noexcept;
-
-  std::uint32_t state_[4];
-  std::uint64_t length_ = 0;          // total bytes absorbed
-  std::uint8_t buffer_[64];
-  std::size_t buffered_ = 0;
 };
 
 }  // namespace rs::crypto

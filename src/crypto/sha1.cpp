@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "src/util/byte_order.h"
+
 namespace rs::crypto {
 
 namespace {
@@ -10,19 +12,7 @@ namespace {
 constexpr std::uint32_t kInit[5] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
                                     0x10325476u, 0xc3d2e1f0u};
 
-std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
+using rs::util::load_be32;
 
 }  // namespace
 
@@ -64,60 +54,6 @@ void Sha1::compress(const std::uint8_t* block) noexcept {
   state_[2] += c;
   state_[3] += d;
   state_[4] += e;
-}
-
-void Sha1::update(std::span<const std::uint8_t> data) noexcept {
-  // An empty span may carry data() == nullptr, and passing that to memcpy
-  // is undefined behaviour even with a zero count (found by UBSan via the
-  // JKS fuzz harness hashing an empty store body).
-  if (data.empty()) return;
-  length_ += data.size();
-  std::size_t off = 0;
-  if (buffered_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
-    buffered_ += take;
-    off = take;
-    if (buffered_ == 64) {
-      compress(buffer_);
-      buffered_ = 0;
-    }
-  }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffered_ = data.size() - off;
-  }
-}
-
-Sha1Digest Sha1::finish() noexcept {
-  const std::uint64_t bit_len = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  static constexpr std::uint8_t kZeros[64] = {};
-  while (buffered_ != 56) {
-    const std::size_t need = buffered_ < 56 ? 56 - buffered_ : 64 - buffered_ + 56;
-    const std::size_t take = std::min<std::size_t>(need, 64 - buffered_);
-    update({kZeros, take});
-  }
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  }
-  update({len_bytes, 8});
-
-  Sha1Digest out;
-  for (int i = 0; i < 5; ++i) store_be32(out.data() + i * 4, state_[i]);
-  return out;
-}
-
-Sha1Digest Sha1::hash(std::span<const std::uint8_t> data) noexcept {
-  Sha1 h;
-  h.update(data);
-  return h.finish();
 }
 
 }  // namespace rs::crypto

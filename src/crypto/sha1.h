@@ -5,32 +5,23 @@
 // objects carry CKA_CERT_SHA1_HASH, and JKS v2 uses a SHA-1 integrity digest.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <span>
 
+#include "src/crypto/block_hash.h"
 #include "src/crypto/digest.h"
 
 namespace rs::crypto {
 
-/// Incremental SHA-1 hasher.
-class Sha1 {
+/// Incremental SHA-1 hasher: `update`, `finish` and the one-shot `hash`
+/// come from BlockHash.
+class Sha1 : public BlockHash<Sha1, 5, std::endian::big> {
  public:
   Sha1() noexcept;
 
-  void update(std::span<const std::uint8_t> data) noexcept;
-
-  /// Finalizes and returns the digest.  The hasher must not be used after.
-  Sha1Digest finish() noexcept;
-
-  static Sha1Digest hash(std::span<const std::uint8_t> data) noexcept;
-
  private:
+  friend BlockHash;
   void compress(const std::uint8_t* block) noexcept;
-
-  std::uint32_t state_[5];
-  std::uint64_t length_ = 0;
-  std::uint8_t buffer_[64];
-  std::size_t buffered_ = 0;
 };
 
 }  // namespace rs::crypto

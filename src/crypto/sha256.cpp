@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "src/util/byte_order.h"
+
 namespace rs::crypto {
 
 namespace {
@@ -26,19 +28,7 @@ constexpr std::uint32_t kRound[64] = {
     0x682e6ff3u, 0x748f82eeu, 0x78a5636fu, 0x84c87814u, 0x8cc70208u,
     0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u};
 
-std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
+using rs::util::load_be32;
 
 }  // namespace
 
@@ -83,59 +73,6 @@ void Sha256::compress(const std::uint8_t* block) noexcept {
   state_[5] += f;
   state_[6] += g;
   state_[7] += h;
-}
-
-void Sha256::update(std::span<const std::uint8_t> data) noexcept {
-  // Empty spans may carry data() == nullptr; memcpy from nullptr is UB
-  // even with a zero count (same fix as Sha1::update).
-  if (data.empty()) return;
-  length_ += data.size();
-  std::size_t off = 0;
-  if (buffered_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
-    buffered_ += take;
-    off = take;
-    if (buffered_ == 64) {
-      compress(buffer_);
-      buffered_ = 0;
-    }
-  }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
-  }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffered_ = data.size() - off;
-  }
-}
-
-Sha256Digest Sha256::finish() noexcept {
-  const std::uint64_t bit_len = length_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  static constexpr std::uint8_t kZeros[64] = {};
-  while (buffered_ != 56) {
-    const std::size_t need = buffered_ < 56 ? 56 - buffered_ : 64 - buffered_ + 56;
-    const std::size_t take = std::min<std::size_t>(need, 64 - buffered_);
-    update({kZeros, take});
-  }
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  }
-  update({len_bytes, 8});
-
-  Sha256Digest out;
-  for (int i = 0; i < 8; ++i) store_be32(out.data() + i * 4, state_[i]);
-  return out;
-}
-
-Sha256Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {
-  Sha256 h;
-  h.update(data);
-  return h.finish();
 }
 
 }  // namespace rs::crypto

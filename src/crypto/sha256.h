@@ -4,32 +4,23 @@
 // measurement pipeline (Jaccard sets, exclusive-root analysis, Table 6 ids).
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <span>
 
+#include "src/crypto/block_hash.h"
 #include "src/crypto/digest.h"
 
 namespace rs::crypto {
 
-/// Incremental SHA-256 hasher.
-class Sha256 {
+/// Incremental SHA-256 hasher: `update`, `finish` and the one-shot `hash`
+/// come from BlockHash.
+class Sha256 : public BlockHash<Sha256, 8, std::endian::big> {
  public:
   Sha256() noexcept;
 
-  void update(std::span<const std::uint8_t> data) noexcept;
-
-  /// Finalizes and returns the digest.  The hasher must not be used after.
-  Sha256Digest finish() noexcept;
-
-  static Sha256Digest hash(std::span<const std::uint8_t> data) noexcept;
-
  private:
+  friend BlockHash;
   void compress(const std::uint8_t* block) noexcept;
-
-  std::uint32_t state_[8];
-  std::uint64_t length_ = 0;
-  std::uint8_t buffer_[64];
-  std::size_t buffered_ = 0;
 };
 
 }  // namespace rs::crypto

@@ -1,5 +1,7 @@
 #include "src/formats/jks.h"
 
+#include <algorithm>
+
 #include "src/crypto/sha1.h"
 #include "src/formats/instrument.h"
 #include "src/util/hex.h"
@@ -17,6 +19,8 @@ constexpr std::uint32_t kMagic = 0xFEEDFEEDu;
 constexpr std::uint32_t kVersion2 = 2;
 constexpr std::uint32_t kTrustedCertTag = 2;
 constexpr std::string_view kWhitener = "Mighty Aphrodite";
+// The most bytes writeUTF's u16 length prefix can frame.
+constexpr std::size_t kMaxUtfBytes = 0xFFFF;
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -33,7 +37,8 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 // Java DataOutput.writeUTF: u16 byte length + modified UTF-8.  Root aliases
-// are ASCII in practice; we restrict to ASCII and document it.
+// are ASCII in practice; we restrict to ASCII and document it.  `s` holds
+// at most kMaxUtfBytes.
 void put_utf(std::vector<std::uint8_t>& out, std::string_view s) {
   put_u16(out, static_cast<std::uint16_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
@@ -132,10 +137,13 @@ std::vector<std::uint8_t> write_jks(const std::vector<TrustEntry>& entries,
   for (const auto& e : entries) {
     const auto& cert = *e.certificate;
     put_u32(out, kTrustedCertTag);
-    const std::string alias =
-        sanitize_alias(cert.subject().common_name().value_or("root")) + " [" +
-        cert.short_id() + "]";
-    put_utf(out, alias);
+    // A CN too long for writeUTF is cut, not the fingerprint suffix that
+    // keeps aliases unique.
+    const std::string suffix = " [" + cert.short_id() + "]";
+    std::string alias =
+        sanitize_alias(cert.subject().common_name().value_or("root"));
+    alias.resize(std::min(alias.size(), kMaxUtfBytes - suffix.size()));
+    put_utf(out, alias + suffix);
     put_u64(out, millis);
     put_utf(out, "X.509");
     put_u32(out, static_cast<std::uint32_t>(cert.der().size()));

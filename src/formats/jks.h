@@ -30,7 +30,8 @@ namespace rs::formats {
 inline constexpr std::string_view kDefaultJksPassword = "changeit";
 
 /// Serializes entries as a JKS v2 trusted-certificate keystore.
-/// Aliases are "<sanitized-cn> [<short-fp>]"; `created` stamps every entry.
+/// Aliases are "<sanitized-cn> [<short-fp>]", with the CN cut so the alias
+/// fits writeUTF's 65,535 bytes; `created` stamps every entry.
 [[nodiscard]] std::vector<std::uint8_t> write_jks(
     const std::vector<rs::store::TrustEntry>& entries,
     rs::util::Date created,

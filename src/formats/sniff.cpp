@@ -44,11 +44,8 @@ StoreFormat detect_store_format(std::string_view content) {
   return StoreFormat::kUnknown;
 }
 
-rs::util::Result<ParsedStore> parse_any_store(std::string_view content,
-                                              bool multi_purpose) {
+rs::util::Result<ParsedStore> parse_any_store(std::string_view content) {
   rs::obs::Span span("formats/sniff");
-  const auto policy = multi_purpose ? BundleTrustPolicy::multi_purpose()
-                                    : BundleTrustPolicy::tls_only();
   switch (detect_store_format(content)) {
     case StoreFormat::kJks:
       return parse_jks(
@@ -60,13 +57,12 @@ rs::util::Result<ParsedStore> parse_any_store(std::string_view content,
       return parse_certdata(content);
     case StoreFormat::kPemBundle:
     case StoreFormat::kUnknown:
-      return parse_pem_bundle(content, policy);
+      return parse_pem_bundle(content, BundleTrustPolicy::multi_purpose());
   }
   return rs::util::Result<ParsedStore>::err("unreachable");
 }
 
-rs::util::Result<ParsedStore> load_any_store(const std::string& path,
-                                             bool multi_purpose) {
+rs::util::Result<ParsedStore> load_any_store(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return rs::util::Result<ParsedStore>::err("cannot open " + path);
@@ -75,7 +71,7 @@ rs::util::Result<ParsedStore> load_any_store(const std::string& path,
   if (!content) {
     return rs::util::Result<ParsedStore>::err("cannot read " + path);
   }
-  return parse_any_store(*content, multi_purpose);
+  return parse_any_store(*content);
 }
 
 }  // namespace rs::formats

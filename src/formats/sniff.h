@@ -29,13 +29,14 @@ const char* to_string(StoreFormat f) noexcept;
 [[nodiscard]] StoreFormat detect_store_format(std::string_view content);
 
 /// Parses `content` with the detected parser.  kUnknown falls back to the
-/// PEM-bundle parser (matching how TLS tooling treats mystery files), with
-/// `multi_purpose` deciding the granted purposes for purpose-less formats.
-[[nodiscard]] rs::util::Result<ParsedStore> parse_any_store(std::string_view content,
-                                              bool multi_purpose = true);
+/// PEM-bundle parser (matching how TLS tooling treats mystery files).  A
+/// PEM bundle carries no purposes, so its entries are trusted for every
+/// purpose (BundleTrustPolicy::multi_purpose).
+[[nodiscard]] rs::util::Result<ParsedStore> parse_any_store(
+    std::string_view content);
 
 /// Reads the file at `path` and parses it.  I/O failures are errors.
-[[nodiscard]] rs::util::Result<ParsedStore> load_any_store(const std::string& path,
-                                             bool multi_purpose = true);
+[[nodiscard]] rs::util::Result<ParsedStore> load_any_store(
+    const std::string& path);
 
 }  // namespace rs::formats

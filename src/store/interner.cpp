@@ -6,6 +6,7 @@
 #include "src/obs/span.h"
 #include "src/store/database.h"
 #include "src/store/object_ids.h"
+#include "src/util/byte_order.h"
 
 namespace rs::store {
 
@@ -37,10 +38,7 @@ CertInterner::CertInterner(std::vector<rs::crypto::Sha256Digest> digests)
 
 std::uint32_t CertInterner::bucket_of(
     const rs::crypto::Sha256Digest& fp) const noexcept {
-  const std::uint32_t lead = (std::uint32_t{fp[0]} << 24) |
-                             (std::uint32_t{fp[1]} << 16) |
-                             (std::uint32_t{fp[2]} << 8) | std::uint32_t{fp[3]};
-  return lead >> (32 - prefix_bits_);
+  return rs::util::load_be32(fp.data()) >> (32 - prefix_bits_);
 }
 
 CertInterner CertInterner::from_database(const StoreDatabase& db) {

@@ -11,9 +11,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "src/util/byte_order.h"
+
 namespace rs::store::persist {
 
 namespace {
+
+using rs::util::load_le32;
+using rs::util::load_le64;
+using rs::util::store_le32;
+using rs::util::store_le64;
 
 // XXH64 primes (public-domain construction by Yann Collet).
 constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
@@ -51,10 +58,10 @@ std::uint64_t hash64(std::span<const std::uint8_t> data,
     std::uint64_t v4 = seed - kPrime1;
     const std::uint8_t* const limit = end - 32;
     do {
-      v1 = xxh_round(v1, read_le64(p));
-      v2 = xxh_round(v2, read_le64(p + 8));
-      v3 = xxh_round(v3, read_le64(p + 16));
-      v4 = xxh_round(v4, read_le64(p + 24));
+      v1 = xxh_round(v1, load_le64(p));
+      v2 = xxh_round(v2, load_le64(p + 8));
+      v3 = xxh_round(v3, load_le64(p + 16));
+      v4 = xxh_round(v4, load_le64(p + 24));
       p += 32;
     } while (p <= limit);
     h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
@@ -69,12 +76,12 @@ std::uint64_t hash64(std::span<const std::uint8_t> data,
 
   h += static_cast<std::uint64_t>(data.size());
   while (p + 8 <= end) {
-    h ^= xxh_round(0, read_le64(p));
+    h ^= xxh_round(0, load_le64(p));
     h = std::rotl(h, 27) * kPrime1 + kPrime4;
     p += 8;
   }
   if (p + 4 <= end) {
-    h ^= static_cast<std::uint64_t>(read_le32(p)) * kPrime1;
+    h ^= static_cast<std::uint64_t>(load_le32(p)) * kPrime1;
     h = std::rotl(h, 23) * kPrime2 + kPrime3;
     p += 4;
   }
@@ -127,9 +134,9 @@ std::string LoadFailure::message() const {
 
 // --- ByteWriter -------------------------------------------------------------
 
-void ByteWriter::u32(std::uint32_t v) { write_le32(run(4).data(), v); }
+void ByteWriter::u32(std::uint32_t v) { store_le32(run(4).data(), v); }
 
-void ByteWriter::u64(std::uint64_t v) { write_le64(run(8).data(), v); }
+void ByteWriter::u64(std::uint64_t v) { store_le64(run(8).data(), v); }
 
 void ByteWriter::i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -160,7 +167,7 @@ std::uint32_t ByteReader::u32() {
     fail(LoadError::kTruncated, "u32 past end of input");
     return 0;
   }
-  const std::uint32_t v = read_le32(data_.data() + pos_);
+  const std::uint32_t v = load_le32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
@@ -171,7 +178,7 @@ std::uint64_t ByteReader::u64() {
     fail(LoadError::kTruncated, "u64 past end of input");
     return 0;
   }
-  const std::uint64_t v = read_le64(data_.data() + pos_);
+  const std::uint64_t v = load_le64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -275,7 +282,7 @@ std::string FileBuilder::finish() const {
   out += table.data();
   // The header checksum covers the header (with its own field zeroed, as
   // it is right now) plus the whole section table.
-  write_le64(reinterpret_cast<std::uint8_t*>(out.data()) + 32, hash64(out));
+  store_le64(reinterpret_cast<std::uint8_t*>(out.data()) + 32, hash64(out));
   for (const auto& s : sections_) out += s.payload;
   return out;
 }
@@ -292,29 +299,29 @@ Loaded<FileView> FileView::parse(std::span<const std::uint8_t> file) {
   if (!std::equal(kMagic.begin(), kMagic.end(), file.begin())) {
     return L::fail(LoadError::kBadMagic, "not an RSIX index file");
   }
-  const std::uint32_t version = read_le32(file.data() + 8);
+  const std::uint32_t version = load_le32(file.data() + 8);
   if (version != kFormatVersion) {
     return L::fail(LoadError::kBadVersion,
                    "format version " + std::to_string(version) +
                        " (this build speaks " +
                        std::to_string(kFormatVersion) + ")");
   }
-  const std::uint32_t flags = read_le32(file.data() + 12);
+  const std::uint32_t flags = load_le32(file.data() + 12);
   if (flags != 0) {
     return L::fail(LoadError::kBadFlags,
                    "unknown feature flags 0x" + std::to_string(flags));
   }
-  const std::uint32_t section_count = read_le32(file.data() + 16);
+  const std::uint32_t section_count = load_le32(file.data() + 16);
   if (section_count > kMaxSections) {
     return L::fail(LoadError::kBadSectionTable,
                    "section count " + std::to_string(section_count) +
                        " exceeds cap " + std::to_string(kMaxSections));
   }
-  const std::uint32_t reserved = read_le32(file.data() + 20);
+  const std::uint32_t reserved = load_le32(file.data() + 20);
   if (reserved != 0) {
     return L::fail(LoadError::kBadHeader, "reserved header field not zero");
   }
-  const std::uint64_t declared_bytes = read_le64(file.data() + 24);
+  const std::uint64_t declared_bytes = load_le64(file.data() + 24);
   if (declared_bytes > file.size()) {
     return L::fail(LoadError::kTruncated,
                    "header declares " + std::to_string(declared_bytes) +
@@ -333,7 +340,7 @@ Loaded<FileView> FileView::parse(std::span<const std::uint8_t> file) {
 
   // Verify the header checksum: header with the checksum field zeroed,
   // plus the section table.
-  const std::uint64_t stored_check = read_le64(file.data() + 32);
+  const std::uint64_t stored_check = load_le64(file.data() + 32);
   std::vector<std::uint8_t> covered(
       file.begin(),
       file.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + table_bytes));
@@ -348,11 +355,11 @@ Loaded<FileView> FileView::parse(std::span<const std::uint8_t> file) {
   for (std::uint32_t i = 0; i < section_count; ++i) {
     const std::uint8_t* entry =
         file.data() + kHeaderBytes + i * kSectionEntryBytes;
-    const std::uint32_t id = read_le32(entry);
-    const std::uint32_t entry_reserved = read_le32(entry + 4);
-    const std::uint64_t offset = read_le64(entry + 8);
-    const std::uint64_t bytes = read_le64(entry + 16);
-    const std::uint64_t checksum = read_le64(entry + 24);
+    const std::uint32_t id = load_le32(entry);
+    const std::uint32_t entry_reserved = load_le32(entry + 4);
+    const std::uint64_t offset = load_le64(entry + 8);
+    const std::uint64_t bytes = load_le64(entry + 16);
+    const std::uint64_t checksum = load_le64(entry + 24);
     if (entry_reserved != 0) {
       return L::fail(LoadError::kBadSectionTable,
                      "reserved section field not zero");
@@ -512,8 +519,8 @@ void write_id_set(ByteWriter& w, const IdSet& set) {
   std::size_t n = words.size();
   while (n > 0 && words[n - 1] == 0) --n;
   std::uint8_t* out = w.run(8 * (n + 1)).data();
-  write_le64(out, n);
-  for (std::size_t i = 0; i < n; ++i) write_le64(out + 8 * (i + 1), words[i]);
+  store_le64(out, n);
+  for (std::size_t i = 0; i < n; ++i) store_le64(out + 8 * (i + 1), words[i]);
 }
 
 IdSet read_id_set(ByteReader& r, std::size_t universe) {
@@ -523,7 +530,7 @@ IdSet read_id_set(ByteReader& r, std::size_t universe) {
   if (!r.ok()) return IdSet();
   std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < words.size(); ++i) {
-    words[i] = read_le64(run.data() + 8 * i);
+    words[i] = load_le64(run.data() + 8 * i);
   }
   if (n > 0 && words.back() == 0) {
     r.fail(LoadError::kBadValue, "non-canonical id set (trailing zero word)");

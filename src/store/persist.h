@@ -129,45 +129,6 @@ inline constexpr std::uint64_t kMaxSections = 16;
 
 // --- primitive writer / reader ----------------------------------------------
 
-// Little-endian loads and stores, spelled byte by byte so they mean the
-// same on either byte order.  GCC folds each into a single move at -O2 (a
-// loop over the bytes stays one move per byte).
-inline std::uint32_t read_le32(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-inline std::uint64_t read_le64(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint64_t>(p[0]) |
-         (static_cast<std::uint64_t>(p[1]) << 8) |
-         (static_cast<std::uint64_t>(p[2]) << 16) |
-         (static_cast<std::uint64_t>(p[3]) << 24) |
-         (static_cast<std::uint64_t>(p[4]) << 32) |
-         (static_cast<std::uint64_t>(p[5]) << 40) |
-         (static_cast<std::uint64_t>(p[6]) << 48) |
-         (static_cast<std::uint64_t>(p[7]) << 56);
-}
-
-inline void write_le32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-inline void write_le64(std::uint8_t* p, std::uint64_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-  p[4] = static_cast<std::uint8_t>(v >> 32);
-  p[5] = static_cast<std::uint8_t>(v >> 40);
-  p[6] = static_cast<std::uint8_t>(v >> 48);
-  p[7] = static_cast<std::uint8_t>(v >> 56);
-}
-
 /// Appends fixed-width little-endian primitives to a byte string.
 class ByteWriter {
  public:
@@ -177,9 +138,9 @@ class ByteWriter {
   void bytes(const void* data, std::size_t n);
   /// u32 length prefix + raw bytes.
   void str(std::string_view s);
-  /// Appends `n` bytes for the caller to fill with write_le32/write_le64:
-  /// a run of fixed-width fields written with one append.  The view is
-  /// valid until the next write.
+  /// Appends `n` bytes for the caller to fill with the stores of
+  /// src/util/byte_order.h: a run of fixed-width fields written with one
+  /// append.  The view is valid until the next write.
   std::span<std::uint8_t> run(std::size_t n);
 
   std::size_t size() const noexcept { return out_.size(); }

@@ -84,9 +84,6 @@ TEST(Jaccard, DateWindowFilters) {
   opts.min_date = Date::ymd(2019, 3, 1);
   const auto dist = matrix(two_provider_db(), opts);
   EXPECT_EQ(dist.size(), 2u);  // A@2019-01 excluded
-  opts.max_date = Date::ymd(2019, 12, 1);
-  const auto dist2 = matrix(two_provider_db(), opts);
-  EXPECT_EQ(dist2.size(), 1u);  // only B@2019-06
 }
 
 TEST(Jaccard, SetKindDistinguishesTrustAwareness) {

@@ -5,9 +5,11 @@
 
 #include <string>
 
+#include "src/crypto/hmac.h"
 #include "src/crypto/md5.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
+#include "src/util/hex.h"
 
 namespace rs::crypto {
 namespace {
@@ -97,6 +99,41 @@ TEST(DigestEmptyUpdate, EmptyInputHashesMatchKnownVectors) {
   Sha1 h;
   h.update({});
   EXPECT_EQ(h.finish(), Sha1::hash({}));
+}
+
+// Pins absolute digest values at every length 0..300, so every padding
+// boundary (55, 56, 63, 64, 119, 120 bytes) is covered, not only the few
+// lengths the RFC/FIPS vectors check.  Each length is hashed by all three
+// digests one-shot and in 7-byte chunks, and HMAC-SHA256 runs with keys of
+// 0..99 bytes (keys past the 64-byte block are hashed first).  One SHA-256
+// over every output, in that order, is compared with a recorded value;
+// Python's hashlib and hmac modules give the same value for the same sweep.
+TEST(DigestPin, SweepOutputsMatchRecordedDigest) {
+  Sha256 all;
+  auto absorb = [&all](std::span<const std::uint8_t> digest) {
+    all.update(digest);
+  };
+  auto chunked = [](auto hasher, std::span<const std::uint8_t> data) {
+    for (std::size_t off = 0; off < data.size(); off += 7) {
+      hasher.update(
+          data.subspan(off, std::min<std::size_t>(7, data.size() - off)));
+    }
+    return hasher.finish();
+  };
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const auto data = pattern_bytes(n);
+    absorb(Md5::hash(data));
+    absorb(chunked(Md5(), data));
+    absorb(Sha1::hash(data));
+    absorb(chunked(Sha1(), data));
+    absorb(Sha256::hash(data));
+    absorb(chunked(Sha256(), data));
+  }
+  for (std::size_t k = 0; k < 100; ++k) {
+    absorb(hmac_sha256(pattern_bytes(k), pattern_bytes(3 * k)));
+  }
+  EXPECT_EQ(rs::util::hex_encode(all.finish()),
+            "d8767062f48bb13f59b4abed72e4d04d39f05350fb893a894a1124d02ecb6852");
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockBoundaries, DigestSweepTest,

@@ -108,5 +108,27 @@ TEST(Jks, AliasesAreLowercasedAndUnique) {
   EXPECT_EQ(parsed.value().entries.size(), 2u);
 }
 
+TEST(Jks, OverlongCommonNameRoundTrips) {
+  // The alias's writeUTF length field is 16 bits; a longer CN is cut so
+  // the store still parses, and the fingerprint suffix survives.
+  rs::x509::Name n;
+  n.add_common_name(std::string(70'000, 'a'));
+  const auto cert = std::make_shared<const rs::x509::Certificate>(
+      rs::x509::CertificateBuilder().subject(n).key_seed(10).build());
+  const auto blob =
+      write_jks({rs::store::make_tls_anchor(cert)}, Date::ymd(2020, 1, 1));
+  const std::string suffix = " [" + cert->short_id() + "]";
+  ASSERT_GE(blob.size(), 12u + 4u + 2u + 0xFFFFu);
+  EXPECT_EQ(blob[16], 0xFF);  // alias length, big-endian
+  EXPECT_EQ(blob[17], 0xFF);
+  EXPECT_EQ(std::string(blob.begin() + 18 + 0xFFFF - suffix.size(),
+                        blob.begin() + 18 + 0xFFFF),
+            suffix);
+  auto parsed = parse_jks(blob);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().substr(0, 80);
+  ASSERT_EQ(parsed.value().entries.size(), 1u);
+  EXPECT_EQ(parsed.value().entries[0].certificate->der(), cert->der());
+}
+
 }  // namespace
 }  // namespace rs::formats

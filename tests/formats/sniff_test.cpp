@@ -56,15 +56,11 @@ TEST(Sniff, ParseAnyDispatchesCorrectly) {
   EXPECT_EQ(parsed.value().entries.size(), 1u);
 }
 
-TEST(Sniff, MultiPurposeFlagControlsBundleTrust) {
+TEST(Sniff, PemBundleIsTrustedForEveryPurpose) {
   const std::string pem = write_pem_bundle(entries());
-  auto multi = parse_any_store(pem, /*multi_purpose=*/true);
-  ASSERT_TRUE(multi.ok());
-  EXPECT_TRUE(multi.value().entries[0].is_anchor_for(
-      rs::store::TrustPurpose::kCodeSigning));
-  auto tls = parse_any_store(pem, /*multi_purpose=*/false);
-  ASSERT_TRUE(tls.ok());
-  EXPECT_FALSE(tls.value().entries[0].is_anchor_for(
+  auto parsed = parse_any_store(pem);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.value().entries[0].is_anchor_for(
       rs::store::TrustPurpose::kCodeSigning));
 }
 

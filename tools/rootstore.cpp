@@ -24,7 +24,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -139,6 +142,64 @@ bool parse_count(std::string_view flag, std::string_view text,
   }
   out = *value;
   return true;
+}
+
+// Every value a subcommand's flags set; each subcommand reads the ones its
+// usage line lists.  Defaults are the unflagged values (serve overrides
+// threads).
+struct Flags {
+  bool csv = false;
+  bool watch_index = false;
+  std::size_t threads = 0;
+  std::size_t port = 0;
+  std::size_t cache = 1024;
+  std::string from_dir;
+  std::string index_file;
+  std::string port_file;
+  std::string trace_out;
+  std::string metrics_out;
+};
+
+// Parses `args` over `flags`, taking only the flags in `allowed` (one
+// subcommand's usage line).  An unlisted flag or a missing value prints the
+// usage, a bad count its parse_count line; either returns nullopt, and the
+// caller exits 2 before starting any work.
+std::optional<Flags> parse_flags(std::span<const std::string> args,
+                                 std::initializer_list<std::string_view> allowed,
+                                 Flags flags = {}) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    const bool is_switch = flag == "--csv" || flag == "--watch-index";
+    if (std::ranges::find(allowed, flag) == allowed.end() ||
+        (!is_switch && i + 1 == args.size())) {
+      usage();
+      return std::nullopt;
+    }
+    bool ok = true;
+    if (flag == "--csv") {
+      flags.csv = true;
+    } else if (flag == "--watch-index") {
+      flags.watch_index = true;
+    } else if (flag == "--threads") {
+      ok = parse_count(flag, args[++i], kMaxWorkers, flags.threads);
+    } else if (flag == "--port") {
+      ok = parse_count(flag, args[++i], 65535, flags.port);
+    } else if (flag == "--cache") {
+      ok = parse_count(flag, args[++i], UINT32_MAX, flags.cache);
+    } else if (flag == "--from") {
+      flags.from_dir = args[++i];
+    } else if (flag == "--index") {
+      flags.index_file = args[++i];
+    } else if (flag == "--port-file") {
+      flags.port_file = args[++i];
+    } else if (flag == "--trace-out") {
+      flags.trace_out = args[++i];
+    } else if (flag == "--metrics-out") {
+      flags.metrics_out = args[++i];
+    }
+    if (!ok) return std::nullopt;
+  }
+  return flags;
 }
 
 int cmd_formats() {
@@ -378,30 +439,28 @@ bool write_observability(const std::string& path,
   return static_cast<bool>(f);
 }
 
-int cmd_report(const std::string& name, bool csv, std::size_t threads,
-               const std::string& from_dir, const std::string& trace_out,
-               const std::string& metrics_out) {
+int cmd_report(const std::string& name, const Flags& flags) {
   // Tracing must be live before the study is built so decoder, interner,
   // and pool spans land in the output.  (ROOTSTORE_TRACE already enabled
   // the registry at first access; this covers the explicit flags.)
-  if (!trace_out.empty() || !metrics_out.empty()) {
+  if (!flags.trace_out.empty() || !flags.metrics_out.empty()) {
     rs::obs::Registry::global().enable();
   }
   rs::core::StudyOptions options;
-  options.num_threads = threads;
+  options.num_threads = flags.threads;
   auto scenario = rs::synth::build_paper_scenario(rs::synth::kPaperSeed);
-  if (!from_dir.empty()) {
+  if (!flags.from_dir.empty()) {
     // Run the paper's actual pipeline shape: decode stored snapshots
     // (rootstore dataset export <dir>) through the real parsers, then
     // analyze the decoded database.  RSTS round-trips the full trust
     // model, so the reports are byte-identical either way — pinned by
     // tests/analysis/golden_report_test.cpp.
-    auto loaded = rs::formats::load_dataset(from_dir);
+    auto loaded = rs::formats::load_dataset(flags.from_dir);
     if (!loaded.ok()) return die(loaded.error());
     scenario.replace_database(std::move(loaded.value()));
   }
   rs::core::EcosystemStudy study(std::move(scenario), options);
-  if (csv) {
+  if (flags.csv) {
     if (name == "fig1") {
       std::fputs(rs::core::figure1_csv(study).c_str(), stdout);
     } else if (name == "fig3") {
@@ -415,7 +474,7 @@ int cmd_report(const std::string& name, bool csv, std::size_t threads,
     }
   }
   std::string out;
-  if (csv) {
+  if (flags.csv) {
     // CSV output already went to stdout above; fall through to the
     // observability flush below.
   } else if (name == "table1") out = study.report_table1();
@@ -435,13 +494,14 @@ int cmd_report(const std::string& name, bool csv, std::size_t threads,
   else return die("unknown report '" + name + "'");
   std::fputs(out.c_str(), stdout);
 
-  if (!trace_out.empty() &&
-      !write_observability(trace_out, &rs::obs::Registry::to_chrome_trace)) {
-    return die("cannot write trace file: " + trace_out);
+  if (!flags.trace_out.empty() &&
+      !write_observability(flags.trace_out,
+                           &rs::obs::Registry::to_chrome_trace)) {
+    return die("cannot write trace file: " + flags.trace_out);
   }
-  if (!metrics_out.empty() &&
-      !write_observability(metrics_out, &rs::obs::Registry::to_json)) {
-    return die("cannot write metrics file: " + metrics_out);
+  if (!flags.metrics_out.empty() &&
+      !write_observability(flags.metrics_out, &rs::obs::Registry::to_json)) {
+    return die("cannot write metrics file: " + flags.metrics_out);
   }
   return 0;
 }
@@ -463,26 +523,25 @@ rs::util::Result<rs::store::StoreDatabase> load_query_database(
 
 // Builds the engine either the expensive way (decode + intern + index
 // build from a database) or the cold-start way (load a persisted index).
-rs::util::Result<rs::query::QueryEngine> make_engine(
-    const std::string& from_dir, const std::string& index_file,
-    std::size_t threads) {
+rs::util::Result<rs::query::QueryEngine> make_engine(const Flags& flags) {
   using R = rs::util::Result<rs::query::QueryEngine>;
-  if (!index_file.empty()) {
-    auto loaded = rs::query::TrustIndexIO::load_file(index_file);
-    if (!loaded.ok()) return R::err(index_file + ": " + loaded.message());
+  if (!flags.index_file.empty()) {
+    auto loaded = rs::query::TrustIndexIO::load_file(flags.index_file);
+    if (!loaded.ok()) {
+      return R::err(flags.index_file + ": " + loaded.message());
+    }
     return rs::query::QueryEngine(std::move(loaded).take(),
                                   rs::synth::user_agent_population());
   }
-  auto db = load_query_database(from_dir);
+  auto db = load_query_database(flags.from_dir);
   if (!db.ok()) return db.propagate<rs::query::QueryEngine>();
-  rs::exec::ThreadPool build_pool(threads);
+  rs::exec::ThreadPool build_pool(flags.threads);
   return rs::query::QueryEngine(db.value(), rs::synth::user_agent_population(),
                                 &build_pool);
 }
 
-int cmd_query(const std::string& request, std::size_t threads,
-              const std::string& from_dir, const std::string& index_file) {
-  auto engine = make_engine(from_dir, index_file, threads);
+int cmd_query(const std::string& request, const Flags& flags) {
+  auto engine = make_engine(flags);
   if (!engine.ok()) return die(engine.error());
   const std::string response = engine.value().handle_json(request);
   std::printf("%s\n", response.c_str());
@@ -491,11 +550,10 @@ int cmd_query(const std::string& request, std::size_t threads,
   return rs::query::QueryEngine::is_error_response(response) ? 1 : 0;
 }
 
-int cmd_index_build(const std::string& out, const std::string& from_dir,
-                    std::size_t threads) {
-  auto db = load_query_database(from_dir);
+int cmd_index_build(const std::string& out, const Flags& flags) {
+  auto db = load_query_database(flags.from_dir);
   if (!db.ok()) return die(db.error());
-  rs::exec::ThreadPool pool(threads);
+  rs::exec::ThreadPool pool(flags.threads);
   const auto index = rs::query::TrustIndex::build(
       db.value(), rs::store::CertInterner::from_database(db.value()), &pool);
   auto written = rs::query::TrustIndexIO::write_file(index, out);
@@ -562,8 +620,7 @@ extern "C" void handle_shutdown_signal(int) {
 // written atomically (temp file, fsync, rename), so a polling reader sees
 // either no file or the complete port, never a partial write.
 int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
-                       const std::string& port_file, std::size_t threads,
-                       std::size_t cache) {
+                       const Flags& flags) {
   if (pipe(g_shutdown_pipe) != 0) return die("cannot create signal pipe");
   struct sigaction action {};
   action.sa_handler = handle_shutdown_signal;
@@ -571,15 +628,15 @@ int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
 
-  if (!port_file.empty()) {
+  if (!flags.port_file.empty()) {
     const auto written = rs::store::persist::atomic_write_file(
-        port_file, std::to_string(bound_port) + "\n");
+        flags.port_file, std::to_string(bound_port) + "\n");
     if (!written.ok()) {
       return die("cannot write port file: " + written.error());
     }
   }
   std::printf("listening 127.0.0.1:%u (threads=%zu cache=%zu)\n",
-              static_cast<unsigned>(bound_port), threads, cache);
+              static_cast<unsigned>(bound_port), flags.threads, flags.cache);
   std::fflush(stdout);
 
   char byte = 0;
@@ -596,23 +653,22 @@ int serve_until_signal(rs::serve::Server& server, std::uint16_t bound_port,
   return 0;
 }
 
-int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
-              const std::string& port_file, const std::string& from_dir,
-              const std::string& index_file, bool watch_index) {
-  if (watch_index && index_file.empty()) {
+int cmd_serve(const Flags& flags) {
+  const std::string& index_file = flags.index_file;
+  if (flags.watch_index && index_file.empty()) {
     return die("--watch-index requires --index FILE");
   }
   // A stale port file from an earlier run poisons waiting clients: remove
   // it up front so a reader only ever sees the port of THIS process.
-  if (!port_file.empty()) ::unlink(port_file.c_str());
+  if (!flags.port_file.empty()) ::unlink(flags.port_file.c_str());
 
-  auto made = make_engine(from_dir, index_file, threads);
+  auto made = make_engine(flags);
   if (!made.ok()) return die(made.error());
 
   rs::serve::ServerOptions options;
-  options.port = port;
-  options.num_threads = threads;
-  options.cache_capacity = cache;
+  options.port = static_cast<std::uint16_t>(flags.port);
+  options.num_threads = flags.threads;
+  options.cache_capacity = flags.cache;
   if (!index_file.empty()) {
     // Reloading re-reads the persisted index: cheap relative to a rebuild,
     // and exactly what `--watch-index` watches.
@@ -626,14 +682,14 @@ int cmd_serve(std::uint16_t port, std::size_t threads, std::size_t cache,
       return std::make_shared<const rs::query::QueryEngine>(
           std::move(loaded).take(), rs::synth::user_agent_population());
     };
-    if (watch_index) options.watch_path = index_file;
+    if (flags.watch_index) options.watch_path = index_file;
   }
   rs::serve::Server server(
       std::make_shared<const rs::query::QueryEngine>(std::move(made).take()),
       options);
   auto bound = server.start();
   if (!bound.ok()) return die(bound.error());
-  return serve_until_signal(server, bound.value(), port_file, threads, cache);
+  return serve_until_signal(server, bound.value(), flags);
 }
 
 }  // namespace
@@ -648,102 +704,43 @@ int main(int argc, char** argv) {
   if (cmd == "convert" && args.size() == 3) return cmd_convert(args[1], args[2]);
   if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
   if (cmd == "dataset" && args.size() == 3) return cmd_dataset(args[1], args[2]);
+  const auto after = [&args](std::size_t n) {
+    return std::span(args).subspan(n);
+  };
   if (cmd == "report" && args.size() >= 2) {
-    std::size_t threads = 0;
-    bool csv = false;
-    std::string from_dir;
-    std::string trace_out;
-    std::string metrics_out;
-    for (std::size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--csv") {
-        csv = true;
-      } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
-          return 2;
-        }
-      } else if (args[i] == "--from" && i + 1 < args.size()) {
-        from_dir = args[++i];
-      } else if (args[i] == "--trace-out" && i + 1 < args.size()) {
-        trace_out = args[++i];
-      } else if (args[i] == "--metrics-out" && i + 1 < args.size()) {
-        metrics_out = args[++i];
-      } else {
-        return usage();
-      }
-    }
-    return cmd_report(args[1], csv, threads, from_dir, trace_out, metrics_out);
+    const auto flags = parse_flags(
+        after(2),
+        {"--csv", "--threads", "--from", "--trace-out", "--metrics-out"});
+    return flags ? cmd_report(args[1], *flags) : 2;
   }
   if (cmd == "query" && args.size() >= 2) {
-    std::size_t threads = 0;
-    std::string from_dir;
-    std::string index_file;
-    for (std::size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--threads" && i + 1 < args.size()) {
-        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
-          return 2;
-        }
-      } else if (args[i] == "--from" && i + 1 < args.size()) {
-        from_dir = args[++i];
-      } else if (args[i] == "--index" && i + 1 < args.size()) {
-        index_file = args[++i];
-      } else {
-        return usage();
-      }
-    }
-    return cmd_query(args[1], threads, from_dir, index_file);
+    const auto flags =
+        parse_flags(after(2), {"--threads", "--from", "--index"});
+    return flags ? cmd_query(args[1], *flags) : 2;
   }
   if (cmd == "index" && args.size() >= 3) {
     const std::string& verb = args[1];
     const std::string& path = args[2];
-    std::size_t threads = 0;
-    std::string from_dir;
-    for (std::size_t i = 3; i < args.size(); ++i) {
-      if (args[i] == "--threads" && i + 1 < args.size()) {
-        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
-          return 2;
-        }
-      } else if (args[i] == "--from" && i + 1 < args.size()) {
-        from_dir = args[++i];
-      } else {
-        return usage();
-      }
+    if (verb == "build") {
+      const auto flags = parse_flags(after(3), {"--from", "--threads"});
+      return flags ? cmd_index_build(path, *flags) : 2;
     }
-    if (verb == "build") return cmd_index_build(path, from_dir, threads);
-    if (verb == "append") return cmd_index_append(path, from_dir);
+    if (verb == "append") {
+      const auto flags = parse_flags(after(3), {"--from"});
+      return flags ? cmd_index_append(path, flags->from_dir) : 2;
+    }
     if (verb == "verify" && args.size() == 3) return cmd_index_verify(path);
     return usage();
   }
   if (cmd == "serve") {
-    std::size_t port = 0;
-    std::size_t threads = 4;
-    std::size_t cache = 1024;
-    std::string port_file;
-    std::string from_dir;
-    std::string index_file;
-    bool watch_index = false;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--port" && i + 1 < args.size()) {
-        if (!parse_count("--port", args[++i], 65535, port)) return 2;
-      } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        if (!parse_count("--threads", args[++i], kMaxWorkers, threads)) {
-          return 2;
-        }
-      } else if (args[i] == "--cache" && i + 1 < args.size()) {
-        if (!parse_count("--cache", args[++i], UINT32_MAX, cache)) return 2;
-      } else if (args[i] == "--port-file" && i + 1 < args.size()) {
-        port_file = args[++i];
-      } else if (args[i] == "--from" && i + 1 < args.size()) {
-        from_dir = args[++i];
-      } else if (args[i] == "--index" && i + 1 < args.size()) {
-        index_file = args[++i];
-      } else if (args[i] == "--watch-index") {
-        watch_index = true;
-      } else {
-        return usage();
-      }
-    }
-    return cmd_serve(static_cast<std::uint16_t>(port), threads, cache,
-                     port_file, from_dir, index_file, watch_index);
+    Flags defaults;
+    defaults.threads = 4;
+    const auto flags = parse_flags(after(1),
+                                   {"--port", "--threads", "--cache",
+                                    "--port-file", "--from", "--index",
+                                    "--watch-index"},
+                                   defaults);
+    return flags ? cmd_serve(*flags) : 2;
   }
   return usage();
 }
